@@ -8,9 +8,9 @@
 #include "driver/Auditors.h"
 
 #include "heap/IntervalSet.h"
+#include "mm/CompactionLedger.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 using namespace pcb;
@@ -92,7 +92,7 @@ bool pcb::auditBudgetHistory(const std::vector<HeapEvent> &Events,
       break;
     case HeapEvent::Kind::Move:
       Moved += E.Size;
-      if (double(Moved) > std::floor(double(Allocated) / C))
+      if (Moved > cPartialBudget(Allocated, C))
         return false;
       break;
     case HeapEvent::Kind::Free:

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// A policy-invisible differential checker: mirrors every heap mutation
-/// into the preserved pre-bitboard ReferenceHeap and, at each step
-/// boundary, compares the live bitboard Heap against it — the whole
-/// substrate, not just the free index: free blocks block-for-block, the
+/// into the naive ReferenceHeap (built on ReferenceFreeSpaceIndex) and, at
+/// each step boundary, compares the live bitboard Heap against it — the
+/// whole substrate, not just the free index: free blocks block-for-block, the
 /// placement and aggregate queries the managers actually issue, the
 /// object table, the statistics, and the occupancy/start bitboards. The
 /// managers never see the reference heap, so a parity violation always

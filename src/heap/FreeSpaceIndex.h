@@ -29,13 +29,12 @@
 /// exists for address-space-boundary semantics, e.g. a placement ending
 /// exactly at AddrLimit).
 ///
-/// Semantics are identical to the previous interval implementations —
-/// the original node-based ReferenceFreeSpaceIndex and the flat leaf
-/// structure it replaced (preserved as testsupport/FlatFreeSpaceIndex)
-/// are both cross-checked continuously by the equivalence property test
-/// and the differential fuzzer's heap-parity oracle. All tie-breaks
-/// resolve to the lowest address, and numBlocksBelow / largestBlockBelow
-/// stay exact for the telemetry layer.
+/// Semantics are identical to the original node-based interval index,
+/// preserved as testsupport/ReferenceFreeSpaceIndex and cross-checked
+/// continuously by the equivalence property test and the differential
+/// fuzzer's heap-parity oracle. All tie-breaks resolve to the lowest
+/// address, and numBlocksBelow / largestBlockBelow stay exact for the
+/// telemetry layer.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -26,6 +26,23 @@
 
 namespace pcb {
 
+/// The c-partial budget after \p Allocated words: floor(Allocated / C)
+/// words of compaction, or UINT64_MAX when C <= 0 (unlimited). Exact for
+/// integral C at any \p Allocated: below 2^53 the double quotient's
+/// rounding error, under Allocated / (C * 2^53), is smaller than the 1/C
+/// gap between a fractional quotient and the next integer, so its floor
+/// is exact; from 2^53 on, where Allocated itself would round, integral C
+/// divides as integers. (The double path is kept below 2^53 because a
+/// 64-bit integer division costs measurably more on the compactors'
+/// chunk scans, which ask for the budget once per candidate.)
+inline uint64_t cPartialBudget(uint64_t Allocated, double C) {
+  if (C <= 0.0)
+    return UINT64_MAX;
+  if (Allocated < (uint64_t(1) << 53) || C != std::floor(C))
+    return uint64_t(std::floor(double(Allocated) / C));
+  return C < 0x1p64 ? Allocated / uint64_t(C) : 0;
+}
+
 /// Evaluates the c-partial compaction constraint against a heap.
 class CompactionLedger {
 public:
@@ -41,9 +58,7 @@ public:
 
   /// Words of compaction allowed so far: floor(total allocated / c).
   uint64_t budgetWords() const {
-    if (isUnlimited())
-      return UINT64_MAX;
-    return uint64_t(std::floor(double(H.stats().TotalAllocatedWords) / C));
+    return cPartialBudget(H.stats().TotalAllocatedWords, C);
   }
 
   /// Words of budget not yet spent.

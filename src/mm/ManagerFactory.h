@@ -23,14 +23,12 @@
 namespace pcb {
 
 /// Creates the manager named \p Policy over \p H with compaction quota
-/// \p C. Returns nullptr for unknown names. Known names:
-/// "first-fit", "best-fit", "next-fit", "worst-fit", "aligned-fit",
-/// "buddy", "segregated-fit", "evacuating", "hybrid", "sliding",
-/// "sliding-unlimited" (ignores C; the non-c-partial ideal),
-/// "bump-compactor" (requires \p LiveBound, the program's M — its
-/// compaction period is c * LiveBound), and the reallocation family
-/// "realloc-never", "realloc-bucket", "realloc-jin" (ignore C; budgeted
-/// by their ReallocationLedger overhead bound instead).
+/// \p C. Returns nullptr for unknown names. The names are those of
+/// allManagerPolicies(); of them, "sliding-unlimited" ignores C (the
+/// non-c-partial ideal), "bump-compactor" requires \p LiveBound (the
+/// program's M — its compaction period is c * LiveBound), and the
+/// reallocation family ignores C (budgeted by their ReallocationLedger
+/// overhead bound instead).
 std::unique_ptr<MemoryManager> createManager(const std::string &Policy,
                                              Heap &H, double C,
                                              uint64_t LiveBound = 0);
@@ -48,14 +46,12 @@ createManagerChecked(const std::string &Policy, Heap &H, double C,
 /// messages and usage text.
 std::string managerPolicyList();
 
-/// All policy names createManager accepts.
+/// All policy names createManager accepts, in registry order (the order
+/// the harness runs them in).
 std::vector<std::string> allManagerPolicies();
 
 /// The non-moving subset (the managers Robson's bounds apply to).
 std::vector<std::string> nonMovingManagerPolicies();
-
-/// The c-partial compacting subset.
-std::vector<std::string> compactingManagerPolicies();
 
 /// The Cohen–Petrank compaction family: every policy scored by peak
 /// footprint under a c-partial move budget (allManagerPolicies minus

@@ -7,10 +7,8 @@
 
 #include "testsupport/ReferenceHeap.h"
 
-
 #include <algorithm>
 #include <cassert>
-#include <string>
 
 using namespace pcb;
 
@@ -28,8 +26,6 @@ ObjectId ReferenceHeap::place(Addr Address, uint64_t Size) {
   Stats.PeakLiveWords = std::max(Stats.PeakLiveWords, Stats.LiveWords);
   Stats.HighWaterMark = std::max(Stats.HighWaterMark, Address + Size);
   ++Stats.NumAllocations;
-  if (OnEvent)
-    OnEvent(HeapEvent::alloc(Id, Address, Size));
   return Id;
 }
 
@@ -41,8 +37,6 @@ void ReferenceHeap::free(ObjectId Id) {
   O.State = ObjectState::Freed;
   Stats.LiveWords -= O.Size;
   ++Stats.NumFrees;
-  if (OnEvent)
-    OnEvent(HeapEvent::release(Id, O.Address, O.Size));
 }
 
 void ReferenceHeap::move(ObjectId Id, Addr NewAddress) {
@@ -56,81 +50,10 @@ void ReferenceHeap::move(ObjectId Id, Addr NewAddress) {
   Free.reserve(NewAddress, O.Size);
   LiveByAddr.erase(O.Address);
   LiveByAddr[NewAddress] = Id;
-  Addr OldAddress = O.Address;
   O.Address = NewAddress;
   Stats.MovedWords += O.Size;
   Stats.HighWaterMark = std::max(Stats.HighWaterMark, NewAddress + O.Size);
   ++Stats.NumMoves;
-  if (OnEvent)
-    OnEvent(HeapEvent::move(Id, OldAddress, NewAddress, O.Size));
-}
-
-uint64_t ReferenceHeap::usedWordsIn(Addr Start, uint64_t Size) const {
-  assert(Size != 0 && "empty query range");
-  return Size - Free.freeWordsIn(Start, Start + Size);
-}
-
-bool ReferenceHeap::checkConsistency(std::string *Why) const {
-  auto Fail = [&](const std::string &Reason) {
-    if (Why)
-      *Why = Reason;
-    return false;
-  };
-  uint64_t LiveWords = 0;
-  uint64_t LiveCount = 0;
-  Addr PrevEnd = 0;
-  uint64_t MaxEnd = 0;
-  for (const auto &[Address, Id] : LiveByAddr) {
-    if (Id >= Objects.size())
-      return Fail("address index names an unknown object id " +
-                  std::to_string(Id));
-    const Object &O = Objects[Id];
-    if (!O.isLive() || O.Address != Address)
-      return Fail("address index disagrees with object table at id " +
-                  std::to_string(Id));
-    if (Address < PrevEnd)
-      return Fail("object " + std::to_string(Id) +
-                  " overlaps its predecessor at address " +
-                  std::to_string(Address));
-    // Every word of the object must be absent from the free index.
-    if (Free.freeWordsIn(Address, O.end()) != 0)
-      return Fail("object " + std::to_string(Id) +
-                  " overlaps the free index");
-    PrevEnd = O.end();
-    MaxEnd = std::max(MaxEnd, uint64_t(O.end()));
-    LiveWords += O.Size;
-    ++LiveCount;
-  }
-  // Every live object appears in the index; no dead object does.
-  uint64_t TableLive = 0;
-  for (const Object &O : Objects)
-    TableLive += O.isLive();
-  if (TableLive != LiveCount)
-    return Fail("object table has " + std::to_string(TableLive) +
-                " live objects but the address index has " +
-                std::to_string(LiveCount));
-  // The free index is the exact complement up to the high-water mark.
-  if (Stats.HighWaterMark != 0 &&
-      Free.freeWordsIn(0, Stats.HighWaterMark) !=
-          Stats.HighWaterMark - LiveWords)
-    return Fail("free index is not the complement of the live objects "
-                "below the high-water mark");
-  if (LiveWords != Stats.LiveWords)
-    return Fail("LiveWords statistic " + std::to_string(Stats.LiveWords) +
-                " does not match recount " + std::to_string(LiveWords));
-  if (MaxEnd > Stats.HighWaterMark)
-    return Fail("an object ends above the recorded high-water mark");
-  return true;
-}
-
-std::vector<ObjectId> ReferenceHeap::liveObjects() const {
-  std::vector<ObjectId> Ids;
-  Ids.reserve(LiveByAddr.size());
-  for (const auto &[Address, Id] : LiveByAddr) {
-    (void)Address;
-    Ids.push_back(Id);
-  }
-  return Ids;
 }
 
 uint64_t ReferenceHeap::occupancyMask(unsigned Count) const {
@@ -158,17 +81,3 @@ uint64_t ReferenceHeap::objectStartMask(unsigned Count) const {
   return Starts;
 }
 
-std::vector<ObjectId> ReferenceHeap::liveObjectsIn(Addr Start, uint64_t Size) const {
-  Addr End = Start + Size;
-  std::vector<ObjectId> Ids;
-  auto It = LiveByAddr.upper_bound(Start);
-  // An object starting before the range may still reach into it.
-  if (It != LiveByAddr.begin()) {
-    auto Prev = std::prev(It);
-    if (Objects[Prev->second].end() > Start)
-      Ids.push_back(Prev->second);
-  }
-  for (; It != LiveByAddr.end() && It->first < End; ++It)
-    Ids.push_back(It->second);
-  return Ids;
-}

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pre-bitboard Heap implementation, preserved verbatim as the
-/// full-heap oracle for the differential fuzzer and the substrate tests.
-/// Originally: the single source of truth for heap state: the object table, the free
-/// space, and the footprint accounting. Memory managers are policies on
-/// top of this model; they decide *where* to place or move objects, the
-/// ReferenceHeap validates and records it.
+/// The naive full-heap oracle for the differential fuzzer: the
+/// pre-bitboard Heap (object table, free space, footprint accounting)
+/// built on the node-based ReferenceFreeSpaceIndex, so the live bitboard
+/// Heap is checked against structures that share none of its code.
+/// Memory managers are policies on top of a heap model; they decide
+/// *where* to place or move objects, the heap validates and records it.
 ///
 /// Footprint semantics follow the paper: the heap is the smallest
 /// consecutive address prefix the manager ever touches, so the heap size
@@ -20,10 +20,9 @@
 /// did occupy will remain part of the heap forever").
 ///
 /// \par Thread compatibility
-/// ReferenceHeap is thread-compatible: it has no global or static mutable state,
-/// so distinct instances may be used concurrently from distinct threads
-/// with no synchronization (the experiment runner in src/runner/ gives
-/// every grid cell its own ReferenceHeap). A single instance must not be shared
+/// ReferenceHeap is thread-compatible: it has no global or static mutable
+/// state, so distinct instances may be used concurrently from distinct
+/// threads with no synchronization. A single instance must not be shared
 /// across threads without external locking.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,15 +31,12 @@
 #define PCBOUND_TESTSUPPORT_REFERENCEHEAP_H
 
 #include "heap/Heap.h" // for HeapStats
-#include "testsupport/FlatFreeSpaceIndex.h"
-#include "heap/HeapEvent.h"
+#include "testsupport/ReferenceFreeSpaceIndex.h"
 #include "heap/HeapTypes.h"
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace pcb {
@@ -80,66 +76,24 @@ public:
   size_t numObjects() const { return Objects.size(); }
 
   /// Placement queries over the free space.
-  const FlatFreeSpaceIndex &freeSpace() const { return Free; }
-
-  /// Live words occupying [Start, Start + Size).
-  uint64_t usedWordsIn(Addr Start, uint64_t Size) const;
-
-  /// True if [Start, Start + Size) contains no live object words.
-  bool isFree(Addr Start, uint64_t Size) const {
-    return Free.isFree(Start, Size);
-  }
+  const ReferenceFreeSpaceIndex &freeSpace() const { return Free; }
 
   const HeapStats &stats() const { return Stats; }
 
-  /// Installs an observer invoked after every place/free/move. Pass an
-  /// empty function to detach. The observer must not mutate the heap.
-  void setEventCallback(std::function<void(const HeapEvent &)> Callback) {
-    OnEvent = std::move(Callback);
-  }
-
-  /// Full structural self-check: live objects are disjoint, the free
-  /// index is exactly their complement, the live-by-address index agrees,
-  /// and the statistics match a recount. O(objects + free blocks); meant
-  /// for tests and the fuzzing oracle. When \p Why is non-null and the
-  /// check fails, it receives a one-line diagnosis of the first
-  /// inconsistency found.
-  bool checkConsistency(std::string *Why = nullptr) const;
-
-  /// Ids of all live objects, in address order. O(live objects).
-  std::vector<ObjectId> liveObjects() const;
-
   /// Occupancy bitboard of the first \p Count (<= 64) words: bit i is set
-  /// iff address i is covered by a live object. Canonicalization hook for
-  /// the exact game solver (src/exact/), whose states are exactly such
-  /// boards — witness replays cross-check the real heap against the
-  /// solver's layout after every event. O(live objects).
+  /// iff address i is covered by a live object (Heap::occupancyMask).
   uint64_t occupancyMask(unsigned Count) const;
 
   /// Companion bitboard: bit i is set iff a live object starts at
-  /// address i. Together with occupancyMask this determines the heap
-  /// prefix's layout up to object identity. O(live objects).
+  /// address i (Heap::objectStartMask).
   uint64_t objectStartMask(unsigned Count) const;
-
-  /// Ids of live objects intersecting [Start, Start + Size), in address
-  /// order. O(log live + matches).
-  std::vector<ObjectId> liveObjectsIn(Addr Start, uint64_t Size) const;
-
-  /// Id of the lowest-addressed live object starting at or above \p A, or
-  /// InvalidObjectId when none exists. O(log live); lets compactors walk
-  /// the heap in address order without snapshotting the whole live set.
-  ObjectId firstLiveAt(Addr A) const {
-    auto It = LiveByAddr.lower_bound(A);
-    return It == LiveByAddr.end() ? InvalidObjectId : It->second;
-  }
 
 private:
   std::vector<Object> Objects;
-  FlatFreeSpaceIndex Free;
-  /// Live objects ordered by current address, for range queries.
+  ReferenceFreeSpaceIndex Free;
+  /// Live objects ordered by current address, for the masks.
   std::map<Addr, ObjectId> LiveByAddr;
   HeapStats Stats;
-  std::function<void(const HeapEvent &)> OnEvent;
 };
 
 } // namespace pcb

@@ -7,6 +7,8 @@
 
 #include "trace/TraceReader.h"
 
+#include "heap/HeapTypes.h"
+
 #include <istream>
 #include <sstream>
 
@@ -76,6 +78,10 @@ bool TraceReader::apply(MallocOp &Op) {
   if (Op.isAlloc()) {
     if (Op.Size == 0)
       return fail("zero-word allocation (id " + std::to_string(Op.Id) + ")");
+    if (Op.Size > AddrLimit - LiveWords)
+      return fail("allocation of " + std::to_string(Op.Size) + " words (id " +
+                  std::to_string(Op.Id) + ") exceeds the 2^60-word address "
+                  "space with " + std::to_string(LiveWords) + " words live");
     auto [It, Inserted] = Live.emplace(Op.Id, Op.Size);
     if (!Inserted)
       return fail("allocation of id " + std::to_string(Op.Id) +

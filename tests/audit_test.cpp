@@ -139,6 +139,23 @@ TEST(Auditors, BudgetHistoryCatchesMidRunBreach) {
   EXPECT_TRUE(auditBudgetHistory(Reordered, 2.0));
 }
 
+TEST(Auditors, BudgetHistoryIsExactPast2To53) {
+  // 2^53 + 3 words allocated at c = 1 fund exactly 2^53 + 3 moved words.
+  // A double quotient rounds the budget up to 2^53 + 4 and misses the
+  // one-word breach below.
+  const uint64_t Big = (uint64_t(1) << 53) + 2;
+  std::vector<HeapEvent> Events = {
+      HeapEvent::alloc(0, 0, Big),
+      HeapEvent::alloc(1, Big, 1),
+      HeapEvent::move(0, 0, uint64_t(1) << 54, Big),
+      HeapEvent::move(1, Big, uint64_t(1) << 55, 1),
+  };
+  EXPECT_TRUE(auditBudgetHistory(Events, 1.0));
+  Events.push_back(
+      HeapEvent::move(1, uint64_t(1) << 55, (uint64_t(1) << 55) + 8, 1));
+  EXPECT_FALSE(auditBudgetHistory(Events, 1.0));
+}
+
 // --- End-to-end: every execution audits clean -------------------------------
 
 struct AuditCase {

@@ -1,9 +1,9 @@
-//===- tests/index_equiv_test.cpp - Flat index vs reference oracle -------===//
+//===- tests/index_equiv_test.cpp - Live index vs reference oracle -------===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
-// Property test: the flat FreeSpaceIndex and the preserved node-based
+// Property test: the bitboard FreeSpaceIndex and the preserved node-based
 // ReferenceFreeSpaceIndex are driven through identical random
 // reserve/release streams, and every placement and aggregate query is
 // compared after every operation. Any semantic drift in the rewrite —
@@ -126,9 +126,10 @@ TEST_P(IndexEquivalence, RandomOpsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
-// Checkerboard stress: thousands of single-word gaps force the flat index
-// through leaf splits on the way up and cross-leaf coalescing on the way
-// down, with the reference checked at every step of the teardown.
+// Checkerboard stress: thousands of single-word gaps split the free space
+// into many blocks on the way up and coalesce them across super
+// boundaries on the way down, with the reference checked at every step
+// of the teardown.
 TEST(IndexEquivalenceStress, CheckerboardSplitsAndCoalesces) {
   FreeSpaceIndex Fast;
   ReferenceFreeSpaceIndex Ref;

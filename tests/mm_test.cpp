@@ -56,6 +56,17 @@ TEST(CompactionLedger, UnlimitedMode) {
   EXPECT_TRUE(L.holds());
 }
 
+TEST(CompactionLedger, BudgetFormulaIsExactPast2To53) {
+  // double(2^53 + 1) rounds to 2^53; the integral-c path must not.
+  const uint64_t S = (uint64_t(1) << 53) + 1;
+  EXPECT_EQ(cPartialBudget(S, 1.0), S);
+  EXPECT_EQ(cPartialBudget(S + 2, 2.0), (S + 2) / 2);
+  EXPECT_EQ(cPartialBudget(S - 2, 3.0), (S - 2) / 3);
+  EXPECT_EQ(cPartialBudget(100, 2.5), 40u);
+  EXPECT_EQ(cPartialBudget(100, 0x1p70), 0u);
+  EXPECT_EQ(cPartialBudget(100, 0.0), UINT64_MAX);
+}
+
 // --- Placement policies --------------------------------------------------
 
 TEST(FirstFit, ReusesLowestHole) {

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 using namespace pcb;
 
@@ -233,6 +234,30 @@ TEST(TraceReject, FreeOfUnknownId) {
 TEST(TraceReject, DoubleFree) {
   expectRejected("pcbtrace 1 text\na 1 4\nf 1\nf 1\n",
                  "free of unknown or already-freed id 1");
+}
+
+TEST(TraceReject, LiveVolumePastAddressSpace) {
+  // 2^60 - 1 live words leave no room for 8 more: rejected at the reader
+  // instead of reaching the manager as an impossible placement.
+  expectRejected("pcbtrace 1 text\na 0 1152921504606846975\na 1 8\n",
+                 "line 3: allocation of 8 words (id 1) exceeds");
+}
+
+TEST(TraceReject, LiveVolumeExactlyFillingAddressSpaceIsAccepted) {
+  // 2^60 - 8 + 8 words live is the whole address space, not past it.
+  std::istringstream IS(
+      "pcbtrace 1 text\na 0 1152921504606846968\na 1 8\n");
+  TraceReader R(IS);
+  EXPECT_EQ(readAll(R).size(), 2u);
+  EXPECT_FALSE(R.failed()) << R.error();
+}
+
+TEST(TraceReject, CommittedOversizeTraceFailsTheRunCleanly) {
+  std::ifstream IS(std::string(PCB_TEST_DATA_DIR) + "/oversize.mtrace");
+  ASSERT_TRUE(IS.good()) << "missing golden oversize.mtrace";
+  TraceReader R(IS);
+  EXPECT_THROW(runTrace(R, TraceRunOptions(), "oversize.mtrace"),
+               std::runtime_error);
 }
 
 TEST(TraceReject, TruncatedBinaryRecordNamesItsOrdinal) {

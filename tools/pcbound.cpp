@@ -477,6 +477,18 @@ int cmdReplay(const OptionParser &Opts) {
     return 1;
   }
   AuditReport Audit = auditEvents(Log.events());
+  if (!Audit.Consistent) {
+    std::cerr << "error: " << TracePath << ": inconsistent events (double "
+              << "free, overlap, or move of a dead object)\n";
+    return 1;
+  }
+  std::vector<TraceOp> Trace = Log.toTrace();
+  std::string Why;
+  if (!validateTrace(Trace, &Why)) {
+    std::cerr << "error: " << TracePath << ": trace is not replayable ("
+              << Why << ")\n";
+    return 1;
+  }
   std::cout << "trace: " << Log.size() << " events, "
             << Audit.NumAllocations << " allocs, " << Audit.NumFrees
             << " frees, " << Audit.NumMoves << " moves (original HS "
@@ -493,7 +505,7 @@ int cmdReplay(const OptionParser &Opts) {
     std::cerr << "error: " << FactoryError << "\n";
     return 1;
   }
-  TraceReplayProgram Prog(Log.toTrace());
+  TraceReplayProgram Prog(std::move(Trace));
   Execution E(*MM, Prog, M);
   ExecutionResult R = E.run();
   std::cout << "replayed through " << MM->name() << ": HS " << R.HeapSize
