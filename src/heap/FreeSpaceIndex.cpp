@@ -348,6 +348,14 @@ void FreeSpaceIndex::release(Addr Start, uint64_t Size) {
 
 namespace {
 
+/// Number of all-ones words directly after word \p WI, stopping at word
+/// \p W1. The fit scans call it on reaching a full word: PF keeps the
+/// heap below its fits nearly full, so a descent otherwise spends most
+/// of its time stepping through used words one at a time.
+size_t skipFullWords(const PackedBitmap &Occ, size_t WI, size_t W1) {
+  return findNotOnesWord(Occ.words() + WI + 1, W1 - WI - 1);
+}
+
 /// Enumerates complete maximal free runs over occupancy words
 /// [FromBit, ToBit) (ToBit word-aligned), threading \p Run as the open
 /// run length entering the range. Bits below FromBit in its word are
@@ -366,6 +374,15 @@ bool scanWords(const PackedBitmap &Occ, uint64_t FromBit, uint64_t ToBit,
       continue;
     }
     uint64_t Base = uint64_t(WI) * WordBits;
+    if (U == ~uint64_t(0)) {
+      // A full word completes the open run; the full words after it
+      // report nothing, so jump to the next partial word.
+      if (Run != 0 && Fn(Addr(Base - Run), Addr(Base)))
+        return true;
+      Run = 0;
+      WI += skipFullWords(Occ, WI, W1);
+      continue;
+    }
     // Jump used-run to used-run (see recomputeSuper): iterations scale
     // with the word's run count, not its popcount.
     unsigned Prev = 0;
@@ -415,6 +432,14 @@ Addr scanFirstFit(const PackedBitmap &Occ, uint64_t FromBit, uint64_t ToBit,
     unsigned T = countTrailingZeros(U);
     if (Run + T >= Size)
       return Addr(Base - Run); // the carried run completes here
+    if (U == ~uint64_t(0)) {
+      // A full word rejects the carried run and starts none; neither do
+      // the full words after it.
+      Probes += uint64_t(Run != 0);
+      Run = 0;
+      WI += skipFullWords(Occ, WI, W1);
+      continue;
+    }
     uint64_t F = ~U;
     if (Size <= WordBits) {
       // Lowest in-word window of Size free bits; its predecessor bit is
@@ -456,12 +481,9 @@ bool FreeSpaceIndex::scanSuperFused(size_t I, uint64_t &Run, FnT &&Fn) const {
       continue;
     }
     uint64_t WBase = Base + uint64_t(WI) * WordBits;
-    unsigned Prev = 0;
-    uint64_t Used = U;
-    while (Used != 0) {
-      unsigned B = countTrailingZeros(Used);
-      Run += B - Prev;
-      LRun += B - Prev;
+    // Completes the open run at used bit B of this word, for Fn and the
+    // digest alike.
+    auto CloseRun = [&](unsigned B) {
       if (Run != 0) {
         if (!Stopped && Fn(Addr(WBase + B - Run), Addr(WBase + B)))
           Stopped = true;
@@ -477,6 +499,22 @@ bool FreeSpaceIndex::scanSuperFused(size_t I, uint64_t &Run, FnT &&Fn) const {
       Run = 0;
       LRun = 0;
       SeenUsed = true;
+    };
+    if (U == ~uint64_t(0)) {
+      // A full word closes the open run like any used bit; the full words
+      // after it add no free bits and close nothing, so skip them.
+      CloseRun(0);
+      WI += unsigned(skipFullWords(Occ, I * SuperWords + WI,
+                                   (I + 1) * SuperWords));
+      continue;
+    }
+    unsigned Prev = 0;
+    uint64_t Used = U;
+    while (Used != 0) {
+      unsigned B = countTrailingZeros(Used);
+      Run += B - Prev;
+      LRun += B - Prev;
+      CloseRun(B);
       uint64_t FreeAbove = ~U & ~lowMask(B);
       if (FreeAbove == 0) {
         Prev = WordBits;
@@ -605,6 +643,7 @@ Addr FreeSpaceIndex::firstFit(uint64_t Size) const {
 
 Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
   assert(Size != 0 && "zero-size fit query");
+  Profiler::bump(Profiler::CtrFitQueries);
   // A block containing From may serve the request from From onward.
   if (From != 0 && isFree(From, Size))
     return From;
@@ -686,6 +725,7 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
 
 Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
   assert(Size != 0 && "zero-size fit query");
+  Profiler::bump(Profiler::CtrFitQueries);
   const unsigned K = classOf(Size);
   uint64_t BestSize = UINT64_MAX;
   Addr Best = InvalidAddr;
@@ -720,6 +760,7 @@ Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
 Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
   assert(Size != 0 && "zero-size fit query");
   assert(isPowerOfTwo(Align) && "alignment must be a power of two");
+  Profiler::bump(Profiler::CtrFitQueries);
   // Blocks are disjoint and address-ordered, so the first block (by
   // address) that admits an aligned placement yields the lowest aligned
   // address overall.
@@ -746,16 +787,9 @@ Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
   return Found;
 }
 
-Addr FreeSpaceIndex::firstFitBelow(uint64_t Size, Addr Limit) const {
-  assert(Size != 0 && "zero-size fit query");
-  // Blocks are address-ordered, so if the overall first fit does not end
-  // below the limit, no later block can either.
-  Addr A = firstFit(Size);
-  return A + Size <= Limit ? A : InvalidAddr;
-}
-
 Addr FreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
   assert(Size != 0 && "zero-size fit query");
+  Profiler::bump(Profiler::CtrFitQueries);
   Addr Best = InvalidAddr;
   uint64_t BestSpan = 0;
   ScanEnd End = forEachRun(

@@ -22,6 +22,12 @@
 /// alone. Free blocks are never materialized; they are *views* of the
 /// occupancy words, so the index cannot drift from the heap.
 ///
+/// Inside a super, the word scans jump over stretches of full (all-ones)
+/// occupancy words with the findNotOnesWord kernel: a full word closes
+/// the open run and starts none, so the first one resets the carry to 0
+/// and the rest change nothing. Under PF the space below a fit is almost
+/// all used, so most of a descent is such a stretch.
+///
 /// The bitmap covers only the committed prefix of the 2^60-word address
 /// space; everything above is implicitly free (the model's infinite
 /// tail), except for objects explicitly placed beyond the maximum dense
@@ -86,10 +92,6 @@ public:
   /// Lowest \p Align-aligned address where \p Size words fit.
   /// \p Align must be a power of two.
   Addr firstFitAligned(uint64_t Size, uint64_t Align) const;
-
-  /// Lowest address where \p Size words fit entirely below \p Limit, or
-  /// InvalidAddr when no such placement exists.
-  Addr firstFitBelow(uint64_t Size, Addr Limit) const;
 
   /// Start of the free block with the largest span clipped to [0, Limit)
   /// among blocks starting below \p Limit whose clipped span is at least

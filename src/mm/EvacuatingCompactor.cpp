@@ -16,25 +16,27 @@ using namespace pcb;
 
 Addr EvacuatingCompactor::placeFor(uint64_t Size) {
   const FreeSpaceIndex &Free = heap().freeSpace();
-  Addr Hwm = heap().stats().HighWaterMark;
 
   // Reuse an existing hole whenever one fits below the high-water mark:
   // that never costs budget and never grows the footprint.
-  if (Hwm >= Size) {
-    Addr A = Free.firstFitBelow(Size, Hwm);
-    if (A != InvalidAddr)
-      return A;
-  }
+  Addr A = Free.firstFit(Size);
+  if (A + Size <= heap().stats().HighWaterMark)
+    return A;
 
   // Otherwise try to clear a sparse chunk.
   if (Size >= Opts.MinEvacuationSize) {
+    uint64_t Sig = heapChangeSignature();
     Addr Cleared = evacuateFor(Size);
     if (Cleared != InvalidAddr)
       return Cleared;
+    // A failed evacuation may still have moved (and PF freed) objects.
+    if (heapChangeSignature() != Sig)
+      A = Free.firstFit(Size);
   }
 
-  // Give up and extend the heap.
-  return Free.firstFit(Size);
+  // The fit either fell below the mark after the attempt or extends the
+  // heap.
+  return A;
 }
 
 Addr EvacuatingCompactor::evacuateFor(uint64_t Size) {

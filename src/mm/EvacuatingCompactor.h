@@ -62,13 +62,6 @@ private:
   /// its start, or InvalidAddr when no candidate qualified.
   Addr evacuateFor(uint64_t Size);
 
-  /// Chunks only get sparser through frees and moves; when a scan found
-  /// no candidate, rescanning is pointless until one happens. The
-  /// signature captures that state.
-  uint64_t heapChangeSignature() const {
-    return heap().stats().NumFrees + heap().stats().NumMoves;
-  }
-
   Options Opts;
   uint64_t NumEvacuations = 0;
   /// heapChangeSignature() at the last failed scan, per chunk log-size.

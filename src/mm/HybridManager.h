@@ -69,12 +69,6 @@ private:
 
   static constexpr unsigned MaxClass = 48;
 
-  /// Chunks only get sparser through frees and moves; a failed scan need
-  /// not be repeated until one happens.
-  uint64_t heapChangeSignature() const {
-    return heap().stats().NumFrees + heap().stats().NumMoves;
-  }
-
   Options Opts;
   std::map<unsigned, uint64_t> FailedScanSignature;
   std::vector<std::set<Addr>> FreeSlots =

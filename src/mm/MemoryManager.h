@@ -93,6 +93,12 @@ public:
 protected:
   /// Policy hook: returns the address at which to place \p Size words.
   /// The returned range must be free. May perform compaction first.
+  ///
+  /// Placement runs one fit search. A policy that compacts only when the
+  /// fit would grow the heap computes the fit once, tests it against its
+  /// limit, and searches again only when the compaction attempt changed
+  /// the heap (heapChangeSignature() moved, or the pass reports moves);
+  /// an attempt that changed nothing leaves the first answer exact.
   virtual Addr placeFor(uint64_t Size) = 0;
 
   /// Policy hook: metadata update after an object was placed.
@@ -134,6 +140,15 @@ protected:
 
   /// Budget remaining right now, in words.
   uint64_t compactionBudget() const { return Ledger.remainingWords(); }
+
+  /// Frees plus moves so far: the only events that open free space or
+  /// make a chunk sparser. While it stands still, a failed compaction
+  /// scan need not be repeated; within one placeFor (which places
+  /// nothing) it standing still means the heap is unchanged, so a fit
+  /// computed before a compaction attempt is still the answer.
+  uint64_t heapChangeSignature() const {
+    return TheHeap.stats().NumFrees + TheHeap.stats().NumMoves;
+  }
 
 private:
   Heap &TheHeap;

@@ -153,19 +153,20 @@ Addr MeshingCompactor::placeFor(uint64_t Size) {
 
   // Reuse an existing hole whenever one fits below the high-water mark:
   // that never costs budget and never grows the footprint.
+  Addr A = Free.firstFit(Size);
+  if (A + Size <= Hwm)
+    return A;
+
+  // Meshing empties whole chunks; search again once the heap changed (a
+  // merge cut short by the spend gate moves objects yet reports failure,
+  // so the pass's result alone does not tell).
   if (Hwm >= Size) {
-    Addr A = Free.firstFitBelow(Size, Hwm);
-    if (A != InvalidAddr)
-      return A;
-    // Meshing empties whole chunks; retry the fit after a productive
-    // pass.
-    if (meshPass()) {
-      A = Free.firstFitBelow(Size, Hwm);
-      if (A != InvalidAddr)
-        return A;
-    }
+    uint64_t Sig = heapChangeSignature();
+    meshPass();
+    if (heapChangeSignature() != Sig)
+      A = Free.firstFit(Size);
   }
 
-  // Give up and extend the heap.
-  return Free.firstFit(Size);
+  // The fit either fell below the mark after meshing or extends the heap.
+  return A;
 }

@@ -87,12 +87,6 @@ private:
   /// move to "the same offset" of another chunk).
   bool chunkSelfContained(uint64_t Index) const;
 
-  /// Meshes only get easier through frees and moves; when a pass merged
-  /// nothing, re-scanning is pointless until one happens.
-  uint64_t heapChangeSignature() const {
-    return heap().stats().NumFrees + heap().stats().NumMoves;
-  }
-
   Options Opts;
   uint64_t NumMerges = 0;
   uint64_t NumProbes = 0;

@@ -18,11 +18,10 @@ Addr SlidingCompactor::placeFor(uint64_t Size) {
   const FreeSpaceIndex &Free = heap().freeSpace();
   Addr Hwm = heap().stats().HighWaterMark;
 
-  if (Hwm >= Size) {
-    Addr A = Free.firstFitBelow(Size, Hwm);
-    if (A != InvalidAddr)
-      return A;
-  }
+  // Reuse a hole when the first fit lies below the high-water mark.
+  Addr A = Free.firstFit(Size);
+  if (A + Size <= Hwm)
+    return A;
 
   // Only compact when the free space below the mark could actually absorb
   // the request afterwards. Every object lies below the mark, so the free
@@ -35,15 +34,14 @@ Addr SlidingCompactor::placeFor(uint64_t Size) {
     if (slideAll() > 0) {
       ++NumCompactions;
       HadFruitlessAttempt = false;
-      Addr A = Free.firstFitBelow(Size, heap().stats().HighWaterMark);
-      if (A != InvalidAddr)
-        return A;
+      A = Free.firstFit(Size);
     } else {
+      // Nothing moved, so the heap and its first fit are unchanged.
       HadFruitlessAttempt = true;
       LastFruitlessBudget = ledger().remainingWords();
     }
   }
-  return Free.firstFit(Size);
+  return A;
 }
 
 uint64_t SlidingCompactor::slideAll() {
@@ -57,9 +55,11 @@ uint64_t SlidingCompactor::slideAll() {
   // is stable because moves only go downward and the move callback can
   // free only the just-moved object, which is already behind the cursor.
   // Sliding each object to the packed position never collides because
-  // predecessors have already moved left.
+  // predecessors have already moved left. The first gap is the start of
+  // the first free block, read without a fit query so that a pass which
+  // moves nothing leaves its placement at one search.
   uint64_t Moved = 0;
-  Addr Target = heap().freeSpace().firstFit(1);
+  Addr Target = (*heap().freeSpace().begin()).first;
   for (ObjectId Id = heap().firstLiveAt(Target); Id != InvalidObjectId;) {
     const Object &O = heap().object(Id);
     Addr After = O.Address + 1;

@@ -71,6 +71,8 @@ const char *Profiler::counterName(Counter C) {
     return "trace.ops";
   case CtrControllerDenials:
     return "controller.denials";
+  case CtrFitQueries:
+    return "fit.queries";
   case NumCounters:
     break;
   }

@@ -76,6 +76,7 @@ public:
     CtrServeSessions,     ///< sessions retired by fleet shards
     CtrTraceOps,          ///< malloc-trace operations streamed
     CtrControllerDenials, ///< moves denied by a budget controller's gate
+    CtrFitQueries,        ///< public FreeSpaceIndex fit queries answered
     NumCounters
   };
 

@@ -5,53 +5,34 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Portable SWAR scans with AVX2 fast paths. The AVX2 functions live in
-// this one translation unit with a per-function target attribute, so the
-// rest of the project compiles for the baseline ISA; a cached
-// __builtin_cpu_supports check picks the path at runtime. Both paths
-// return the same index for the same input — the vector code only
-// accelerates the "skip boring words" part of a scan, it never changes
-// which word is found.
+// The AVX2 fast paths of the multi-word scans. They live in this one
+// translation unit with a per-function target attribute, so the rest of
+// the project compiles for the baseline ISA; a __builtin_cpu_supports
+// check, run once at static initialization, sets the flag the inline
+// dispatchers in BitOps.h test. Both paths return the same index for the
+// same input — the vector code only accelerates the "skip boring words"
+// part of a scan, it never changes which word is found.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/BitOps.h"
 
-#if !defined(PCB_DISABLE_AVX2) && defined(__x86_64__)
-#define PCB_HAVE_AVX2_KERNELS 1
+#if PCB_HAVE_AVX2_KERNELS
+
 #include <immintrin.h>
-#else
-#define PCB_HAVE_AVX2_KERNELS 0
-#endif
 
 namespace pcb {
+namespace detail {
 namespace {
 
-size_t findNonzeroWordSwar(const uint64_t *W, size_t N) {
-  size_t I = 0;
-  // Unrolled: OR four words and test once; the scalar tail resolves the
-  // exact index.
-  for (; I + 4 <= N; I += 4)
-    if ((W[I] | W[I + 1] | W[I + 2] | W[I + 3]) != 0)
-      break;
-  for (; I != N; ++I)
-    if (W[I] != 0)
-      return I;
-  return N;
+bool detectAvx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
 }
 
-size_t findNotOnesWordSwar(const uint64_t *W, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4)
-    if ((W[I] & W[I + 1] & W[I + 2] & W[I + 3]) != ~uint64_t(0))
-      break;
-  for (; I != N; ++I)
-    if (W[I] != ~uint64_t(0))
-      return I;
-  return N;
-}
+} // namespace
 
-#if PCB_HAVE_AVX2_KERNELS
+const bool Avx2Scans = detectAvx2();
 
 __attribute__((target("avx2"))) size_t findNonzeroWordAvx2(const uint64_t *W,
                                                            size_t N) {
@@ -87,35 +68,7 @@ __attribute__((target("avx2"))) size_t findNotOnesWordAvx2(const uint64_t *W,
   return N;
 }
 
-bool detectAvx2() { return __builtin_cpu_supports("avx2"); }
+} // namespace detail
+} // namespace pcb
 
 #endif // PCB_HAVE_AVX2_KERNELS
-
-} // namespace
-
-bool avx2ScanActive() {
-#if PCB_HAVE_AVX2_KERNELS
-  static const bool Active = detectAvx2();
-  return Active;
-#else
-  return false;
-#endif
-}
-
-size_t findNonzeroWord(const uint64_t *W, size_t N) {
-#if PCB_HAVE_AVX2_KERNELS
-  if (avx2ScanActive())
-    return findNonzeroWordAvx2(W, N);
-#endif
-  return findNonzeroWordSwar(W, N);
-}
-
-size_t findNotOnesWord(const uint64_t *W, size_t N) {
-#if PCB_HAVE_AVX2_KERNELS
-  if (avx2ScanActive())
-    return findNotOnesWordAvx2(W, N);
-#endif
-  return findNotOnesWordSwar(W, N);
-}
-
-} // namespace pcb

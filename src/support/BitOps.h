@@ -14,10 +14,12 @@
 ///
 /// The multi-word scan kernels (find the first interesting word in an
 /// array) have a portable SWAR implementation here and AVX2 variants in
-/// BitOps.cpp behind a cached runtime CPU check; the AVX2 paths return
-/// bit-identical results and exist purely for speed, so determinism is
-/// unaffected. Configure with -DPCB_DISABLE_AVX2=ON to force the portable
-/// path (CI exercises both).
+/// BitOps.cpp. The CPU check runs once, at static initialization; each
+/// scan then costs one inline test of the resulting flag before calling
+/// its kernel, so the fit scans can use the kernels on their hot path.
+/// The AVX2 paths return bit-identical results and exist purely for
+/// speed, so determinism is unaffected. Configure with
+/// -DPCB_DISABLE_AVX2=ON to force the portable path (CI exercises both).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,16 +70,77 @@ inline unsigned topBitIndex(uint64_t X) {
 
 inline unsigned popcount64(uint64_t X) { return unsigned(std::popcount(X)); }
 
+#if !defined(PCB_DISABLE_AVX2) && defined(__x86_64__)
+#define PCB_HAVE_AVX2_KERNELS 1
+#else
+#define PCB_HAVE_AVX2_KERNELS 0
+#endif
+
+namespace detail {
+
+inline size_t findNonzeroWordSwar(const uint64_t *W, size_t N) {
+  size_t I = 0;
+  // Unrolled: OR four words and test once; the scalar tail resolves the
+  // exact index.
+  for (; I + 4 <= N; I += 4)
+    if ((W[I] | W[I + 1] | W[I + 2] | W[I + 3]) != 0)
+      break;
+  for (; I != N; ++I)
+    if (W[I] != 0)
+      return I;
+  return N;
+}
+
+inline size_t findNotOnesWordSwar(const uint64_t *W, size_t N) {
+  size_t I = 0;
+  for (; I + 4 <= N; I += 4)
+    if ((W[I] & W[I + 1] & W[I + 2] & W[I + 3]) != ~uint64_t(0))
+      break;
+  for (; I != N; ++I)
+    if (W[I] != ~uint64_t(0))
+      return I;
+  return N;
+}
+
+#if PCB_HAVE_AVX2_KERNELS
+/// True when the CPU supports AVX2; set once during static
+/// initialization (a scan running before that uses SWAR, which returns
+/// the same index).
+extern const bool Avx2Scans;
+size_t findNonzeroWordAvx2(const uint64_t *W, size_t N);
+size_t findNotOnesWordAvx2(const uint64_t *W, size_t N);
+#endif
+
+} // namespace detail
+
 /// Index of the first word in W[0..N) that is nonzero, or N. AVX2 when
 /// available; result is identical either way.
-size_t findNonzeroWord(const uint64_t *W, size_t N);
+inline size_t findNonzeroWord(const uint64_t *W, size_t N) {
+#if PCB_HAVE_AVX2_KERNELS
+  if (detail::Avx2Scans)
+    return detail::findNonzeroWordAvx2(W, N);
+#endif
+  return detail::findNonzeroWordSwar(W, N);
+}
 
 /// Index of the first word in W[0..N) that is not all-ones, or N.
-size_t findNotOnesWord(const uint64_t *W, size_t N);
+inline size_t findNotOnesWord(const uint64_t *W, size_t N) {
+#if PCB_HAVE_AVX2_KERNELS
+  if (detail::Avx2Scans)
+    return detail::findNotOnesWordAvx2(W, N);
+#endif
+  return detail::findNotOnesWordSwar(W, N);
+}
 
 /// True when the AVX2 kernels are compiled in and the CPU supports them
 /// (exposed so the bench header can report which path ran).
-bool avx2ScanActive();
+inline bool avx2ScanActive() {
+#if PCB_HAVE_AVX2_KERNELS
+  return detail::Avx2Scans;
+#else
+  return false;
+#endif
+}
 
 } // namespace pcb
 

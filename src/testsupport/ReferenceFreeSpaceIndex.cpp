@@ -174,14 +174,6 @@ Addr ReferenceFreeSpaceIndex::firstFitAligned(uint64_t Size,
   return Best;
 }
 
-Addr ReferenceFreeSpaceIndex::firstFitBelow(uint64_t Size, Addr Limit) const {
-  assert(Size != 0 && "zero-size fit query");
-  // Blocks are address-ordered, so if the overall first fit does not end
-  // below the limit, no later block can either.
-  Addr A = firstFit(Size);
-  return A + Size <= Limit ? A : InvalidAddr;
-}
-
 Addr ReferenceFreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
   assert(Size != 0 && "zero-size fit query");
   Addr Best = InvalidAddr;

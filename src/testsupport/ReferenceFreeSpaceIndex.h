@@ -68,10 +68,6 @@ public:
   /// \p Align must be a power of two.
   Addr firstFitAligned(uint64_t Size, uint64_t Align) const;
 
-  /// Lowest address where \p Size words fit entirely below \p Limit, or
-  /// InvalidAddr when no such placement exists.
-  Addr firstFitBelow(uint64_t Size, Addr Limit) const;
-
   /// Start of the free block with the largest span clipped to [0, Limit)
   /// among blocks starting below \p Limit whose clipped span is at least
   /// \p Size (ties broken by lowest address), or InvalidAddr. A plain

@@ -235,14 +235,21 @@ TEST(FreeSpaceIndex, AlignedFit) {
   EXPECT_EQ(F.firstFitAligned(4, 4), 8u);
 }
 
+// The compactors' hole test: the first fit, compared against a limit
+// (their high-water mark). Blocks are address-ordered, so when the first
+// fit does not end at or below the limit, no later block does either.
 TEST(FreeSpaceIndex, FitBelowLimit) {
   FreeSpaceIndex F;
   F.reserve(0, 100);
   F.release(10, 8);
-  EXPECT_EQ(F.firstFitBelow(8, 100), 10u);
-  EXPECT_EQ(F.firstFitBelow(8, 18), 10u);
-  EXPECT_EQ(F.firstFitBelow(8, 17), InvalidAddr);
-  EXPECT_EQ(F.firstFitBelow(9, 100), InvalidAddr);
+  Addr A = F.firstFit(8);
+  EXPECT_EQ(A, 10u);
+  EXPECT_LE(A + 8, Addr(100));
+  EXPECT_LE(A + 8, Addr(18)); // ends exactly at the limit
+  EXPECT_GT(A + 8, Addr(17)); // one word past it
+  Addr B = F.firstFit(9);
+  EXPECT_EQ(B, 100u); // the hole is too small: the fit is the tail
+  EXPECT_GT(B + 9, Addr(100));
 }
 
 TEST(FreeSpaceIndex, FreeWordsAccounting) {

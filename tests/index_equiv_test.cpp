@@ -13,11 +13,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/FreeSpaceIndex.h"
+#include "support/BitOps.h"
 #include "support/Random.h"
 #include "testsupport/ReferenceFreeSpaceIndex.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <utility>
 #include <vector>
@@ -39,7 +41,8 @@ void expectQueriesMatch(const FreeSpaceIndex &Fast,
   EXPECT_EQ(Fast.bestFit(Size), Ref.bestFit(Size));
   EXPECT_EQ(Fast.firstFitAligned(Size, Align),
             Ref.firstFitAligned(Size, Align));
-  EXPECT_EQ(Fast.firstFitBelow(Size, Limit), Ref.firstFitBelow(Size, Limit));
+  EXPECT_EQ(Fast.firstFit(Size) + Size <= Limit,
+            Ref.firstFit(Size) + Size <= Limit);
   EXPECT_EQ(Fast.worstFitBelow(Size, Limit), Ref.worstFitBelow(Size, Limit));
   EXPECT_EQ(Fast.isFree(From, Size), Ref.isFree(From, Size));
   EXPECT_EQ(Fast.numBlocks(), Ref.numBlocks());
@@ -197,5 +200,193 @@ TEST(IndexEquivalenceStress, MaskExtractionAtWordBoundaries) {
   for (Addr Start : {Addr(0), Addr(62), Addr(63), Addr(64), Addr(127)})
     CheckWindow(Start);
 }
+
+// --- Full occupancy words ---------------------------------------------------
+//
+// The fit scans jump over stretches of all-ones occupancy words. The boards
+// below put full words where that jump can go wrong: at the start of a
+// super, between two partial runs (the open run must close), under a
+// firstFitFrom cursor, before a run that ends at a super boundary, and at
+// the very end of the dense board. Every board is queried in two orders:
+// with a bestFit sweep first, which descends the dirty supers and banks
+// their digests, and with the plain queries first, which meet the supers
+// dirty.
+
+constexpr uint64_t Full = ~uint64_t(0);
+constexpr unsigned WordsPerSuper = 64;
+
+/// A seeded partial occupancy word: a free hole, a free prefix, a free
+/// suffix, or a dense random scatter of short runs.
+uint64_t partialWord(Rng &R) {
+  unsigned A = unsigned(R.nextBelow(64)), B = unsigned(R.nextBelow(64));
+  if (A > B)
+    std::swap(A, B);
+  ++B;
+  switch (R.nextBelow(4)) {
+  case 0:
+    return ~bitRange(A, B);
+  case 1:
+    return ~lowMask(B);
+  case 2:
+    return lowMask(A == 0 ? 1 : A);
+  default:
+    return R.next() | R.next();
+  }
+}
+
+/// Reserves the used runs of \p Words in both indexes, in a seeded order.
+void reserveBoard(const std::vector<uint64_t> &Words, Rng &R,
+                  FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+  std::vector<std::pair<Addr, uint64_t>> Runs;
+  Addr Start = InvalidAddr;
+  for (Addr A = 0; A != Addr(Words.size()) * 64; ++A) {
+    bool Used = (Words[A / 64] >> (A % 64)) & 1;
+    if (Used && Start == InvalidAddr)
+      Start = A;
+    if (!Used && Start != InvalidAddr) {
+      Runs.emplace_back(Start, A - Start);
+      Start = InvalidAddr;
+    }
+  }
+  if (Start != InvalidAddr)
+    Runs.emplace_back(Start, Addr(Words.size()) * 64 - Start);
+  for (size_t I = Runs.size(); I > 1; --I)
+    std::swap(Runs[I - 1], Runs[R.nextBelow(I)]);
+  for (auto [A, Size] : Runs) {
+    Fast.reserve(A, Size);
+    Ref.reserve(A, Size);
+  }
+}
+
+/// Builds \p Words into both indexes and compares every query, at the
+/// addresses in \p Points (cursors and limits) and at seeded ones.
+void expectFullWordParity(const std::vector<uint64_t> &Words,
+                          std::vector<Addr> Points, uint64_t Seed) {
+  const Addr End = Addr(Words.size()) * 64;
+  for (Addr A = 0; A <= End; A += 64 * WordsPerSuper)
+    Points.push_back(A); // super boundaries, the board's end included
+  const std::vector<uint64_t> Sizes = {1,  2,   3,   5,   8,    13,   31,
+                                       63, 64,  65,  100, 127,  128,  200,
+                                       500, 1000, 4000, 4096, 5000};
+  for (bool SweepFirst : {true, false}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << Seed << (SweepFirst ? " sweep" : " plain")
+                 << " first");
+    FreeSpaceIndex Fast;
+    ReferenceFreeSpaceIndex Ref;
+    Rng R(Seed);
+    reserveBoard(Words, R, Fast, Ref);
+    if (SweepFirst) {
+      for (uint64_t Size : Sizes)
+        ASSERT_EQ(Fast.bestFit(Size), Ref.bestFit(Size)) << "size " << Size;
+      // The digests the sweep banked drive these two queries.
+      for (Addr L : Points) {
+        if (L == 0)
+          continue;
+        EXPECT_EQ(Fast.numBlocksBelow(L), Ref.numBlocksBelow(L)) << L;
+        EXPECT_EQ(Fast.largestBlockBelow(L), Ref.largestBlockBelow(L)) << L;
+      }
+    }
+    int Op = 0;
+    for (uint64_t Size : Sizes)
+      for (Addr P : Points)
+        expectQueriesMatch(Fast, Ref, Size, P,
+                           uint64_t(1) << R.nextBelow(8),
+                           std::max<Addr>(1, P), Op++);
+    for (int I = 0; I != 200; ++I) {
+      uint64_t Size = 1 + R.nextBelow(R.nextBool(0.5) ? 128 : 6000);
+      expectQueriesMatch(Fast, Ref, Size, R.nextBelow(End + 128),
+                         uint64_t(1) << R.nextBelow(10),
+                         1 + R.nextBelow(End + 128), Op++);
+    }
+    expectBlocksMatch(Fast, Ref, Op);
+  }
+}
+
+class FullWordParity : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FullWordParity, SuperWithFirst63WordsFull) {
+  Rng R(GetParam());
+  std::vector<uint64_t> Words(3 * WordsPerSuper);
+  for (uint64_t &W : Words)
+    W = partialWord(R);
+  Words[WordsPerSuper - 1] = ~uint64_t(0) >> 20; // a run carried in
+  for (unsigned I = 0; I != 63; ++I)
+    Words[WordsPerSuper + I] = Full;
+  std::vector<Addr> Points;
+  for (unsigned I = 0; I < 63; I += 7)
+    Points.push_back(Addr(WordsPerSuper + I) * 64 + R.nextBelow(64));
+  expectFullWordParity(Words, Points, GetParam());
+}
+
+TEST_P(FullWordParity, FullWordBetweenPartialRuns) {
+  Rng R(GetParam());
+  std::vector<uint64_t> Words;
+  std::vector<Addr> Points;
+  while (Words.size() < 2 * WordsPerSuper) {
+    // A free suffix, 1-4 full words, then a free prefix: the two runs
+    // must not join across the full words.
+    Words.push_back(lowMask(1 + unsigned(R.nextBelow(63))));
+    Points.push_back(Addr(Words.size()) * 64 - 1);
+    for (uint64_t N = 1 + R.nextBelow(4); N != 0; --N)
+      Words.push_back(Full);
+    Words.push_back(~lowMask(1 + unsigned(R.nextBelow(63))));
+    Points.push_back(Addr(Words.size() - 1) * 64);
+    Words.push_back(partialWord(R));
+  }
+  expectFullWordParity(Words, Points, GetParam());
+}
+
+TEST_P(FullWordParity, FirstFitFromInsideFullWord) {
+  Rng R(GetParam());
+  std::vector<uint64_t> Words(2 * WordsPerSuper);
+  std::vector<Addr> Points;
+  for (size_t I = 0; I != Words.size(); ++I) {
+    Words[I] = R.nextBool(0.6) ? Full : partialWord(R);
+    if (Words[I] == Full) {
+      // Cursors at the word's first bit, inside it and at its last bit.
+      Points.push_back(Addr(I) * 64);
+      Points.push_back(Addr(I) * 64 + 1 + R.nextBelow(62));
+      Points.push_back(Addr(I) * 64 + 63);
+    }
+  }
+  expectFullWordParity(Words, Points, GetParam());
+}
+
+TEST_P(FullWordParity, RunEndingAtSuperBoundaryAfterFullWords) {
+  Rng R(GetParam());
+  std::vector<uint64_t> Words(3 * WordsPerSuper);
+  for (uint64_t &W : Words)
+    W = partialWord(R);
+  // Super 0 ends in full words and then a run reaching its boundary,
+  // closed by a used bit; super 1 ends the same way but its run carries
+  // into super 2's free prefix.
+  for (unsigned I = 8; I != 63; ++I)
+    Words[I] = Words[WordsPerSuper + I] = Full;
+  Words[63] = lowMask(1 + unsigned(R.nextBelow(63)));
+  Words[WordsPerSuper] |= 1;
+  Words[2 * WordsPerSuper - 1] = lowMask(1 + unsigned(R.nextBelow(63)));
+  Words[2 * WordsPerSuper] = ~lowMask(1 + unsigned(R.nextBelow(63)));
+  std::vector<Addr> Points = {Addr(63) * 64, Addr(64) * 64 - 1,
+                              Addr(2 * WordsPerSuper - 1) * 64 + 63};
+  expectFullWordParity(Words, Points, GetParam());
+}
+
+TEST_P(FullWordParity, FullLastWordOnTheDenseBoard) {
+  Rng R(GetParam());
+  // The board grows in whole supers, so two supers of words commit
+  // exactly that much: its last words are full, the tail starts right
+  // after them.
+  std::vector<uint64_t> Words(2 * WordsPerSuper);
+  for (uint64_t &W : Words)
+    W = partialWord(R);
+  for (size_t I = Words.size() - 1 - R.nextBelow(8); I != Words.size(); ++I)
+    Words[I] = Full;
+  std::vector<Addr> Points = {Addr(Words.size()) * 64 - 1,
+                              Addr(Words.size()) * 64 - 64};
+  expectFullWordParity(Words, Points, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FullWordParity, ::testing::Values(1, 7, 42));
 
 } // namespace

@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "adversary/CohenPetrankProgram.h"
+#include "driver/Execution.h"
 #include "mm/BuddyManager.h"
 #include "mm/ChunkedManager.h"
 #include "mm/CompactionLedger.h"
@@ -16,6 +18,8 @@
 #include "mm/SegregatedFitManager.h"
 #include "mm/SequentialFitManagers.h"
 #include "mm/SlidingCompactor.h"
+#include "obs/Profiler.h"
+#include "support/MathUtils.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -738,6 +742,71 @@ TEST(MeshingDeathTest, DoubleMergeOfTheSamePairDies) {
   MM.mergeChunks(0, 1);
   ASSERT_EQ(H.usedWordsIn(0, 64), 0u);
   EXPECT_DEATH(MM.mergeChunks(0, 1), "meshing an empty source chunk");
+}
+
+// --- One fit search per placement -----------------------------------------
+
+/// A manager whose placements are tallied: how many moved nothing, how
+/// many of those also ran a compaction pass, and how many of those ran
+/// other than exactly one fit query.
+template <typename Base> class PlacementTally : public Base {
+public:
+  using Base::Base;
+  uint64_t Still = 0;
+  uint64_t StillAfterCompaction = 0;
+  uint64_t StillNotOneQuery = 0;
+
+protected:
+  Addr placeFor(uint64_t Size) override {
+    const Profiler &P = *Profiler::current();
+    uint64_t Queries = P.counter(Profiler::CtrFitQueries);
+    uint64_t Passes = P.counter(Profiler::CtrCompactionPasses);
+    uint64_t Moves = this->heap().stats().NumMoves;
+    Addr A = Base::placeFor(Size);
+    if (this->heap().stats().NumMoves == Moves) {
+      ++Still;
+      StillAfterCompaction +=
+          P.counter(Profiler::CtrCompactionPasses) != Passes;
+      StillNotOneQuery += P.counter(Profiler::CtrFitQueries) - Queries != 1;
+    }
+    return A;
+  }
+};
+
+/// Runs PF (M = 2^12) against \p ManagerT with quota \p C: every
+/// allocation that moved nothing must have run exactly one fit query,
+/// including those whose compaction attempt came to nothing (which PF
+/// provokes on every c-partial manager; an unlimited slide always moves).
+template <typename ManagerT> void expectOneFitSearchPerPlacement(double C) {
+  Profiler Prof;
+  ProfilerScope Scope(Prof);
+  Heap H;
+  PlacementTally<ManagerT> MM(H, C);
+  const uint64_t M = pow2(12);
+  CohenPetrankProgram PF(M, pow2(7), 10.0);
+  Execution(MM, PF, M).run();
+  EXPECT_GT(MM.Still, 0u);
+  if (C > 0) {
+    EXPECT_GT(MM.StillAfterCompaction, 0u) << "no fruitless compaction ran";
+  }
+  EXPECT_EQ(MM.StillNotOneQuery, 0u)
+      << "of " << MM.Still << " placements that moved nothing";
+}
+
+TEST(OneFitSearch, Evacuating) {
+  expectOneFitSearchPerPlacement<EvacuatingCompactor>(10.0);
+}
+
+TEST(OneFitSearch, Meshing) {
+  expectOneFitSearchPerPlacement<MeshingCompactor>(10.0);
+}
+
+TEST(OneFitSearch, Sliding) {
+  expectOneFitSearchPerPlacement<SlidingCompactor>(10.0);
+}
+
+TEST(OneFitSearch, SlidingUnlimited) {
+  expectOneFitSearchPerPlacement<SlidingCompactor>(0.0);
 }
 
 // --- Property sweep across all managers ----------------------------------
