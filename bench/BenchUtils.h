@@ -6,18 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small helpers shared by the table benches: constructing the experiment
-/// Runner from the common `threads=` / `progress=` options, and parsing
-/// comma-separated numeric lists (`cs=10,25,50`). Table emission lives in
-/// runner/ResultSink.h (`csv=` / `json=` / `out=` handling included).
+/// Small helpers shared by the table benches: parsing comma-separated
+/// number and name lists (`cs=10,25,50`, `policies=a,b`) and writing the
+/// per-phase profile of a `bench-json=` regression baseline. The Runner
+/// comes from runner/Runner.h's makeRunner() (`threads=` / `progress=`);
+/// table emission lives in runner/ResultSink.h (`csv=` / `json=` / `out=`
+/// handling included).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_BENCH_BENCHUTILS_H
 #define PCBOUND_BENCH_BENCHUTILS_H
 
+#include "obs/Profiler.h"
 #include "runner/Runner.h"
 #include "support/OptionParser.h"
+#include "support/Table.h"
 
 #include <cstdlib>
 #include <iostream>
@@ -26,17 +30,6 @@
 #include <vector>
 
 namespace pcb {
-
-/// Builds a Runner from the benches' common options: `threads=N` (0 or
-/// absent = all hardware threads) and `progress=0/1` (default: auto,
-/// i.e. report to stderr only when it is a terminal).
-inline Runner makeRunner(const OptionParser &Opts) {
-  RunnerOptions RO;
-  RO.Threads = unsigned(Opts.getUInt("threads", 0));
-  if (Opts.has("progress"))
-    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
-  return Runner(RO);
-}
 
 /// Parses "10,25,50" into doubles; empty items are skipped.
 inline std::vector<double> parseNumberList(const std::string &Text) {
@@ -55,6 +48,38 @@ inline std::vector<double> parseNumberList(const std::string &Text) {
     Values.push_back(Value);
   }
   return Values;
+}
+
+/// Splits "a,b,c" into non-empty items.
+inline std::vector<std::string> parseNameList(const std::string &Text) {
+  std::vector<std::string> Names;
+  std::istringstream IS(Text);
+  std::string Item;
+  while (std::getline(IS, Item, ','))
+    if (!Item.empty())
+      Names.push_back(Item);
+  return Names;
+}
+
+/// Writes the `"per_phase": [...]` member of a bench-json baseline: one
+/// object per profiler section that ran, in section order.
+/// tools/compare_bench.py reads these keys.
+inline void writePerPhaseJson(std::ostream &OS, const Profiler &Prof) {
+  OS << "  \"per_phase\": [";
+  bool First = true;
+  for (unsigned S = 0; S != Profiler::NumSections; ++S) {
+    const Profiler::SectionStats &Stats = Prof.section(Profiler::Section(S));
+    if (Stats.Calls == 0)
+      continue;
+    OS << (First ? "" : ", ") << "{\"section\": \""
+       << Profiler::sectionName(Profiler::Section(S))
+       << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
+       << formatDouble(double(Stats.Nanos) * 1e-6, 3)
+       << ", \"ns_per_call\": "
+       << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1) << "}";
+    First = false;
+  }
+  OS << "]\n";
 }
 
 } // namespace pcb

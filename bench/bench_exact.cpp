@@ -17,7 +17,7 @@
 
 #include "exact/Certifier.h"
 #include "exact/MinimaxSolver.h"
-#include "BenchUtils.h"
+#include "exact/QuotaList.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
 #include "support/OptionParser.h"
@@ -38,24 +38,14 @@ std::string formatBound(double Words) {
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  std::vector<double> Ms = parseNumberList(Opts.getString("Ms", "2,4,8"));
-  std::vector<double> Ns = parseNumberList(Opts.getString("ns", "2,4"));
-  std::string CsText = Opts.getString("cs", "1,2,4,inf");
-
-  // Quota labels: integers plus "inf" (solver convention C = 0).
-  std::vector<std::pair<std::string, uint64_t>> Cs;
-  {
-    std::istringstream IS(CsText);
-    std::string Item;
-    while (std::getline(IS, Item, ',')) {
-      if (Item.empty())
-        continue;
-      if (Item == "inf") {
-        Cs.push_back({Item, 0});
-        continue;
-      }
-      Cs.push_back({Item, uint64_t(std::strtoull(Item.c_str(), nullptr, 10))});
-    }
+  std::vector<uint64_t> Ms, Ns;
+  std::vector<QuotaSpec> Cs; // integers plus "inf" (solver convention C = 0)
+  std::string Error;
+  if (!parseUIntList(Opts.getString("Ms", "2,4,8"), "Ms", Ms, Error) ||
+      !parseUIntList(Opts.getString("ns", "2,4"), "ns", Ns, Error) ||
+      !parseQuotaList(Opts.getString("cs", "1,2,4,inf"), Cs, Error)) {
+    std::cerr << "error: " << Error << "\n";
+    return 1;
   }
 
   struct ExactCell {
@@ -63,21 +53,21 @@ int main(int argc, char **argv) {
     std::string CLabel;
   };
   std::vector<ExactCell> Cells;
-  for (double M : Ms)
-    for (double N : Ns)
-      for (const auto &[Label, C] : Cs) {
+  for (uint64_t M : Ms)
+    for (uint64_t N : Ns)
+      for (const QuotaSpec &Q : Cs) {
         if (N > M)
           continue; // out of the P2(M, n) domain
         ExactParams P;
-        P.M = uint64_t(M);
-        P.N = uint64_t(N);
-        P.C = C;
+        P.M = M;
+        P.N = N;
+        P.C = Q.C;
         if (!P.valid()) {
-          std::cerr << "error: cell M=" << M << " n=" << N << " c=" << Label
+          std::cerr << "error: cell M=" << M << " n=" << N << " c=" << Q.Label
                     << " is outside the solvable range\n";
           return 1;
         }
-        Cells.push_back({P, Label});
+        Cells.push_back({P, Q.Label});
       }
 
   std::cout << "# E12: certify the sandwich — exact game values vs the"

@@ -136,24 +136,9 @@ int main(int argc, char **argv) {
        << "  \"threads\": " << Threads << ",\n"
        << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
        << "  \"total_steps\": " << TotalOps << ",\n"
-       << "  \"steps_per_second\": " << formatDouble(OpsPerSec, 1) << ",\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << "  \"steps_per_second\": " << formatDouble(OpsPerSec, 1) << ",\n";
+    writePerPhaseJson(OS, Prof);
+    OS << "}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

@@ -51,17 +51,6 @@ using namespace pcb;
 
 namespace {
 
-/// Splits "a,b,c" into non-empty items.
-std::vector<std::string> parseNameList(const std::string &Text) {
-  std::vector<std::string> Names;
-  std::istringstream IS(Text);
-  std::string Item;
-  while (std::getline(IS, Item, ','))
-    if (!Item.empty())
-      Names.push_back(Item);
-  return Names;
-}
-
 struct CellOutcome {
   ExecutionResult Exec;
   double Overhead = 0.0;
@@ -225,24 +214,9 @@ int main(int argc, char **argv) {
       OS << (I ? ", " : "") << "{\"cell\": \"" << OverheadCells[I].first
          << "\", \"overhead\": " << formatDouble(OverheadCells[I].second, 4)
          << "}";
-    OS << "],\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+    OS << "],\n";
+    writePerPhaseJson(OS, Prof);
+    OS << "}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

@@ -7,9 +7,10 @@
 // generated once, serialized through the malloc-trace wire format, and
 // then *streamed back* through every (policy x controller) pair — so one
 // cell covers TraceWriter, TraceReader, StreamingTraceProgram and the
-// spend gate together, exactly the production trace-run path. The table
-// compares how the budget controllers trade compaction-budget burn
-// against the achieved waste factor on identical schedules.
+// spend gate together, exactly the production path of `pcbound replay`
+// on a pcbtrace file. The table compares how the budget controllers
+// trade compaction-budget burn against the achieved waste factor on
+// identical schedules.
 //
 // Usage: bench_trace [traces=churn,queue-fifo,comb] [ops=20000]
 //                    [policies=first-fit,evacuating,chunked]
@@ -45,33 +46,6 @@
 
 using namespace pcb;
 
-namespace {
-
-/// Splits "a,b,c" into non-empty items.
-std::vector<std::string> parseNameList(const std::string &Text) {
-  std::vector<std::string> Names;
-  std::istringstream IS(Text);
-  std::string Item;
-  while (std::getline(IS, Item, ','))
-    if (!Item.empty())
-      Names.push_back(Item);
-  return Names;
-}
-
-/// Resolves a fuzz pattern by name; exits with a diagnostic otherwise.
-WorkloadFuzzer::Pattern patternByName(const std::string &Name) {
-  for (WorkloadFuzzer::Pattern P : WorkloadFuzzer::allPatterns())
-    if (WorkloadFuzzer::patternName(P) == Name)
-      return P;
-  std::cerr << "error: unknown trace pattern '" << Name << "' (one of:";
-  for (WorkloadFuzzer::Pattern P : WorkloadFuzzer::allPatterns())
-    std::cerr << " " << WorkloadFuzzer::patternName(P);
-  std::cerr << ")\n";
-  std::exit(1);
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   std::vector<std::string> Traces =
@@ -98,7 +72,7 @@ int main(int argc, char **argv) {
   std::string BenchJsonPath = Opts.getString("bench-json", "");
 
   // Generate each trace once and push it through the wire format, so the
-  // grid cells stream exactly what trace-run would read from disk. The
+  // grid cells stream exactly what `pcbound replay` would read from disk. The
   // binary framing is the production one (and the denser to parse).
   WorkloadFuzzer::Options FO;
   FO.NumOps = NumOps;
@@ -107,7 +81,11 @@ int main(int argc, char **argv) {
   std::map<std::string, std::string> Serialized;
   for (size_t T = 0; T != Traces.size(); ++T) {
     FO.Seed = splitSeed(Seed, T);
-    FO.P = patternByName(Traces[T]);
+    std::string Error;
+    if (!WorkloadFuzzer::patternByName(Traces[T], FO.P, &Error)) {
+      std::cerr << "error: " << Error << "\n";
+      return 1;
+    }
     std::ostringstream OS;
     TraceRecorder Rec(OS, TraceFraming::Binary);
     Rec.record(WorkloadFuzzer(FO).generate().materialize());
@@ -218,24 +196,9 @@ int main(int argc, char **argv) {
        << "  \"profiled_cell\": {\"trace\": \"" << Traces.front()
        << "\", \"policy\": \"evacuating\", \"controller\": \"membalancer\""
        << ", \"ops\": " << CellOps << ", \"wall_seconds\": "
-       << formatDouble(CellWall, 3) << "},\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << formatDouble(CellWall, 3) << "},\n";
+    writePerPhaseJson(OS, Prof);
+    OS << "}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

@@ -8,7 +8,7 @@
 /// \file
 /// Converts a solved cell's forcing witness into the driver's EventLog
 /// vocabulary, so `pcbound exact witness-dir=...` writes TraceIO files
-/// that `pcbound replay-trace` can audit, and tests can replay the
+/// that `pcbound replay` can audit, and tests can replay the
 /// adversary's optimal play through a real Heap + CompactionLedger.
 ///
 //===----------------------------------------------------------------------===//

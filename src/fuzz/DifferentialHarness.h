@@ -19,7 +19,7 @@
 /// On failure the harness shrinks the schedule with delta debugging
 /// (chunked op removal at halving granularity, then per-op removal, then
 /// allocation-size halving) and can serialize the minimal failing run as
-/// a TraceIO reproducer that `pcbound replay-trace` re-executes.
+/// a TraceIO reproducer that `pcbound replay` re-executes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -122,6 +122,24 @@ public:
   /// which needs an external trace to draw from.
   static const std::vector<Pattern> &allPatterns();
   static std::string patternName(Pattern P);
+  /// Resolves a name from allPatterns() ("uniform", "comb", ...). On an
+  /// unknown name returns false and sets \p Error to a message listing
+  /// the valid ones. Pattern::Trace is not addressable by name.
+  static bool patternByName(const std::string &Name, Pattern &P,
+                            std::string *Error) {
+    for (Pattern Cand : allPatterns())
+      if (patternName(Cand) == Name) {
+        P = Cand;
+        return true;
+      }
+    if (Error) {
+      *Error = "unknown pattern '" + Name + "' (one of:";
+      for (Pattern Cand : allPatterns())
+        Error->append(" ").append(patternName(Cand));
+      *Error += ")";
+    }
+    return false;
+  }
 
 private:
   Options Opts;

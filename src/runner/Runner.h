@@ -27,6 +27,7 @@
 
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
+#include "support/OptionParser.h"
 
 #include <functional>
 #include <vector>
@@ -108,6 +109,17 @@ private:
   mutable std::vector<double> CellSeconds;
   mutable double WallSeconds = 0.0;
 };
+
+/// Builds a Runner from the common command-line options: `threads=N` (0
+/// or absent = all hardware threads) and `progress=0/1` (default: auto,
+/// i.e. report to stderr only when it is a terminal).
+inline Runner makeRunner(const OptionParser &Opts) {
+  RunnerOptions RO;
+  RO.Threads = unsigned(Opts.getUInt("threads", 0));
+  if (Opts.has("progress"))
+    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
+  return Runner(RO);
+}
 
 } // namespace pcb
 

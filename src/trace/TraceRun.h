@@ -116,7 +116,8 @@ TraceRunReport runTrace(TraceReader &R, const TraceRunOptions &Opts,
 /// the k-th allocation) used by fuzz schedules and fleet sessions.
 /// Returns an empty vector and sets \p Error on a validation failure.
 /// This is the non-streaming path — only for traces meant to be held
-/// whole (fuzz corpora, session classes), never for trace-run.
+/// whole (fuzz corpora, session classes), never for `pcbound replay`,
+/// which streams.
 std::vector<TraceOp> materializeTrace(TraceReader &R, std::string *Error);
 
 } // namespace pcb

@@ -319,7 +319,7 @@ TEST(TraceStreaming, MillionOpStreamMatchesMaterializedReplay) {
   ASSERT_TRUE(Rec.good());
   ASSERT_GE(Rec.opsWritten(), uint64_t(1) << 20);
 
-  // Streaming side: the production trace-run path (fixed gate).
+  // Streaming side: the production `pcbound replay` path (fixed gate).
   std::istringstream IS(Wire.str());
   TraceReader R(IS);
   TraceRunOptions RO;
@@ -583,7 +583,7 @@ TEST(Controller, AttachedGateActuallyBlocksMoves) {
 }
 
 //===----------------------------------------------------------------------===//
-// 3b. Golden trace-run reports
+// 3b. Golden trace replay reports
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -622,13 +622,13 @@ void checkGolden(const std::string &Rendered, const std::string &File) {
 TEST(TraceRunGolden, TextReportMatchesCommittedGolden) {
   std::ostringstream OS;
   goldenRun().printText(OS);
-  checkGolden(OS.str(), "trace-run.txt");
+  checkGolden(OS.str(), "trace-report.txt");
 }
 
 TEST(TraceRunGolden, JsonReportMatchesCommittedGolden) {
   std::ostringstream OS;
   goldenRun().printJson(OS);
-  checkGolden(OS.str(), "trace-run.json");
+  checkGolden(OS.str(), "trace-report.json");
 }
 
 //===----------------------------------------------------------------------===//

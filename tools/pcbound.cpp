@@ -7,12 +7,24 @@
 //
 //   pcbound bounds   [M= n= c=]                 all bounds + readings
 //   pcbound plan     [M= n= target=]            inverse: budget for a target
-//   pcbound simulate [program= policy= logm= logn= c= trace= verbose=]
+//   pcbound simulate [program= policy= logm= logn= c= trace= verbose=
+//                     timeline= profile=]
 //                                               run an execution, optionally
-//                                               saving the event trace
-//   pcbound replay   trace=FILE [policy= c= logm=]
-//                                               re-run a saved trace's
-//                                               program behaviour elsewhere
+//                                               saving the event trace;
+//                                               profile=1 adds timeline
+//                                               sparklines (stdout) and the
+//                                               per-phase timing (stderr)
+//   pcbound replay   trace=FILE [policy= c= ...]
+//                                               re-run a saved trace; the
+//                                               format is detected: a
+//                                               pcbtrace malloc trace is
+//                                               streamed through a manager
+//                                               under a budget controller,
+//                                               an event log (fuzz
+//                                               reproducer, simulate trace=,
+//                                               exact witness) is audited
+//                                               and re-executed with the
+//                                               invariant oracle on
 //   pcbound sweep    [program= policies= cs= logm= logn= --threads=N]
 //                                               run a (policy x c) grid of
 //                                               executions in parallel
@@ -24,21 +36,11 @@
 //                                               after every step; failures
 //                                               are shrunk and written as
 //                                               replayable reproducers
-//   pcbound replay-trace trace=FILE [policy= c=]
-//                                               re-execute a fuzz reproducer
-//                                               (or any saved trace) with
-//                                               the invariant oracle on
 //   pcbound trace-record out=FILE [pattern=|program=|session= format=]
 //                                               capture a fuzz pattern, an
 //                                               adversary program, or a
 //                                               fleet session as a malloc
 //                                               trace (text or binary)
-//   pcbound trace-run trace=FILE [policy= c= controller= ...]
-//                                               stream a malloc trace
-//                                               through a manager under a
-//                                               budget controller; memory
-//                                               stays bounded by the live
-//                                               window, not the op count
 //   pcbound serve    [arenas= sessions= threads= policy= c= batch=
 //                     resident= ops= maxlog= live= seed= sample= audit=
 //                     slice= json= out= timeline= arena-rows= profile=]
@@ -72,6 +74,7 @@
 #include "driver/TraceIO.h"
 #include "exact/Certifier.h"
 #include "exact/MinimaxSolver.h"
+#include "exact/QuotaList.h"
 #include "exact/WitnessTrace.h"
 #include "fuzz/DifferentialHarness.h"
 #include "fuzz/WorkloadFuzzer.h"
@@ -113,11 +116,12 @@ int usage() {
       << "  plan      [M=256M n=1M target=2.5]\n"
       << "  simulate  [program=cohen-petrank policy=evacuating logm=14\n"
       << "             logn=8 c=50 family=all trace=FILE verbose=0\n"
-      << "             timeline=FILE stride=1 controller=fixed period=16\n"
-      << "             c1=1.0 smoothing=0.25]\n"
-      << "  profile   [program=pf policy=evacuating logm=14 logn=8 c=50\n"
-      << "             stride=1 timeline=FILE chart=1]\n"
-      << "  replay    trace=FILE [policy=first-fit c=50 logm=14]\n"
+      << "             timeline=FILE stride=1 profile=0 controller=fixed\n"
+      << "             period=16 c1=1.0 smoothing=0.25]\n"
+      << "  replay    trace=FILE [policy=first-fit c=50]\n"
+      << "            pcbtrace only: [controller=fixed period=16 c1=1.0\n"
+      << "             smoothing=0.25 live=0 deep=0 json=0 out= timeline=\n"
+      << "             stride=1 profile=0]\n"
       << "  sweep     [program=cohen-petrank policies=all family=all\n"
       << "             cs=10,25,50,75,100 logm=14 logn=8 --threads=<ncores>\n"
       << "             csv=0 json=0 out= timeline=PREFIX stride=1]\n"
@@ -125,13 +129,9 @@ int usage() {
       << "             c=50 logm=12 maxlog=8 deep=64 index-oracle=1\n"
       << "             repro-dir=. --threads=N timeline=PREFIX trace=FILE\n"
       << "             controller=fixed period=16 c1=1.0 smoothing=0.25]\n"
-      << "  replay-trace trace=FILE [policy=first-fit c=50]\n"
       << "  trace-record out=FILE [pattern=mixed | program=NAME | session=ID]\n"
       << "             [format=binary seed=1 ops=4096 live=4096 maxlog=8\n"
       << "             logm=14 logn=8 c=50 policy=first-fit]\n"
-      << "  trace-run trace=FILE [policy=first-fit c=50 controller=fixed\n"
-      << "             period=16 c1=1.0 smoothing=0.25 live=0 deep=0\n"
-      << "             json=0 out= timeline= stride=1 profile=0]\n"
       << "  serve     [arenas=4 sessions=4096 threads=0 policy=evacuating\n"
       << "             c=50 batch=16 resident=8 ops=48 maxlog=6 live=1024\n"
       << "             seed=1 sample=64 audit=0 slice=32 json=0 out=\n"
@@ -205,7 +205,7 @@ int cmdPlan(const OptionParser &Opts) {
 
 /// Builds the program named program= — any factory name, or "spec" with
 /// spec=FILE. Prints an error and returns null on failure. Shared by
-/// simulate and profile.
+/// simulate and trace-record.
 std::unique_ptr<Program> buildProgram(const OptionParser &Opts,
                                       const std::string &ProgName,
                                       uint64_t M, unsigned LogN, double C) {
@@ -278,15 +278,52 @@ loadMallocTrace(const std::string &Path, uint64_t &PeakLiveWords) {
   return std::make_shared<const std::vector<TraceOp>>(std::move(Ops));
 }
 
+/// Writes \p Artifact (a Timeline or a report) to \p Path with its
+/// writeFile(). Prints the error and returns false on failure.
+template <typename T>
+bool writeArtifact(const T &Artifact, const std::string &Path) {
+  std::string Error;
+  if (Artifact.writeFile(Path, &Error))
+    return true;
+  std::cerr << "error: " << Error << "\n";
+  return false;
+}
+
+/// Runs \p Body under \p Prof (null: unprofiled) and returns its
+/// wall-clock seconds.
+template <typename Fn> double timeRun(Profiler *Prof, Fn &&Body) {
+  auto Start = std::chrono::steady_clock::now();
+  {
+    ProfilerScope Scope(Prof);
+    Body();
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+/// \p Count per second of \p Wall, for the stderr timing lines.
+uint64_t perSecond(uint64_t Count, double Wall) {
+  return uint64_t(Wall > 0.0 ? double(Count) / Wall : 0.0);
+}
+
+/// Reads the family= axis ("all", "compaction", "realloc"). Prints an
+/// error and returns false on an unknown family.
+bool parseFamily(const OptionParser &Opts, std::string &Family) {
+  Family = Opts.getString("family", "all");
+  if (Family == "all" || Family == "compaction" || Family == "realloc")
+    return true;
+  std::cerr << "error: unknown family '" << Family
+            << "'; valid families: all, compaction, realloc\n";
+  return false;
+}
+
 int cmdSimulate(const OptionParser &Opts) {
   // family=realloc retargets the defaults at the reallocation
   // workbench; explicit program=/policy= always win.
-  std::string Family = Opts.getString("family", "all");
-  if (Family != "all" && Family != "compaction" && Family != "realloc") {
-    std::cerr << "error: unknown family '" << Family
-              << "'; valid families: all, compaction, realloc\n";
+  std::string Family;
+  if (!parseFamily(Opts, Family))
     return 1;
-  }
   bool Realloc = Family == "realloc";
   std::string ProgName =
       Opts.getString("program", Realloc ? "update-mix" : "cohen-petrank");
@@ -296,6 +333,7 @@ int cmdSimulate(const OptionParser &Opts) {
   unsigned LogN = unsigned(Opts.getUInt("logn", 8));
   double C = Opts.getDouble("c", 50.0);
   bool Verbose = Opts.getBool("verbose", false);
+  bool Profile = Opts.getBool("profile", false);
   uint64_t M = pow2(LogM);
 
   Heap H;
@@ -322,8 +360,9 @@ int cmdSimulate(const OptionParser &Opts) {
   attachController(E, *MM, *Ctrl);
 
   std::string TimelinePath = Opts.getString("timeline", "");
+  bool Sampled = Profile || !TimelinePath.empty();
   TimelineSampler Sampler(samplerOptions(Opts));
-  if (!TimelinePath.empty())
+  if (Sampled)
     Sampler.attach(E);
 
   if (Verbose) {
@@ -338,7 +377,9 @@ int cmdSimulate(const OptionParser &Opts) {
         break;
     }
   }
-  ExecutionResult R = E.run();
+  ExecutionResult R;
+  Profiler Prof;
+  double Wall = timeRun(Profile ? &Prof : nullptr, [&] { R = E.run(); });
   FragmentationMetrics FM = measureFragmentation(H);
 
   std::cout << Prog->name() << " vs " << MM->name() << " (M="
@@ -381,136 +422,26 @@ int cmdSimulate(const OptionParser &Opts) {
     std::cout << "  trace written to    " << TracePath << " ("
               << Log.size() << " events)\n";
   }
-  if (!TimelinePath.empty()) {
+  if (Sampled)
     Sampler.finish(E);
-    std::string Error;
-    if (!Sampler.timeline().writeFile(TimelinePath, &Error)) {
-      std::cerr << "error: " << Error << "\n";
-      return 1;
-    }
-    std::cout << "  timeline written to " << TimelinePath << " ("
-              << Sampler.timeline().size() << " points, stride "
-              << Sampler.stride() << ")\n";
-  }
-  return 0;
-}
-
-int cmdProfile(const OptionParser &Opts) {
-  std::string ProgName = Opts.getString("program", "pf");
-  std::string Policy = Opts.getString("policy", "evacuating");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
-  double C = Opts.getDouble("c", 50.0);
-  bool Chart = Opts.getBool("chart", true);
-  std::string TimelinePath = Opts.getString("timeline", "");
-  uint64_t M = pow2(LogM);
-
-  Heap H;
-  std::string FactoryError;
-  auto MM = createManagerChecked(Policy, H, C, /*LiveBound=*/M, &FactoryError);
-  if (!MM) {
-    std::cerr << "error: " << FactoryError << "\n";
-    return 1;
-  }
-  std::unique_ptr<Program> Prog = buildProgram(Opts, ProgName, M, LogN, C);
-  if (!Prog)
-    return 1;
-
-  Execution E(*MM, *Prog, M);
-  TimelineSampler Sampler(samplerOptions(Opts));
-  Sampler.attach(E);
-
-  Profiler Prof;
-  auto Start = std::chrono::steady_clock::now();
-  ExecutionResult R;
-  {
-    ProfilerScope Scope(Prof);
-    R = E.run();
-  }
-  double Wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-  Sampler.finish(E);
   const Timeline &TL = Sampler.timeline();
-
-  std::cout << "# profile: " << Prog->name() << " vs " << MM->name()
-            << " (M=" << formatWords(M) << ", n=" << formatWords(pow2(LogN))
-            << ", c=" << C << ")\n"
-            << "# HS " << R.HeapSize << " words ("
-            << formatDouble(R.wasteFactor(M), 3) << " x M), " << R.Steps
-            << " steps, moved " << R.MovedWords << ", wall "
-            << formatDouble(Wall, 3) << "s, "
-            << uint64_t(Wall > 0.0 ? double(R.Steps) / Wall : 0.0)
-            << " steps/s\n"
-            << "# timeline: " << TL.size() << " points, stride "
-            << Sampler.stride() << "\n";
-  if (Chart)
-    TL.printCharts(std::cout);
-  std::cout << "\n";
-  Prof.printReport(std::cout, Wall);
-
   if (!TimelinePath.empty()) {
-    std::string Error;
-    if (!TL.writeFile(TimelinePath, &Error)) {
-      std::cerr << "error: " << Error << "\n";
+    if (!writeArtifact(TL, TimelinePath))
       return 1;
-    }
-    std::cout << "# timeline written to " << TimelinePath << "\n";
+    std::cout << "  timeline written to " << TimelinePath << " ("
+              << TL.size() << " points, stride " << Sampler.stride()
+              << ")\n";
   }
-  return 0;
-}
-
-int cmdReplay(const OptionParser &Opts) {
-  std::string TracePath = Opts.getString("trace", "");
-  if (TracePath.empty()) {
-    std::cerr << "error: replay needs trace=FILE\n";
-    return 1;
+  if (Profile) {
+    // The sparklines are a pure function of the run, so they stay on
+    // stdout; the wall clock and the profiler's timers go to stderr.
+    std::cout << "  timeline            " << TL.size() << " points, stride "
+              << Sampler.stride() << "\n";
+    TL.printCharts(std::cout);
+    std::cerr << "# simulate: wall " << formatDouble(Wall, 3) << "s, "
+              << perSecond(R.Steps, Wall) << " steps/s\n";
+    Prof.printReport(std::cerr, Wall);
   }
-  std::ifstream IS(TracePath);
-  if (!IS) {
-    std::cerr << "error: cannot read '" << TracePath << "'\n";
-    return 1;
-  }
-  EventLog Log;
-  if (!readEventLog(IS, Log)) {
-    std::cerr << "error: malformed trace '" << TracePath << "'\n";
-    return 1;
-  }
-  AuditReport Audit = auditEvents(Log.events());
-  if (!Audit.Consistent) {
-    std::cerr << "error: " << TracePath << ": inconsistent events (double "
-              << "free, overlap, or move of a dead object)\n";
-    return 1;
-  }
-  std::vector<TraceOp> Trace = Log.toTrace();
-  std::string Why;
-  if (!validateTrace(Trace, &Why)) {
-    std::cerr << "error: " << TracePath << ": trace is not replayable ("
-              << Why << ")\n";
-    return 1;
-  }
-  std::cout << "trace: " << Log.size() << " events, "
-            << Audit.NumAllocations << " allocs, " << Audit.NumFrees
-            << " frees, " << Audit.NumMoves << " moves (original HS "
-            << Audit.HighWaterMark << ")\n";
-
-  std::string Policy = Opts.getString("policy", "first-fit");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  double C = Opts.getDouble("c", 50.0);
-  uint64_t M = pow2(LogM);
-  Heap H;
-  std::string FactoryError;
-  auto MM = createManagerChecked(Policy, H, C, /*LiveBound=*/M, &FactoryError);
-  if (!MM) {
-    std::cerr << "error: " << FactoryError << "\n";
-    return 1;
-  }
-  TraceReplayProgram Prog(std::move(Trace));
-  Execution E(*MM, Prog, M);
-  ExecutionResult R = E.run();
-  std::cout << "replayed through " << MM->name() << ": HS " << R.HeapSize
-            << " words (" << formatDouble(R.wasteFactor(M), 3)
-            << " x M), moved " << R.MovedWords << "\n";
   return 0;
 }
 
@@ -519,18 +450,12 @@ int cmdReplay(const OptionParser &Opts) {
 /// "all". Prints an error and returns false on an unknown family.
 bool familyPolicies(const OptionParser &Opts,
                     std::vector<std::string> &Policies) {
-  std::string Family = Opts.getString("family", "all");
-  if (Family == "all")
-    Policies = allManagerPolicies();
-  else if (Family == "compaction")
-    Policies = compactionFamilyPolicies();
-  else if (Family == "realloc")
-    Policies = reallocManagerPolicies();
-  else {
-    std::cerr << "error: unknown family '" << Family
-              << "'; valid families: all, compaction, realloc\n";
+  std::string Family;
+  if (!parseFamily(Opts, Family))
     return false;
-  }
+  Policies = Family == "compaction" ? compactionFamilyPolicies()
+             : Family == "realloc"  ? reallocManagerPolicies()
+                                    : allManagerPolicies();
   return true;
 }
 
@@ -592,11 +517,7 @@ int cmdSweep(const OptionParser &Opts) {
     return 1;
   }
 
-  RunnerOptions RO;
-  RO.Threads = unsigned(Opts.getUInt("threads", 0));
-  if (Opts.has("progress"))
-    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
-  Runner R(RO);
+  Runner R = makeRunner(Opts);
 
   std::cout << "# sweep: " << ProgName << " vs " << Policies.size()
             << " policies x " << Cs.size() << " quotas (M=" << formatWords(M)
@@ -719,11 +640,7 @@ int cmdFuzz(const OptionParser &Opts) {
       Opts.getBool("heap-oracle", Opts.getBool("index-oracle", true));
   DifferentialHarness Harness(HO);
 
-  RunnerOptions RO;
-  RO.Threads = unsigned(Opts.getUInt("threads", 0));
-  if (Opts.has("progress"))
-    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
-  Runner R(RO);
+  Runner R = makeRunner(Opts);
 
   std::cout << "# fuzz: " << Iterations << " schedules x "
             << Policies.size() << " policies (seed=" << BaseSeed
@@ -784,7 +701,7 @@ int cmdFuzz(const OptionParser &Opts) {
     }
     DifferentialHarness::writeReproducer(OS, O.Minimal, *Failing);
     std::cerr << "fuzz: reproducer written; re-run with: pcbound"
-              << " replay-trace trace=" << Path << "\n";
+              << " replay trace=" << Path << "\n";
     if (!TimelinePrefix.empty()) {
       // Re-run just the failing policy with a sampler attached, so the
       // reproducer ships with the heap-state series that led to the
@@ -823,17 +740,182 @@ int cmdFuzz(const OptionParser &Opts) {
   return 1;
 }
 
-int cmdReplayTrace(const OptionParser &Opts) {
-  std::string TracePath = Opts.getString("trace", "");
-  if (TracePath.empty()) {
-    std::cerr << "error: replay-trace needs trace=FILE\n";
+int cmdTraceRecord(const OptionParser &Opts) {
+  std::string OutPath = Opts.getString("out", "");
+  if (OutPath.empty()) {
+    std::cerr << "error: trace-record needs out=FILE\n";
     return 1;
   }
-  std::ifstream IS(TracePath);
-  if (!IS) {
-    std::cerr << "error: cannot read '" << TracePath << "'\n";
+  TraceFraming Framing = TraceFraming::Binary;
+  std::string FramingName = Opts.getString("format", "binary");
+  if (!parseFraming(FramingName, Framing)) {
+    std::cerr << "error: unknown format '" << FramingName
+              << "' (text or binary)\n";
     return 1;
   }
+  std::string ProgName = Opts.getString("program", "");
+  bool HaveSession = Opts.has("session");
+  if (!ProgName.empty() && HaveSession) {
+    std::cerr << "error: pick one source: pattern=, program=, or session=\n";
+    return 1;
+  }
+
+  std::ofstream OS(OutPath, std::ios::binary);
+  if (!OS) {
+    std::cerr << "error: cannot write '" << OutPath << "'\n";
+    return 1;
+  }
+  TraceRecorder Rec(OS, Framing);
+  std::string Source;
+  if (!ProgName.empty()) {
+    // A live program run, recorded off the heap's event stream. The
+    // policy only shapes placement, which the trace does not record, but
+    // stays selectable so budget-starved fallback paths (which can change
+    // the *schedule* of a c-aware adversary) are reachable too.
+    unsigned LogM = unsigned(Opts.getUInt("logm", 14));
+    unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+    double C = Opts.getDouble("c", 50.0);
+    uint64_t M = pow2(LogM);
+    Heap H;
+    std::string Error;
+    auto MM = createManagerChecked(Opts.getString("policy", "first-fit"), H,
+                                   C, /*LiveBound=*/M, &Error);
+    if (!MM) {
+      std::cerr << "error: " << Error << "\n";
+      return 1;
+    }
+    std::unique_ptr<Program> Prog = buildProgram(Opts, ProgName, M, LogN, C);
+    if (!Prog)
+      return 1;
+    H.setEventCallback(Rec.heapTap());
+    Execution E(*MM, *Prog, M);
+    E.run();
+    Source = Prog->name();
+  } else if (HaveSession) {
+    // One fleet session, exactly as `pcbound serve` would generate it.
+    SessionParams SP;
+    SP.FleetSeed = Opts.getUInt("seed", 1);
+    SP.TargetOps = Opts.getUInt("ops", 48);
+    SP.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
+    SP.LiveBound =
+        std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
+    uint64_t GlobalId = Opts.getUInt("session", 0);
+    Rec.record(generateSessionTrace(SP, GlobalId));
+    Source = "session-" + std::to_string(GlobalId);
+  } else {
+    std::string PatName = Opts.getString("pattern", "mixed");
+    WorkloadFuzzer::Options FO;
+    std::string Error;
+    if (!WorkloadFuzzer::patternByName(PatName, FO.P, &Error)) {
+      std::cerr << "error: " << Error << "\n";
+      return 1;
+    }
+    FO.Seed = Opts.getUInt("seed", 1);
+    FO.NumOps = Opts.getUInt("ops", 4096);
+    FO.LiveBound =
+        std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 12));
+    FO.MaxLogSize = unsigned(Opts.getUInt("maxlog", 8));
+    Rec.record(WorkloadFuzzer(FO).generate().materialize());
+    Source = PatName;
+  }
+  OS.flush();
+  if (!Rec.good() || !OS) {
+    std::cerr << "error: write failure on '" << OutPath << "'\n";
+    return 1;
+  }
+  std::cout << "trace-record: " << Rec.opsWritten() << " ops (" << Source
+            << ") written to " << OutPath << " (" << framingName(Framing)
+            << ")\n";
+  return 0;
+}
+
+/// True when \p IS starts like a pcbtrace malloc trace — the binary
+/// "PCBT" magic or a `pcbtrace` text header — rather than an event log.
+/// Leaves the stream rewound.
+bool isPcbtrace(std::istream &IS) {
+  char Head[8] = {};
+  IS.read(Head, sizeof(Head));
+  std::string Prefix(Head, size_t(IS.gcount()));
+  IS.clear();
+  IS.seekg(0);
+  return Prefix.rfind("PCBT", 0) == 0 || Prefix.rfind("pcbtrace", 0) == 0;
+}
+
+/// replay on a pcbtrace: streams it through a manager under a budget
+/// controller, so memory stays bounded by the live window, not the op
+/// count.
+int replayPcbtrace(const OptionParser &Opts, const std::string &TracePath,
+                   std::istream &IS) {
+  TraceRunOptions RO;
+  RO.Policy = Opts.getString("policy", "first-fit");
+  RO.C = Opts.getDouble("c", 50.0);
+  if (!parseControllerSpec(Opts, RO.Controller))
+    return 1;
+  RO.LiveBound = Opts.getUInt("live", 0);
+  RO.DeepCheckEvery = Opts.getUInt("deep", 0);
+
+  std::string TimelinePath = Opts.getString("timeline", "");
+  TimelineSampler Sampler(samplerOptions(Opts));
+  if (!TimelinePath.empty()) {
+    RO.OnExecution = [&Sampler](Execution &E) { Sampler.attach(E); };
+    RO.OnFinished = [&Sampler](Execution &E) { Sampler.finish(E); };
+  }
+
+  Profiler Prof;
+  bool Profile = Opts.getBool("profile", false);
+  TraceReader R(IS);
+  TraceRunReport Report;
+  double Wall = 0.0;
+  try {
+    Wall = timeRun(Profile ? &Prof : nullptr,
+                   [&] { Report = runTrace(R, RO, TracePath); });
+  } catch (const std::exception &Ex) {
+    std::cerr << "error: " << Ex.what() << "\n";
+    return 1;
+  }
+
+  // The report names the trace by basename so it is relocatable across
+  // build trees; diagnostics above keep the full path.
+  size_t Slash = TracePath.find_last_of('/');
+  Report.Trace =
+      Slash == std::string::npos ? TracePath : TracePath.substr(Slash + 1);
+
+  // Wall clock (and the profiler, which holds timers) are
+  // nondeterministic, so they go to stderr; stdout carries only the
+  // deterministic report.
+  std::cerr << "# replay: wall " << formatDouble(Wall, 3) << "s, "
+            << perSecond(Report.OpsStreamed, Wall) << " ops/s, live window "
+            << Report.PeakLiveWindow << " ids\n";
+  if (Profile)
+    Prof.printReport(std::cerr, Wall);
+
+  if (Opts.getBool("json", false))
+    Report.printJson(std::cout);
+  else
+    Report.printText(std::cout);
+
+  std::string OutPath = Opts.getString("out", "");
+  if (!OutPath.empty()) {
+    if (!writeArtifact(Report, OutPath))
+      return 1;
+    std::cerr << "# report written to " << OutPath << "\n";
+  }
+  if (!TimelinePath.empty()) {
+    if (!writeArtifact(Sampler.timeline(), TimelinePath))
+      return 1;
+    std::cerr << "# timeline written to " << TimelinePath << " ("
+              << Sampler.timeline().size() << " points, stride "
+              << Sampler.stride() << ")\n";
+  }
+  return 0;
+}
+
+/// replay on an event log (fuzz reproducer, simulate trace=, exact
+/// witness): audits the recorded events and their every-prefix c-partial
+/// budget, then re-executes the program behaviour through one policy
+/// with the invariant oracle on.
+int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
+                   std::istream &IS) {
   std::stringstream Buffer;
   Buffer << IS.rdbuf();
   const std::string Content = Buffer.str();
@@ -906,8 +988,8 @@ int cmdReplayTrace(const OptionParser &Opts) {
   std::vector<TraceOp> Trace = Log.toTrace();
   std::string Why;
   if (!validateTrace(Trace, &Why)) {
-    std::cout << "replay: trace is not replayable (" << Why << ")\n"
-              << "replay-trace: FAIL\n";
+    std::cerr << "error: " << TracePath << ": trace is not replayable ("
+              << Why << ")\n";
     return 1;
   }
   DifferentialHarness::Options HO;
@@ -926,119 +1008,14 @@ int cmdReplayTrace(const OptionParser &Opts) {
               << S.HighWaterMark << " words, moved " << S.MovedWords
               << " in " << S.NumMoves << " moves\n";
   }
-  std::cout << (NumProblems ? "replay-trace: FAIL\n" : "replay-trace: OK\n");
+  std::cout << (NumProblems ? "replay: FAIL\n" : "replay: OK\n");
   return NumProblems ? 1 : 0;
 }
 
-/// Parses a fuzz pattern name ("uniform", "comb", "mixed", ...).
-/// Pattern::Trace is not addressable by name: it needs an external trace
-/// to draw from.
-bool parseFuzzPattern(const std::string &Name, WorkloadFuzzer::Pattern &P) {
-  for (WorkloadFuzzer::Pattern Cand : WorkloadFuzzer::allPatterns())
-    if (WorkloadFuzzer::patternName(Cand) == Name) {
-      P = Cand;
-      return true;
-    }
-  return false;
-}
-
-int cmdTraceRecord(const OptionParser &Opts) {
-  std::string OutPath = Opts.getString("out", "");
-  if (OutPath.empty()) {
-    std::cerr << "error: trace-record needs out=FILE\n";
-    return 1;
-  }
-  TraceFraming Framing = TraceFraming::Binary;
-  std::string FramingName = Opts.getString("format", "binary");
-  if (!parseFraming(FramingName, Framing)) {
-    std::cerr << "error: unknown format '" << FramingName
-              << "' (text or binary)\n";
-    return 1;
-  }
-  std::string ProgName = Opts.getString("program", "");
-  bool HaveSession = Opts.has("session");
-  if (!ProgName.empty() && HaveSession) {
-    std::cerr << "error: pick one source: pattern=, program=, or session=\n";
-    return 1;
-  }
-
-  std::ofstream OS(OutPath, std::ios::binary);
-  if (!OS) {
-    std::cerr << "error: cannot write '" << OutPath << "'\n";
-    return 1;
-  }
-  TraceRecorder Rec(OS, Framing);
-  std::string Source;
-  if (!ProgName.empty()) {
-    // A live program run, recorded off the heap's event stream. The
-    // policy only shapes placement, which the trace does not record, but
-    // stays selectable so budget-starved fallback paths (which can change
-    // the *schedule* of a c-aware adversary) are reachable too.
-    unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-    unsigned LogN = unsigned(Opts.getUInt("logn", 8));
-    double C = Opts.getDouble("c", 50.0);
-    uint64_t M = pow2(LogM);
-    Heap H;
-    std::string Error;
-    auto MM = createManagerChecked(Opts.getString("policy", "first-fit"), H,
-                                   C, /*LiveBound=*/M, &Error);
-    if (!MM) {
-      std::cerr << "error: " << Error << "\n";
-      return 1;
-    }
-    std::unique_ptr<Program> Prog = buildProgram(Opts, ProgName, M, LogN, C);
-    if (!Prog)
-      return 1;
-    H.setEventCallback(Rec.heapTap());
-    Execution E(*MM, *Prog, M);
-    E.run();
-    Source = Prog->name();
-  } else if (HaveSession) {
-    // One fleet session, exactly as `pcbound serve` would generate it.
-    SessionParams SP;
-    SP.FleetSeed = Opts.getUInt("seed", 1);
-    SP.TargetOps = Opts.getUInt("ops", 48);
-    SP.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
-    SP.LiveBound =
-        std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
-    uint64_t GlobalId = Opts.getUInt("session", 0);
-    Rec.record(generateSessionTrace(SP, GlobalId));
-    Source = "session-" + std::to_string(GlobalId);
-  } else {
-    std::string PatName = Opts.getString("pattern", "mixed");
-    WorkloadFuzzer::Pattern P;
-    if (!parseFuzzPattern(PatName, P)) {
-      std::cerr << "error: unknown pattern '" << PatName << "' (one of:";
-      for (WorkloadFuzzer::Pattern Cand : WorkloadFuzzer::allPatterns())
-        std::cerr << " " << WorkloadFuzzer::patternName(Cand);
-      std::cerr << ")\n";
-      return 1;
-    }
-    WorkloadFuzzer::Options FO;
-    FO.Seed = Opts.getUInt("seed", 1);
-    FO.NumOps = Opts.getUInt("ops", 4096);
-    FO.LiveBound =
-        std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 12));
-    FO.MaxLogSize = unsigned(Opts.getUInt("maxlog", 8));
-    FO.P = P;
-    Rec.record(WorkloadFuzzer(FO).generate().materialize());
-    Source = PatName;
-  }
-  OS.flush();
-  if (!Rec.good() || !OS) {
-    std::cerr << "error: write failure on '" << OutPath << "'\n";
-    return 1;
-  }
-  std::cout << "trace-record: " << Rec.opsWritten() << " ops (" << Source
-            << ") written to " << OutPath << " (" << framingName(Framing)
-            << ")\n";
-  return 0;
-}
-
-int cmdTraceRun(const OptionParser &Opts) {
+int cmdReplay(const OptionParser &Opts) {
   std::string TracePath = Opts.getString("trace", "");
   if (TracePath.empty()) {
-    std::cerr << "error: trace-run needs trace=FILE\n";
+    std::cerr << "error: replay needs trace=FILE\n";
     return 1;
   }
   std::ifstream IS(TracePath, std::ios::binary);
@@ -1046,78 +1023,8 @@ int cmdTraceRun(const OptionParser &Opts) {
     std::cerr << "error: cannot read '" << TracePath << "'\n";
     return 1;
   }
-
-  TraceRunOptions RO;
-  RO.Policy = Opts.getString("policy", "first-fit");
-  RO.C = Opts.getDouble("c", 50.0);
-  if (!parseControllerSpec(Opts, RO.Controller))
-    return 1;
-  RO.LiveBound = Opts.getUInt("live", 0);
-  RO.DeepCheckEvery = Opts.getUInt("deep", 0);
-
-  std::string TimelinePath = Opts.getString("timeline", "");
-  TimelineSampler Sampler(samplerOptions(Opts));
-  if (!TimelinePath.empty()) {
-    RO.OnExecution = [&Sampler](Execution &E) { Sampler.attach(E); };
-    RO.OnFinished = [&Sampler](Execution &E) { Sampler.finish(E); };
-  }
-
-  Profiler Prof;
-  bool Profile = Opts.getBool("profile", false);
-  TraceReader R(IS);
-  TraceRunReport Report;
-  auto Start = std::chrono::steady_clock::now();
-  try {
-    ProfilerScope Scope(Prof);
-    Report = runTrace(R, RO, TracePath);
-  } catch (const std::exception &Ex) {
-    std::cerr << "error: " << Ex.what() << "\n";
-    return 1;
-  }
-  double Wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
-
-  // The report names the trace by basename so it is relocatable across
-  // build trees; diagnostics above keep the full path.
-  size_t Slash = TracePath.find_last_of('/');
-  Report.Trace =
-      Slash == std::string::npos ? TracePath : TracePath.substr(Slash + 1);
-
-  // Wall clock (and the profiler, which holds timers) are
-  // nondeterministic, so they go to stderr; stdout carries only the
-  // deterministic report.
-  std::cerr << "# trace-run: wall " << formatDouble(Wall, 3) << "s, "
-            << uint64_t(Wall > 0.0 ? double(Report.OpsStreamed) / Wall : 0.0)
-            << " ops/s, live window " << Report.PeakLiveWindow << " ids\n";
-  if (Profile)
-    Prof.printReport(std::cerr, Wall);
-
-  if (Opts.getBool("json", false))
-    Report.printJson(std::cout);
-  else
-    Report.printText(std::cout);
-
-  std::string OutPath = Opts.getString("out", "");
-  if (!OutPath.empty()) {
-    std::string Error;
-    if (!Report.writeFile(OutPath, &Error)) {
-      std::cerr << "error: " << Error << "\n";
-      return 1;
-    }
-    std::cerr << "# report written to " << OutPath << "\n";
-  }
-  if (!TimelinePath.empty()) {
-    std::string Error;
-    if (!Sampler.timeline().writeFile(TimelinePath, &Error)) {
-      std::cerr << "error: " << Error << "\n";
-      return 1;
-    }
-    std::cerr << "# timeline written to " << TimelinePath << " ("
-              << Sampler.timeline().size() << " points, stride "
-              << Sampler.stride() << ")\n";
-  }
-  return 0;
+  return isPcbtrace(IS) ? replayPcbtrace(Opts, TracePath, IS)
+                        : replayEventLog(Opts, TracePath, IS);
 }
 
 int cmdServe(const OptionParser &Opts) {
@@ -1176,8 +1083,7 @@ int cmdServe(const OptionParser &Opts) {
     std::cerr << "# serve: wall " << formatDouble(Wall, 3) << "s, threads="
               << Fleet.threads() << ", slices=" << Fleet.slices()
               << ", steals=" << Fleet.steals() << ", "
-              << uint64_t(Wall > 0.0 ? double(R.TotalSessions) / Wall : 0.0)
-              << " sessions/s\n";
+              << perSecond(R.TotalSessions, Wall) << " sessions/s\n";
     if (FO.Prof)
       Prof.printReport(std::cerr, Wall);
 
@@ -1203,20 +1109,14 @@ int cmdServe(const OptionParser &Opts) {
 
     std::string OutPath = Opts.getString("out", "");
     if (!OutPath.empty()) {
-      std::string Error;
-      if (!R.writeFile(OutPath, &Error)) {
-        std::cerr << "error: " << Error << "\n";
+      if (!writeArtifact(R, OutPath))
         return 1;
-      }
       std::cerr << "# report written to " << OutPath << "\n";
     }
     std::string TimelinePath = Opts.getString("timeline", "");
     if (!TimelinePath.empty()) {
-      std::string Error;
-      if (!R.FleetTimeline.writeFile(TimelinePath, &Error)) {
-        std::cerr << "error: " << Error << "\n";
+      if (!writeArtifact(R.FleetTimeline, TimelinePath))
         return 1;
-      }
       std::cerr << "# fleet timeline written to " << TimelinePath << " ("
                 << R.FleetTimeline.size() << " points)\n";
     }
@@ -1227,28 +1127,6 @@ int cmdServe(const OptionParser &Opts) {
   }
 }
 
-/// Parses a comma-separated list of positive integers from option \p Opt.
-bool parseUIntList(const std::string &Text, const char *Opt,
-                   std::vector<uint64_t> &Out) {
-  std::istringstream IS(Text);
-  std::string Item;
-  while (std::getline(IS, Item, ',')) {
-    if (Item.empty())
-      continue;
-    char *End = nullptr;
-    unsigned long long Value = std::strtoull(Item.c_str(), &End, 10);
-    if (!End || *End != '\0' || Value == 0) {
-      std::cerr << "error: invalid number '" << Item << "' in " << Opt
-                << "=\n";
-      return false;
-    }
-    Out.push_back(Value);
-  }
-  if (Out.empty())
-    std::cerr << "error: " << Opt << "= must name at least one value\n";
-  return !Out.empty();
-}
-
 /// A bound column for the exact table: "-" when the closed form does not
 /// apply at the cell's parameters.
 std::string formatBound(double Words) {
@@ -1256,37 +1134,16 @@ std::string formatBound(double Words) {
 }
 
 int cmdExact(const OptionParser &Opts) {
-  std::vector<uint64_t> Ms, Ns;
-  if (!parseUIntList(Opts.getString("Ms", "2,4,8"), "Ms", Ms) ||
-      !parseUIntList(Opts.getString("ns", "2,4"), "ns", Ns))
-    return 1;
-
   // Quotas are integer denominators; "inf" is the non-moving manager
   // (solver convention C = 0 — see ExactParams).
-  std::vector<std::pair<std::string, uint64_t>> Cs;
-  {
-    std::istringstream IS(Opts.getString("cs", "1,2,4,inf"));
-    std::string Item;
-    while (std::getline(IS, Item, ',')) {
-      if (Item.empty())
-        continue;
-      if (Item == "inf" || Item == "infinity") {
-        Cs.push_back({"inf", 0});
-        continue;
-      }
-      char *End = nullptr;
-      unsigned long long Value = std::strtoull(Item.c_str(), &End, 10);
-      if (!End || *End != '\0' || Value == 0) {
-        std::cerr << "error: invalid quota '" << Item
-                  << "' in cs= (positive integer or inf)\n";
-        return 1;
-      }
-      Cs.push_back({Item, Value});
-    }
-    if (Cs.empty()) {
-      std::cerr << "error: cs= must name at least one quota\n";
-      return 1;
-    }
+  std::vector<uint64_t> Ms, Ns;
+  std::vector<QuotaSpec> Cs;
+  std::string Error;
+  if (!parseUIntList(Opts.getString("Ms", "2,4,8"), "Ms", Ms, Error) ||
+      !parseUIntList(Opts.getString("ns", "2,4"), "ns", Ns, Error) ||
+      !parseQuotaList(Opts.getString("cs", "1,2,4,inf"), Cs, Error)) {
+    std::cerr << "error: " << Error << "\n";
+    return 1;
   }
 
   struct ExactCell {
@@ -1297,11 +1154,11 @@ int cmdExact(const OptionParser &Opts) {
   unsigned Skipped = 0;
   for (uint64_t M : Ms)
     for (uint64_t N : Ns)
-      for (const auto &[Label, C] : Cs) {
+      for (const QuotaSpec &Q : Cs) {
         ExactParams P;
         P.M = M;
         P.N = N;
-        P.C = C;
+        P.C = Q.C;
         P.BudgetCap = Opts.getUInt("budget-cap", 0);
         P.NodeLimit = Opts.getUInt("node-limit", 0);
         P.MaxArena = unsigned(Opts.getUInt("max-arena", 0));
@@ -1312,19 +1169,15 @@ int cmdExact(const OptionParser &Opts) {
           continue;
         }
         if (!P.valid()) {
-          std::cerr << "error: cell M=" << M << " n=" << N << " c=" << Label
+          std::cerr << "error: cell M=" << M << " n=" << N << " c=" << Q.Label
                     << " is outside the solvable range (M <= 24,"
                     << " power-of-two n <= 16, arena <= 30)\n";
           return 1;
         }
-        Cells.push_back({P, Label});
+        Cells.push_back({P, Q.Label});
       }
 
-  RunnerOptions RO;
-  RO.Threads = unsigned(Opts.getUInt("threads", 0));
-  if (Opts.has("progress"))
-    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
-  Runner R(RO);
+  Runner R = makeRunner(Opts);
 
   std::cout << "# exact: solving " << Cells.size() << " cells ("
             << Skipped << " out-of-domain skipped, threads=" << R.threads()
@@ -1418,7 +1271,7 @@ int cmdExact(const OptionParser &Opts) {
       writeEventLog(OS, witnessToEventLog(Certs[I].Result.Witness));
     }
     std::cout << "# witness traces written to " << WitnessDir
-              << "/ (replayable with pcbound replay-trace)\n";
+              << "/ (replayable with pcbound replay)\n";
   }
 
   if (!Sink.emit(Opts))
@@ -1443,20 +1296,14 @@ int main(int argc, char **argv) {
     return cmdPlan(Opts);
   if (Command == "simulate")
     return cmdSimulate(Opts);
-  if (Command == "profile")
-    return cmdProfile(Opts);
   if (Command == "replay")
     return cmdReplay(Opts);
   if (Command == "sweep")
     return cmdSweep(Opts);
   if (Command == "fuzz")
     return cmdFuzz(Opts);
-  if (Command == "replay-trace")
-    return cmdReplayTrace(Opts);
   if (Command == "trace-record")
     return cmdTraceRecord(Opts);
-  if (Command == "trace-run")
-    return cmdTraceRun(Opts);
   if (Command == "serve")
     return cmdServe(Opts);
   if (Command == "exact")
