@@ -33,7 +33,6 @@
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
 #include "mm/EvacuatingCompactor.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -42,7 +41,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 
 using namespace pcb;
 
@@ -50,7 +48,8 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs = parseNumberList(Opts.getString("cs", "20,50,100"));
+  std::vector<double> Cs =
+      parseNumberList(Opts.getString("cs", "20,50,100"), "cs");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
 

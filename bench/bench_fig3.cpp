@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bounds/BoundSweep.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"

@@ -24,14 +24,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
-#include "obs/Profiler.h"
 #include "runner/ResultSink.h"
 #include "service/ServiceFleet.h"
 #include "support/OptionParser.h"
 #include "support/Table.h"
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
 
 using namespace pcb;
@@ -39,7 +36,7 @@ using namespace pcb;
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   std::vector<double> ArenaCounts =
-      parseNumberList(Opts.getString("arenas", "1,4,8"));
+      parseNumberList(Opts.getString("arenas", "1,4,8"), "arenas");
   uint64_t Sessions = Opts.getUInt("sessions", 100000);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
 
@@ -73,7 +70,7 @@ int main(int argc, char **argv) {
   // The fleets run profiled (serve.flush plus the substrate sections) so
   // the regression baseline reflects the real scheduler path; the
   // ScopedTimer overhead at flush granularity is noise.
-  Profiler Prof;
+  BenchReport Report("fleet");
   double Wall = 0.0;
   uint64_t TotalOps = 0;
   uint64_t TotalSessions = 0;
@@ -86,7 +83,7 @@ int main(int argc, char **argv) {
       std::cerr << "error: arenas= entries must be positive\n";
       return 1;
     }
-    FO.Prof = &Prof;
+    FO.Prof = &Report.profiler();
     try {
       ServiceFleet Fleet(FO);
       Fleet.run();
@@ -114,36 +111,21 @@ int main(int argc, char **argv) {
   if (!Sink.emit(Opts))
     return 1;
 
-  double OpsPerSec = Wall > 0.0 ? double(TotalOps) / Wall : 0.0;
   std::cerr << "# perf: " << ArenaCounts.size() << " fleets in "
             << formatDouble(Wall, 2) << "s wall (threads=" << Threads
             << "); " << TotalSessions << " sessions, " << TotalOps
-            << " ops, " << uint64_t(OpsPerSec) << " ops/s\n";
+            << " ops, " << uint64_t(perSecond(TotalOps, Wall))
+            << " ops/s\n";
 
-  if (!BenchJsonPath.empty()) {
-    std::ofstream OS(BenchJsonPath);
-    OS << "{\n"
-       << "  \"bench\": \"fleet\",\n"
-       << "  \"arenas\": [";
-    for (size_t I = 0; I != ArenaCounts.size(); ++I)
-      OS << (I ? ", " : "") << formatDouble(ArenaCounts[I], 0);
-    OS << "],\n"
-       << "  \"sessions\": " << Sessions << ",\n"
-       << "  \"policy\": \"" << Base.Shard.Policy << "\",\n"
-       << "  \"batch\": " << Base.Shard.BatchSize << ",\n"
-       << "  \"resident\": " << Base.Shard.MaxResident << ",\n"
-       << "  \"ops\": " << Base.Shard.Session.TargetOps << ",\n"
-       << "  \"threads\": " << Threads << ",\n"
-       << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
-       << "  \"total_steps\": " << TotalOps << ",\n"
-       << "  \"steps_per_second\": " << formatDouble(OpsPerSec, 1) << ",\n";
-    writePerPhaseJson(OS, Prof);
-    OS << "}\n";
-    if (!OS) {
-      std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
-      return 1;
-    }
-    std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
-  }
+  if (!BenchJsonPath.empty() &&
+      !Report.add("arenas", ArenaCounts, 0)
+           .add("sessions", Sessions)
+           .add("policy", Base.Shard.Policy)
+           .add("batch", Base.Shard.BatchSize)
+           .add("resident", Base.Shard.MaxResident)
+           .add("ops", Base.Shard.Session.TargetOps)
+           .throughput(Threads, Wall, TotalOps)
+           .write(BenchJsonPath))
+    return 1;
   return 0;
 }

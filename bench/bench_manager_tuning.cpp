@@ -28,7 +28,6 @@
 #include "driver/Execution.h"
 #include "mm/ChunkedManager.h"
 #include "mm/EvacuatingCompactor.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -46,8 +45,8 @@ int main(int argc, char **argv) {
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 8));
   double C = Opts.getDouble("c", 50.0);
-  std::vector<double> Thresholds =
-      parseNumberList(Opts.getString("thresholds", "0.05,0.1,0.25,0.5,0.9"));
+  std::vector<double> Thresholds = parseNumberList(
+      Opts.getString("thresholds", "0.05,0.1,0.25,0.5,0.9"), "thresholds");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
 

@@ -19,7 +19,6 @@
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"

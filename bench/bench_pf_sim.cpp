@@ -40,9 +40,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <numeric>
 
 using namespace pcb;
 
@@ -82,7 +81,8 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 16));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs = parseNumberList(Opts.getString("cs", "10,25,50,75,100"));
+  std::vector<double> Cs =
+      parseNumberList(Opts.getString("cs", "10,25,50,75,100"), "cs");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
@@ -159,80 +159,54 @@ int main(int argc, char **argv) {
   // Wall-clock reporting is stderr-only: the determinism test diffs
   // stdout across thread counts.
   double Wall = Run.wallSeconds();
-  double StepsPerSec =
-      Wall > 0.0 ? double(TotalSteps.load()) / Wall : 0.0;
   std::cerr << "# perf: " << Grid.numCells() << " cells in "
             << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
             << "); " << TotalSteps.load() << " steps, "
-            << uint64_t(StepsPerSec) << " steps/s\n";
+            << uint64_t(perSecond(TotalSteps, Wall)) << " steps/s\n";
   // The slowest cells, for eyeballing where the time goes.
   std::vector<size_t> ByTime(Run.cellSeconds().size());
-  for (size_t I = 0; I != ByTime.size(); ++I)
-    ByTime[I] = I;
+  std::iota(ByTime.begin(), ByTime.end(), size_t(0));
   std::sort(ByTime.begin(), ByTime.end(), [&](size_t A, size_t B) {
     return Run.cellSeconds()[A] > Run.cellSeconds()[B];
   });
-  size_t NumSlow = std::min<size_t>(3, ByTime.size());
-  for (size_t I = 0; I != NumSlow; ++I) {
+  std::vector<JsonObject> Slowest;
+  for (size_t I = 0; I != std::min<size_t>(3, ByTime.size()); ++I) {
     GridCell Cell = Grid.cell(ByTime[I]);
+    double Seconds = Run.cellSeconds()[ByTime[I]];
     std::cerr << "# slowest[" << I << "]: c=" << formatDouble(Cell.num("c"), 0)
               << " policy=" << Cell.str("policy") << " "
-              << formatDouble(Run.cellSeconds()[ByTime[I]], 3) << "s\n";
+              << formatDouble(Seconds, 3) << "s\n";
+    Slowest.push_back(JsonObject()
+                          .add("c", Cell.num("c"), 0)
+                          .add("policy", Cell.str("policy"))
+                          .add("seconds", Seconds, 3));
   }
 
   if (!BenchJsonPath.empty()) {
     // Per-phase breakdown from a profiled serial re-run of one
     // representative cell (the evacuating manager at the first quota).
-    Profiler Prof;
-    double CellWall = 0.0;
+    BenchReport Report("pf_sim");
     uint64_t CellSteps = 0;
-    {
-      Heap H;
-      auto MM = createManager("evacuating", H, Cs.front(), /*LiveBound=*/M);
-      CohenPetrankProgram PF(M, N, Cs.front());
-      Execution E(*MM, PF, M);
-      ProfilerScope Scope(Prof);
-      auto Start = std::chrono::steady_clock::now();
-      CellSteps = E.run().Steps;
-      CellWall = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - Start)
-                     .count();
-    }
-
-    std::ofstream OS(BenchJsonPath);
-    OS << "{\n"
-       << "  \"bench\": \"pf_sim\",\n"
-       << "  \"logm\": " << LogM << ",\n"
-       << "  \"logn\": " << LogN << ",\n"
-       << "  \"cs\": [";
-    for (size_t I = 0; I != Cs.size(); ++I)
-      OS << (I ? ", " : "") << formatDouble(Cs[I], 0);
-    OS << "],\n"
-       << "  \"threads\": " << Run.threads() << ",\n"
-       << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
-       << "  \"total_steps\": " << TotalSteps.load() << ",\n"
-       << "  \"total_allocated_words\": " << TotalAllocatedWords.load()
-       << ",\n"
-       << "  \"steps_per_second\": " << formatDouble(StepsPerSec, 1)
-       << ",\n"
-       << "  \"slowest_cells\": [";
-    for (size_t I = 0; I != NumSlow; ++I) {
-      GridCell Cell = Grid.cell(ByTime[I]);
-      OS << (I ? ", " : "") << "{\"c\": " << formatDouble(Cell.num("c"), 0)
-         << ", \"policy\": \"" << Cell.str("policy") << "\", \"seconds\": "
-         << formatDouble(Run.cellSeconds()[ByTime[I]], 3) << "}";
-    }
-    OS << "],\n"
-       << "  \"profiled_cell\": {\"policy\": \"evacuating\", \"c\": "
-       << formatDouble(Cs.front(), 0) << ", \"steps\": " << CellSteps
-       << ", \"wall_seconds\": " << formatDouble(CellWall, 3) << "},\n";
-    writePerPhaseJson(OS, Prof);
-    OS << "}\n";
-    if (!OS) {
-      std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
+    Heap H;
+    auto MM = createManager("evacuating", H, Cs.front(), /*LiveBound=*/M);
+    CohenPetrankProgram PF(M, N, Cs.front());
+    Execution E(*MM, PF, M);
+    double CellWall =
+        timeRun(&Report.profiler(), [&] { CellSteps = E.run().Steps; });
+    Report.add("logm", LogM)
+        .add("logn", LogN)
+        .add("cs", Cs, 0)
+        .throughput(Run.threads(), Wall, TotalSteps.load(),
+                    JsonObject().add("total_allocated_words",
+                                     TotalAllocatedWords.load()))
+        .add("slowest_cells", Slowest)
+        .add("profiled_cell", JsonObject()
+                                  .add("policy", "evacuating")
+                                  .add("c", Cs.front(), 0)
+                                  .add("steps", CellSteps)
+                                  .add("wall_seconds", CellWall, 3));
+    if (!Report.write(BenchJsonPath))
       return 1;
-    }
-    std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
 }

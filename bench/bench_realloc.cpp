@@ -28,7 +28,6 @@
 #include "adversary/ProgramFactory.h"
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"
-#include "obs/Profiler.h"
 #include "realloc/ReallocationLedger.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -40,12 +39,9 @@
 #include <algorithm>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 
 using namespace pcb;
 
@@ -162,66 +158,42 @@ int main(int argc, char **argv) {
   // Wall-clock reporting is stderr-only: the determinism test diffs
   // stdout across thread counts.
   double Wall = Run.wallSeconds();
-  double StepsPerSec = Wall > 0.0 ? double(TotalSteps.load()) / Wall : 0.0;
   std::cerr << "# perf: " << Grid.numCells() << " cells in "
             << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
             << "); " << TotalSteps.load() << " steps, "
-            << uint64_t(StepsPerSec) << " steps/s\n";
+            << uint64_t(perSecond(TotalSteps, Wall)) << " steps/s\n";
 
   if (!BenchJsonPath.empty()) {
     // Per-phase breakdown from a profiled serial re-run of the whole
     // grid: one cell would be over in a millisecond, far too few calls
     // for the per-phase ns/call gate to be stable across CI runs.
-    Profiler Prof;
-    double CellWall = 0.0;
+    BenchReport Report("realloc");
     uint64_t CellSteps = 0;
-    {
-      ProfilerScope Scope(Prof);
-      auto Start = std::chrono::steady_clock::now();
+    double CellWall = timeRun(&Report.profiler(), [&] {
       for (const std::string &ProgName : Programs)
         for (const std::string &Policy : Policies)
           CellSteps += runCell(ProgName, Policy, M, LogN, C).Exec.Steps;
-      CellWall = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - Start)
-                     .count();
-    }
+    });
 
     // Deterministic emission order for the committed baseline.
     std::sort(OverheadCells.begin(), OverheadCells.end());
+    std::vector<JsonObject> Overheads;
+    for (const auto &[Cell, Overhead] : OverheadCells)
+      Overheads.push_back(
+          JsonObject().add("cell", Cell).add("overhead", Overhead, 4));
 
-    std::ofstream OS(BenchJsonPath);
-    OS << "{\n"
-       << "  \"bench\": \"realloc\",\n"
-       << "  \"programs\": [";
-    for (size_t I = 0; I != Programs.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << Programs[I] << "\"";
-    OS << "],\n"
-       << "  \"policies\": [";
-    for (size_t I = 0; I != Policies.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << Policies[I] << "\"";
-    OS << "],\n"
-       << "  \"logm\": " << LogM << ",\n"
-       << "  \"logn\": " << LogN << ",\n"
-       << "  \"threads\": " << Run.threads() << ",\n"
-       << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
-       << "  \"total_steps\": " << TotalSteps.load() << ",\n"
-       << "  \"steps_per_second\": " << formatDouble(StepsPerSec, 1) << ",\n"
-       << "  \"profiled_grid\": {\"cells\": " << Grid.numCells()
-       << ", \"steps\": " << CellSteps
-       << ", \"wall_seconds\": " << formatDouble(CellWall, 3) << "},\n"
-       << "  \"overhead_cells\": [";
-    for (size_t I = 0; I != OverheadCells.size(); ++I)
-      OS << (I ? ", " : "") << "{\"cell\": \"" << OverheadCells[I].first
-         << "\", \"overhead\": " << formatDouble(OverheadCells[I].second, 4)
-         << "}";
-    OS << "],\n";
-    writePerPhaseJson(OS, Prof);
-    OS << "}\n";
-    if (!OS) {
-      std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
+    Report.add("programs", Programs)
+        .add("policies", Policies)
+        .add("logm", LogM)
+        .add("logn", LogN)
+        .throughput(Run.threads(), Wall, TotalSteps.load())
+        .add("profiled_grid", JsonObject()
+                                  .add("cells", Grid.numCells())
+                                  .add("steps", CellSteps)
+                                  .add("wall_seconds", CellWall, 3))
+        .add("overhead_cells", Overheads);
+    if (!Report.write(BenchJsonPath))
       return 1;
-    }
-    std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
 }

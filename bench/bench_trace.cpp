@@ -28,7 +28,6 @@
 
 #include "BenchUtils.h"
 #include "fuzz/WorkloadFuzzer.h"
-#include "obs/Profiler.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -38,8 +37,6 @@
 #include "trace/TraceRun.h"
 
 #include <atomic>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -144,66 +141,41 @@ int main(int argc, char **argv) {
   // Wall-clock reporting is stderr-only: the determinism test diffs
   // stdout across thread counts.
   double Wall = Run.wallSeconds();
-  double OpsPerSec = Wall > 0.0 ? double(TotalOps.load()) / Wall : 0.0;
   std::cerr << "# perf: " << Grid.numCells() << " cells in "
             << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
             << "); " << TotalOps.load() << " ops streamed, "
-            << uint64_t(OpsPerSec) << " ops/s\n";
+            << uint64_t(perSecond(TotalOps, Wall)) << " ops/s\n";
 
   if (!BenchJsonPath.empty()) {
     // Per-phase breakdown from a profiled serial re-run of one
     // representative cell: the first trace through the evacuating
     // manager under the MemBalancer gate, so trace.read, the substrate
     // sections and the gate's denial counter all fire.
-    Profiler Prof;
-    double CellWall = 0.0;
+    BenchReport Report("trace");
+    TraceRunOptions RO = Base;
+    RO.Policy = "evacuating";
+    RO.Controller = Spec;
+    RO.Controller.Name = "membalancer";
+    std::istringstream IS(Serialized.at(Traces.front()));
+    TraceReader R(IS);
     uint64_t CellOps = 0;
-    {
-      TraceRunOptions RO = Base;
-      RO.Policy = "evacuating";
-      RO.Controller = Spec;
-      RO.Controller.Name = "membalancer";
-      std::istringstream IS(Serialized.at(Traces.front()));
-      TraceReader R(IS);
-      ProfilerScope Scope(Prof);
-      auto Start = std::chrono::steady_clock::now();
+    double CellWall = timeRun(&Report.profiler(), [&] {
       CellOps = runTrace(R, RO, Traces.front()).OpsStreamed;
-      CellWall = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - Start)
-                     .count();
-    }
+    });
 
-    std::ofstream OS(BenchJsonPath);
-    OS << "{\n"
-       << "  \"bench\": \"trace\",\n"
-       << "  \"traces\": [";
-    for (size_t I = 0; I != Traces.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << Traces[I] << "\"";
-    OS << "],\n"
-       << "  \"policies\": [";
-    for (size_t I = 0; I != Policies.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << Policies[I] << "\"";
-    OS << "],\n"
-       << "  \"controllers\": [";
-    for (size_t I = 0; I != Controllers.size(); ++I)
-      OS << (I ? ", " : "") << "\"" << Controllers[I] << "\"";
-    OS << "],\n"
-       << "  \"ops\": " << NumOps << ",\n"
-       << "  \"threads\": " << Run.threads() << ",\n"
-       << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
-       << "  \"total_steps\": " << TotalOps.load() << ",\n"
-       << "  \"steps_per_second\": " << formatDouble(OpsPerSec, 1) << ",\n"
-       << "  \"profiled_cell\": {\"trace\": \"" << Traces.front()
-       << "\", \"policy\": \"evacuating\", \"controller\": \"membalancer\""
-       << ", \"ops\": " << CellOps << ", \"wall_seconds\": "
-       << formatDouble(CellWall, 3) << "},\n";
-    writePerPhaseJson(OS, Prof);
-    OS << "}\n";
-    if (!OS) {
-      std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
+    Report.add("traces", Traces)
+        .add("policies", Policies)
+        .add("controllers", Controllers)
+        .add("ops", NumOps)
+        .throughput(Run.threads(), Wall, TotalOps.load())
+        .add("profiled_cell", JsonObject()
+                                  .add("trace", Traces.front())
+                                  .add("policy", RO.Policy)
+                                  .add("controller", RO.Controller.Name)
+                                  .add("ops", CellOps)
+                                  .add("wall_seconds", CellWall, 3));
+    if (!Report.write(BenchJsonPath))
       return 1;
-    }
-    std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
 }

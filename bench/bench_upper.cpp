@@ -28,7 +28,6 @@
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"
 #include "support/Statistics.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"

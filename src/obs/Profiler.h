@@ -169,6 +169,24 @@ private:
   Profiler *Saved;
 };
 
+/// Runs \p Body under \p Prof (null: unprofiled) and returns its
+/// wall-clock seconds.
+template <typename Fn> double timeRun(Profiler *Prof, Fn &&Body) {
+  auto Start = std::chrono::steady_clock::now();
+  {
+    ProfilerScope Scope(Prof);
+    Body();
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+/// \p Count per second of \p Seconds (0 when no time was measured).
+inline double perSecond(uint64_t Count, double Seconds) {
+  return Seconds > 0.0 ? double(Count) / Seconds : 0.0;
+}
+
 /// Times one section for the lifetime of the object. When no profiler is
 /// installed this is the null-sink fast path: one thread_local load, one
 /// branch, no clock read.

@@ -9,9 +9,10 @@
 
 #include "runner/ResultSink.h"
 #include "support/AsciiChart.h"
+#include "support/ReportFile.h"
 
-#include <fstream>
 #include <ostream>
+#include <string_view>
 
 using namespace pcb;
 
@@ -67,24 +68,12 @@ void Timeline::printJson(std::ostream &OS) const {
 }
 
 bool Timeline::writeFile(const std::string &Path, std::string *Error) const {
-  bool Json = Path.size() >= 5 &&
-              Path.compare(Path.size() - 5, 5, ".json") == 0;
-  std::ofstream OS(Path);
-  if (OS) {
-    if (Json)
-      printJson(OS);
-    else
-      printCsv(OS);
-    OS.flush();
-  }
-  // One check covers open failure and mid-run write failure: any failed
-  // state means points were dropped.
-  if (!OS) {
-    if (Error)
-      *Error = "cannot write '" + Path + "'";
-    return false;
-  }
-  return true;
+  return writeReportFile(
+      Path,
+      [this](std::ostream &OS, bool Json) {
+        Json ? printJson(OS) : printCsv(OS);
+      },
+      Error);
 }
 
 void Timeline::printCharts(std::ostream &OS, unsigned Width,
@@ -137,11 +126,8 @@ void Timeline::printCharts(std::ostream &OS, unsigned Width,
 
 std::string pcb::timelineCellPath(const std::string &Prefix,
                                   const std::string &Tag) {
-  for (const char *Ext : {".csv", ".json"}) {
-    size_t Len = std::string(Ext).size();
-    if (Prefix.size() >= Len &&
-        Prefix.compare(Prefix.size() - Len, Len, Ext) == 0)
-      return Prefix.substr(0, Prefix.size() - Len) + "-" + Tag + Ext;
-  }
-  return Prefix + "-" + Tag + ".csv";
+  if (!std::string_view(Prefix).ends_with(".csv") && !isJsonPath(Prefix))
+    return Prefix + "-" + Tag + ".csv";
+  size_t Dot = Prefix.rfind('.');
+  return Prefix.substr(0, Dot) + "-" + Tag + Prefix.substr(Dot);
 }

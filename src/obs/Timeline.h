@@ -75,8 +75,8 @@ public:
   void printCsv(std::ostream &OS) const;
   void printJson(std::ostream &OS) const;
 
-  /// Writes CSV (or JSON when \p Path ends in ".json") to \p Path.
-  /// Returns false and fills \p Error on open or write failure.
+  /// Writes CSV (or JSON for a `.json` path) to \p Path via
+  /// writeReportFile. Returns false and fills \p Error on failure.
   bool writeFile(const std::string &Path, std::string *Error = nullptr) const;
 
   /// Terminal sparklines: footprint/live words over steps, then
@@ -89,7 +89,7 @@ private:
 };
 
 /// Joins a per-cell tag into a timeline path prefix: inserts "-TAG"
-/// before a trailing ".csv"/".json", otherwise appends "-TAG.csv". Used
+/// before a trailing `.csv`/`.json`, otherwise appends "-TAG.csv". Used
 /// by sweeps that write one timeline per grid cell.
 std::string timelineCellPath(const std::string &Prefix,
                              const std::string &Tag);

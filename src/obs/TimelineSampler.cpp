@@ -33,13 +33,11 @@ void TimelineSampler::finish(const Execution &E) {
     record(E);
 }
 
-void TimelineSampler::record(const Execution &E) {
-  const Heap &H = E.heap();
+void pcb::recordHeapState(Timeline &TL, uint64_t Step, const Heap &H,
+                          const CompactionLedger &L) {
   FragmentationMetrics FM = measureFragmentation(H);
-  const CompactionLedger &L = E.manager().ledger();
-
   TimelinePoint P;
-  P.Step = E.stepsRun();
+  P.Step = Step;
   P.FootprintWords = FM.FootprintWords;
   P.LiveWords = FM.LiveWords;
   P.FreeWords = FM.FreeWords;
@@ -51,8 +49,12 @@ void TimelineSampler::record(const Execution &E) {
   P.MovedWords = H.stats().MovedWords;
   P.BudgetWords = L.isUnlimited() ? 0 : L.budgetWords();
   TL.addPoint(P);
-  LastRecordedStep = P.Step;
   Profiler::bump(Profiler::CtrTimelineSamples);
+}
+
+void TimelineSampler::record(const Execution &E) {
+  LastRecordedStep = E.stepsRun();
+  recordHeapState(TL, LastRecordedStep, E.heap(), E.manager().ledger());
 
   if (TL.size() >= Opts.MaxPoints) {
     TL.thinHalf();

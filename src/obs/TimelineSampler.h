@@ -28,7 +28,15 @@
 
 namespace pcb {
 
+class CompactionLedger;
 class Execution;
+class Heap;
+
+/// Appends the state of \p H after step \p Step to \p TL, with \p L's
+/// compaction budget, and counts the sample. Shared by the sampler and
+/// the fleet shards' per-arena timelines.
+void recordHeapState(Timeline &TL, uint64_t Step, const Heap &H,
+                     const CompactionLedger &L);
 
 /// Samples heap state into a Timeline during an Execution.
 class TimelineSampler {

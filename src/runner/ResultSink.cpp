@@ -8,10 +8,10 @@
 #include "runner/ResultSink.h"
 
 #include "support/OptionParser.h"
+#include "support/ReportFile.h"
 
 #include <cassert>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 using namespace pcb;
@@ -75,32 +75,6 @@ static bool isJsonNumber(const std::string &Cell) {
   return true;
 }
 
-static void printJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char Ch : S) {
-    switch (Ch) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(Ch) < 0x20)
-        OS << "\\u001f"; // control characters never occur in our cells
-      else
-        OS << Ch;
-    }
-  }
-  OS << '"';
-}
-
 void ResultSink::printJson(std::ostream &OS) const {
   std::lock_guard<std::mutex> Lock(Mu);
   OS << "[\n";
@@ -113,13 +87,9 @@ void ResultSink::printJson(std::ostream &OS) const {
     for (size_t I = 0; I != Header.size(); ++I) {
       if (I != 0)
         OS << ", ";
-      printJsonString(OS, Header[I]);
-      OS << ": ";
       const std::string Cell = I < R.cells().size() ? R.cells()[I] : "";
-      if (isJsonNumber(Cell))
-        OS << Cell;
-      else
-        printJsonString(OS, Cell);
+      OS << jsonString(Header[I]) << ": "
+         << (isJsonNumber(Cell) ? Cell : jsonString(Cell));
     }
     OS << "}";
   };
@@ -147,20 +117,14 @@ bool ResultSink::emit(const OptionParser &Opts) const {
   std::string OutPath = Opts.getString("out", "");
   if (OutPath.empty())
     return true;
-  bool Json = OutPath.size() >= 5 &&
-              OutPath.compare(OutPath.size() - 5, 5, ".json") == 0;
-  std::ofstream OS(OutPath);
-  if (OS) {
-    if (Json)
-      printJson(OS);
-    else
-      toTable().printCsv(OS);
-    OS.flush();
-  }
-  // One check covers open failure and mid-run write failure (disk full,
-  // path removed): any failed state means rows were dropped.
-  if (!OS) {
-    std::cerr << "error: cannot write '" << OutPath << "'\n";
+  std::string Error;
+  if (!writeReportFile(
+          OutPath,
+          [this](std::ostream &OS, bool Json) {
+            Json ? printJson(OS) : toTable().printCsv(OS);
+          },
+          &Error)) {
+    std::cerr << "error: " << Error << "\n";
     return false;
   }
   std::cout << "# wrote " << OutPath << "\n";

@@ -11,10 +11,9 @@
 /// flattens them in cell order, so the emitted table is identical no
 /// matter how many threads ran the sweep or in which order cells
 /// finished. Emission (aligned text, CSV, JSON, and the benches' common
-/// `csv=` / `json=` / `out=` options) lives here too, and unlike the old
-/// bench/BenchUtils.h::emitTable it checks every stream after writing:
-/// an unwritable or mid-run-failing output is reported and turned into a
-/// false return, which the benches map to a non-zero exit code.
+/// `csv=` / `json=` / `out=` options) lives here too; a failed stdout or
+/// `out=` write is reported and turned into a false return, which the
+/// benches map to a non-zero exit code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +82,8 @@ public:
 
   /// Emits the table per the benches' common options — `csv=1` or
   /// `json=1` select the stdout format (aligned otherwise), `out=FILE`
-  /// additionally writes CSV (or JSON when FILE ends in ".json").
+  /// additionally writes CSV (or JSON for a `.json` FILE) through
+  /// writeReportFile.
   /// Returns false, after printing an error to stderr, when any output
   /// stream fails; callers must turn that into a non-zero exit.
   bool emit(const OptionParser &Opts) const;

@@ -10,6 +10,7 @@
 #include "heap/Metrics.h"
 #include "mm/ManagerFactory.h"
 #include "obs/Profiler.h"
+#include "obs/TimelineSampler.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -146,22 +147,7 @@ void ArenaShard::sampleTimeline() {
 }
 
 void ArenaShard::recordTimelinePoint() {
-  FragmentationMetrics FM = measureFragmentation(H);
-  TimelinePoint P;
-  P.Step = Retired;
-  P.FootprintWords = FM.FootprintWords;
-  P.LiveWords = FM.LiveWords;
-  P.FreeWords = FM.FreeWords;
-  P.FreeBlocks = FM.FreeBlocks;
-  P.LargestFreeBlock = FM.LargestFreeBlock;
-  P.Utilization = FM.Utilization;
-  P.ExternalFragmentation = FM.ExternalFragmentation;
-  P.AllocatedWords = H.stats().TotalAllocatedWords;
-  P.MovedWords = H.stats().MovedWords;
-  P.BudgetWords =
-      MM->ledger().isUnlimited() ? 0 : MM->ledger().budgetWords();
-  TL.addPoint(P);
-  Profiler::bump(Profiler::CtrTimelineSamples);
+  recordHeapState(TL, Retired, H, MM->ledger());
 }
 
 bool ArenaShard::runSlice(uint64_t MaxFlushes) {

@@ -7,11 +7,11 @@
 
 #include "service/FleetReport.h"
 
+#include "support/ReportFile.h"
 #include "support/Table.h"
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -83,7 +83,7 @@ void FleetReport::printText(std::ostream &OS) const {
 void FleetReport::printJson(std::ostream &OS) const {
   OS << "{\n"
      << "  \"fleet\": {\"arenas\": " << NumArenas << ", \"sessions\": "
-     << NumSessions << ", \"policy\": \"" << Policy << "\", \"c\": "
+     << NumSessions << ", \"policy\": " << jsonString(Policy) << ", \"c\": "
      << formatDouble(C, 1) << ", \"batch\": " << BatchSize
      << ", \"resident\": " << MaxResident << ", \"ops\": " << SessionOps
      << ", \"seed\": " << Seed << "},\n"
@@ -120,45 +120,20 @@ void FleetReport::printJson(std::ostream &OS) const {
      << "  \"violations\": [";
   for (size_t I = 0; I != Violations.size(); ++I) {
     const FleetViolation &FV = Violations[I];
-    // describe() is free-form prose; escape the characters JSON cares
-    // about so a diagnostic can never corrupt the report.
-    std::string Detail = FV.V.describe();
-    std::string Escaped;
-    Escaped.reserve(Detail.size());
-    for (char Ch : Detail) {
-      if (Ch == '"' || Ch == '\\')
-        Escaped.push_back('\\');
-      if (Ch == '\n') {
-        Escaped += "\\n";
-        continue;
-      }
-      Escaped.push_back(Ch);
-    }
-    OS << (I ? ", " : "") << "{\"arena\": " << FV.ArenaId << ", \"check\": \""
-       << FV.V.Check << "\", \"step\": " << FV.V.Step << ", \"detail\": \""
-       << Escaped << "\"}";
+    OS << (I ? ", " : "") << "{\"arena\": " << FV.ArenaId
+       << ", \"check\": " << jsonString(FV.V.Check)
+       << ", \"step\": " << FV.V.Step
+       << ", \"detail\": " << jsonString(FV.V.describe()) << "}";
   }
   OS << "]\n}\n";
 }
 
 bool FleetReport::writeFile(const std::string &Path,
                             std::string *Error) const {
-  std::ofstream OS(Path);
-  if (!OS) {
-    if (Error)
-      *Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  bool Json = Path.size() >= 5 && Path.rfind(".json") == Path.size() - 5;
-  if (Json)
-    printJson(OS);
-  else
-    printText(OS);
-  OS.flush();
-  if (!OS) {
-    if (Error)
-      *Error = "write to '" + Path + "' failed";
-    return false;
-  }
-  return true;
+  return writeReportFile(
+      Path,
+      [this](std::ostream &OS, bool Json) {
+        Json ? printJson(OS) : printText(OS);
+      },
+      Error);
 }

@@ -113,8 +113,8 @@ struct FleetReport {
   void printText(std::ostream &OS) const;
   /// Renders the report as one JSON object (stable key order).
   void printJson(std::ostream &OS) const;
-  /// Writes JSON when \p Path ends in ".json", text otherwise. Returns
-  /// false and fills \p Error on open or write failure.
+  /// Writes JSON to a `.json` path, text otherwise, via writeReportFile.
+  /// Returns false and fills \p Error on failure.
   bool writeFile(const std::string &Path, std::string *Error = nullptr) const;
 };
 

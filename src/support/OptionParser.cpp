@@ -9,6 +9,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <iostream>
+#include <sstream>
 
 using namespace pcb;
 
@@ -98,4 +100,30 @@ bool OptionParser::getBool(const std::string &Name, bool Default) const {
     return Default;
   const std::string &V = It->second;
   return V == "1" || V == "true" || V == "yes";
+}
+
+std::vector<std::string> pcb::parseNameList(const std::string &Text) {
+  std::vector<std::string> Names;
+  std::istringstream IS(Text);
+  std::string Item;
+  while (std::getline(IS, Item, ','))
+    if (!Item.empty())
+      Names.push_back(Item);
+  return Names;
+}
+
+std::vector<double> pcb::parseNumberList(const std::string &Text,
+                                         const std::string &Name) {
+  std::vector<double> Values;
+  for (const std::string &Item : parseNameList(Text)) {
+    char *End = nullptr;
+    double Value = std::strtod(Item.c_str(), &End);
+    if (!End || *End != '\0') {
+      std::cerr << "error: invalid number '" << Item << "' in " << Name
+                << "=\n";
+      std::exit(1);
+    }
+    Values.push_back(Value);
+  }
+  return Values;
 }

@@ -10,7 +10,8 @@
 /// take the form `name=value` or `--name=value`; anything else is kept as a
 /// positional argument. Numeric getters accept suffixes K/M/G (powers of
 /// 1024) so parameters can be written the way the paper writes them
-/// ("M=256M", "n=1M").
+/// ("M=256M", "n=1M"). List values (`cs=10,25,50`, `policies=a,b`) are
+/// split by parseNumberList / parseNameList.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +56,15 @@ private:
   std::map<std::string, std::string> Options;
   std::vector<std::string> Positional;
 };
+
+/// Splits "a,b,c" into its non-empty items.
+std::vector<std::string> parseNameList(const std::string &Text);
+
+/// Parses the value of option \p Name= ("10,25,50") into doubles; empty
+/// items are skipped. A malformed item is bad CLI input, not a bug: it
+/// prints "error: invalid number 'X' in NAME=" and exits with status 1.
+std::vector<double> parseNumberList(const std::string &Text,
+                                    const std::string &Name);
 
 } // namespace pcb
 

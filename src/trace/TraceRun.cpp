@@ -10,12 +10,11 @@
 #include "heap/Heap.h"
 #include "mm/ManagerFactory.h"
 #include "obs/Profiler.h"
+#include "support/ReportFile.h"
+#include "support/Table.h"
 
 #include <cassert>
-#include <fstream>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 using namespace pcb;
@@ -109,56 +108,43 @@ TraceRunReport pcb::runTrace(TraceReader &R, const TraceRunOptions &Opts,
   return Rep;
 }
 
-namespace {
-std::string fixed2(double V) {
-  std::ostringstream SS;
-  SS << std::fixed << std::setprecision(2) << V;
-  return SS.str();
-}
-
-std::string fixed4(double V) {
-  std::ostringstream SS;
-  SS << std::fixed << std::setprecision(4) << V;
-  return SS.str();
-}
-} // namespace
-
 void TraceRunReport::printText(std::ostream &OS) const {
   OS << "trace-run report\n";
   OS << "  trace:       " << Trace << '\n';
   OS << "  ops:         " << OpsStreamed << " (" << Exec.NumAllocations
      << " allocs, " << Exec.NumFrees << " frees)\n";
-  OS << "  policy:      " << Policy << " (c=" << fixed2(C) << ")\n";
+  OS << "  policy:      " << Policy << " (c=" << formatDouble(C, 2) << ")\n";
   OS << "  controller:  " << Controller << '\n';
   OS << "  HS:          " << Exec.HeapSize << " words\n";
   OS << "  peak live:   " << Exec.PeakLiveWords << " words (waste "
-     << fixed4(WasteFactor) << "x)\n";
+     << formatDouble(WasteFactor, 4) << "x)\n";
   OS << "  live window: " << PeakLiveWindow << " ids\n";
   OS << "  moved:       " << Exec.MovedWords << " words in " << Exec.NumMoves
      << " moves\n";
   OS << "  budget:      " << BudgetWords << " words (burn "
-     << fixed2(BudgetBurnPct) << "%)\n";
+     << formatDouble(BudgetBurnPct, 2) << "%)\n";
   OS << "  gate:        " << ControllerGrants << " grants, "
      << ControllerDenials << " denials\n";
 }
 
 void TraceRunReport::printJson(std::ostream &OS) const {
   OS << "{\n";
-  OS << "  \"trace\": \"" << Trace << "\",\n";
-  OS << "  \"policy\": \"" << Policy << "\",\n";
-  OS << "  \"controller\": \"" << Controller << "\",\n";
-  OS << "  \"c\": " << fixed2(C) << ",\n";
+  OS << "  \"trace\": " << jsonString(Trace) << ",\n";
+  OS << "  \"policy\": " << jsonString(Policy) << ",\n";
+  OS << "  \"controller\": " << jsonString(Controller) << ",\n";
+  OS << "  \"c\": " << formatDouble(C, 2) << ",\n";
   OS << "  \"ops\": " << OpsStreamed << ",\n";
   OS << "  \"allocs\": " << Exec.NumAllocations << ",\n";
   OS << "  \"frees\": " << Exec.NumFrees << ",\n";
   OS << "  \"hs_words\": " << Exec.HeapSize << ",\n";
   OS << "  \"peak_live_words\": " << Exec.PeakLiveWords << ",\n";
-  OS << "  \"waste_factor\": " << fixed4(WasteFactor) << ",\n";
+  OS << "  \"waste_factor\": " << formatDouble(WasteFactor, 4) << ",\n";
   OS << "  \"peak_live_window\": " << PeakLiveWindow << ",\n";
   OS << "  \"moved_words\": " << Exec.MovedWords << ",\n";
   OS << "  \"num_moves\": " << Exec.NumMoves << ",\n";
   OS << "  \"budget_words\": " << BudgetWords << ",\n";
-  OS << "  \"budget_burn_pct\": " << fixed2(BudgetBurnPct) << ",\n";
+  OS << "  \"budget_burn_pct\": " << formatDouble(BudgetBurnPct, 2)
+     << ",\n";
   OS << "  \"controller_grants\": " << ControllerGrants << ",\n";
   OS << "  \"controller_denials\": " << ControllerDenials << "\n";
   OS << "}\n";
@@ -166,24 +152,12 @@ void TraceRunReport::printJson(std::ostream &OS) const {
 
 bool TraceRunReport::writeFile(const std::string &Path,
                                std::string *Error) const {
-  std::ofstream OS(Path);
-  if (!OS) {
-    if (Error)
-      *Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  bool Json = Path.size() >= 5 && Path.compare(Path.size() - 5, 5, ".json") == 0;
-  if (Json)
-    printJson(OS);
-  else
-    printText(OS);
-  OS.flush();
-  if (!OS) {
-    if (Error)
-      *Error = "error writing '" + Path + "'";
-    return false;
-  }
-  return true;
+  return writeReportFile(
+      Path,
+      [this](std::ostream &OS, bool Json) {
+        Json ? printJson(OS) : printText(OS);
+      },
+      Error);
 }
 
 std::vector<TraceOp> pcb::materializeTrace(TraceReader &R,

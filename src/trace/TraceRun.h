@@ -100,9 +100,8 @@ struct TraceRunReport {
 
   void printText(std::ostream &OS) const;
   void printJson(std::ostream &OS) const;
-  /// Writes the report to \p Path — JSON when it ends in ".json", text
-  /// otherwise. Returns false and sets \p Error when the file cannot be
-  /// written.
+  /// Writes JSON to a `.json` path, text otherwise, via writeReportFile.
+  /// Returns false and fills \p Error on failure.
   bool writeFile(const std::string &Path, std::string *Error) const;
 };
 

@@ -253,4 +253,12 @@ TEST(ResultSink, JsonEmitsNumbersUnquoted) {
             "[\n  {\"c\": 10, \"policy\": \"first-fit\", \"waste\": 3.485}\n]\n");
 }
 
+TEST(ResultSink, JsonEscapesControlCharactersByCode) {
+  ResultSink Sink({"cell"});
+  Sink.append(Row().addCell("a\rb\tc\"d"));
+  std::ostringstream OS;
+  Sink.printJson(OS);
+  EXPECT_EQ(OS.str(), "[\n  {\"cell\": \"a\\u000db\\tc\\\"d\"}\n]\n");
+}
+
 } // namespace

@@ -9,6 +9,7 @@
 #include "support/MathUtils.h"
 #include "support/OptionParser.h"
 #include "support/Random.h"
+#include "support/ReportFile.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -377,6 +379,54 @@ TEST(OptionParser, DoublesAndBools) {
   EXPECT_TRUE(P.getBool("v", false));
   EXPECT_FALSE(P.getBool("w", true));
   EXPECT_TRUE(P.getBool("absent", true));
+}
+
+TEST(OptionParser, ListsSkipEmptyItems) {
+  EXPECT_EQ(parseNameList("a,,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(parseNameList("").empty());
+  EXPECT_EQ(parseNumberList("10,,2.5", "cs"), (std::vector<double>{10, 2.5}));
+}
+
+TEST(OptionParserDeathTest, MalformedNumberListExitsWithDiagnosis) {
+  EXPECT_EXIT(parseNumberList("10,x5", "cs"), testing::ExitedWithCode(1),
+              "invalid number 'x5' in cs=");
+}
+
+TEST(ReportFile, JsonStringEscapes) {
+  EXPECT_EQ(jsonString("plain"), "\"plain\"");
+  EXPECT_EQ(jsonString("q\"b\\"), "\"q\\\"b\\\\\"");
+  EXPECT_EQ(jsonString("n\nt\t"), "\"n\\nt\\t\"");
+  EXPECT_EQ(jsonString(std::string("r\r\x01\x1f", 4)),
+            "\"r\\u000d\\u0001\\u001f\"");
+}
+
+TEST(ReportFile, PathSuffixPicksJson) {
+  EXPECT_TRUE(isJsonPath("out/report.json"));
+  EXPECT_FALSE(isJsonPath("report.json.txt"));
+  EXPECT_FALSE(isJsonPath("json"));
+  EXPECT_FALSE(isJsonPath("table.csv"));
+}
+
+TEST(ReportFile, WritesAndDiagnoses) {
+  std::string Path = testing::TempDir() + "report-file-test.json";
+  std::string Error;
+  bool SawJson = false;
+  ASSERT_TRUE(writeReportFile(
+      Path,
+      [&](std::ostream &OS, bool Json) {
+        SawJson = Json;
+        OS << "{}\n";
+      },
+      &Error));
+  EXPECT_TRUE(SawJson);
+  std::ifstream IS(Path);
+  std::stringstream Content;
+  Content << IS.rdbuf();
+  EXPECT_EQ(Content.str(), "{}\n");
+
+  EXPECT_FALSE(writeReportFile(
+      "/nonexistent-dir/report.csv", [](std::ostream &, bool) {}, &Error));
+  EXPECT_EQ(Error, "cannot write '/nonexistent-dir/report.csv'");
 }
 
 } // namespace

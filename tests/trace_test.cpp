@@ -631,6 +631,20 @@ TEST(TraceRunGolden, JsonReportMatchesCommittedGolden) {
   checkGolden(OS.str(), "trace-report.json");
 }
 
+TEST(TraceRunReport, JsonEscapesTheTraceName) {
+  // The trace name is a file name, which may hold any byte; the report
+  // must stay parseable JSON whatever it holds.
+  TraceRunReport Rep;
+  Rep.Trace = "we\"ird\\name\r.mtrace";
+  Rep.Policy = "first-fit";
+  Rep.Controller = "fixed";
+  std::ostringstream OS;
+  Rep.printJson(OS);
+  const std::string Expected =
+      "  \"trace\": \"we\\\"ird\\\\name\\u000d.mtrace\",\n";
+  EXPECT_NE(OS.str().find(Expected), std::string::npos) << OS.str();
+}
+
 //===----------------------------------------------------------------------===//
 // 4. Cross-policy invariants under every controller
 //===----------------------------------------------------------------------===//

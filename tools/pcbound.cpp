@@ -3,62 +3,10 @@
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
-// One binary for the common workflows:
-//
-//   pcbound bounds   [M= n= c=]                 all bounds + readings
-//   pcbound plan     [M= n= target=]            inverse: budget for a target
-//   pcbound simulate [program= policy= logm= logn= c= trace= verbose=
-//                     timeline= profile=]
-//                                               run an execution, optionally
-//                                               saving the event trace;
-//                                               profile=1 adds timeline
-//                                               sparklines (stdout) and the
-//                                               per-phase timing (stderr)
-//   pcbound replay   trace=FILE [policy= c= ...]
-//                                               re-run a saved trace; the
-//                                               format is detected: a
-//                                               pcbtrace malloc trace is
-//                                               streamed through a manager
-//                                               under a budget controller,
-//                                               an event log (fuzz
-//                                               reproducer, simulate trace=,
-//                                               exact witness) is audited
-//                                               and re-executed with the
-//                                               invariant oracle on
-//   pcbound sweep    [program= policies= cs= logm= logn= --threads=N]
-//                                               run a (policy x c) grid of
-//                                               executions in parallel
-//   pcbound fuzz     [seed= iterations= ops= policies= c= logm= maxlog=
-//                     deep= index-oracle= repro-dir= --threads=N]
-//                                               differential fuzzing: random
-//                                               schedules through every
-//                                               policy, invariants checked
-//                                               after every step; failures
-//                                               are shrunk and written as
-//                                               replayable reproducers
-//   pcbound trace-record out=FILE [pattern=|program=|session= format=]
-//                                               capture a fuzz pattern, an
-//                                               adversary program, or a
-//                                               fleet session as a malloc
-//                                               trace (text or binary)
-//   pcbound serve    [arenas= sessions= threads= policy= c= batch=
-//                     resident= ops= maxlog= live= seed= sample= audit=
-//                     slice= json= out= timeline= arena-rows= profile=]
-//                                               concurrent multi-arena
-//                                               service mode: N shared-
-//                                               nothing arena shards
-//                                               drained by a work-stealing
-//                                               scheduler; deterministic
-//                                               fleet report on stdout,
-//                                               wall clock on stderr
-//   pcbound exact    [Ms= ns= cs= witness-dir= --threads=N]
-//                                               solve the allocation game
-//                                               exactly on tiny parameters
-//                                               and certify the closed-form
-//                                               bounds layer against ground
-//                                               truth (exit 1 on any
-//                                               certificate failure)
-//   pcbound policies                            list manager policies
+// One binary for the common workflows: bounds, plan, simulate, replay,
+// sweep, fuzz, trace-record, serve, exact and policies. usage() lists
+// each command's options with their defaults; docs/MANUAL.md documents
+// them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,9 +20,8 @@
 #include "driver/Auditors.h"
 #include "driver/Execution.h"
 #include "driver/TraceIO.h"
-#include "exact/Certifier.h"
+#include "exact/ExactGrid.h"
 #include "exact/MinimaxSolver.h"
-#include "exact/QuotaList.h"
 #include "exact/WitnessTrace.h"
 #include "fuzz/DifferentialHarness.h"
 #include "fuzz/WorkloadFuzzer.h"
@@ -96,7 +43,6 @@
 #include "trace/TraceRun.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -289,24 +235,6 @@ bool writeArtifact(const T &Artifact, const std::string &Path) {
   return false;
 }
 
-/// Runs \p Body under \p Prof (null: unprofiled) and returns its
-/// wall-clock seconds.
-template <typename Fn> double timeRun(Profiler *Prof, Fn &&Body) {
-  auto Start = std::chrono::steady_clock::now();
-  {
-    ProfilerScope Scope(Prof);
-    Body();
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// \p Count per second of \p Wall, for the stderr timing lines.
-uint64_t perSecond(uint64_t Count, double Wall) {
-  return uint64_t(Wall > 0.0 ? double(Count) / Wall : 0.0);
-}
-
 /// Reads the family= axis ("all", "compaction", "realloc"). Prints an
 /// error and returns false on an unknown family.
 bool parseFamily(const OptionParser &Opts, std::string &Family) {
@@ -439,7 +367,7 @@ int cmdSimulate(const OptionParser &Opts) {
               << Sampler.stride() << "\n";
     TL.printCharts(std::cout);
     std::cerr << "# simulate: wall " << formatDouble(Wall, 3) << "s, "
-              << perSecond(R.Steps, Wall) << " steps/s\n";
+              << uint64_t(perSecond(R.Steps, Wall)) << " steps/s\n";
     Prof.printReport(std::cerr, Wall);
   }
   return 0;
@@ -464,16 +392,10 @@ bool familyPolicies(const OptionParser &Opts,
 bool parsePolicyList(const OptionParser &Opts, uint64_t LiveBound,
                      std::vector<std::string> &Policies) {
   std::string PolicyList = Opts.getString("policies", "all");
-  if (PolicyList == "all") {
-    if (!familyPolicies(Opts, Policies))
-      return false;
-  } else {
-    std::istringstream IS(PolicyList);
-    std::string Item;
-    while (std::getline(IS, Item, ','))
-      if (!Item.empty())
-        Policies.push_back(Item);
-  }
+  if (PolicyList != "all")
+    Policies = parseNameList(PolicyList);
+  else if (!familyPolicies(Opts, Policies))
+    return false;
   for (const std::string &Policy : Policies) {
     Heap Probe;
     std::string Error;
@@ -491,22 +413,8 @@ int cmdSweep(const OptionParser &Opts) {
   unsigned LogN = unsigned(Opts.getUInt("logn", 8));
   uint64_t M = pow2(LogM);
 
-  std::vector<double> Cs;
-  {
-    std::istringstream IS(Opts.getString("cs", "10,25,50,75,100"));
-    std::string Item;
-    while (std::getline(IS, Item, ',')) {
-      if (Item.empty())
-        continue;
-      char *End = nullptr;
-      double Value = std::strtod(Item.c_str(), &End);
-      if (!End || *End != '\0') {
-        std::cerr << "error: invalid number '" << Item << "' in cs=\n";
-        return 1;
-      }
-      Cs.push_back(Value);
-    }
-  }
+  std::vector<double> Cs =
+      parseNumberList(Opts.getString("cs", "10,25,50,75,100"), "cs");
   // Validate every name once, serially, before fanning out.
   std::vector<std::string> Policies;
   if (!parsePolicyList(Opts, /*LiveBound=*/M, Policies))
@@ -884,8 +792,8 @@ int replayPcbtrace(const OptionParser &Opts, const std::string &TracePath,
   // nondeterministic, so they go to stderr; stdout carries only the
   // deterministic report.
   std::cerr << "# replay: wall " << formatDouble(Wall, 3) << "s, "
-            << perSecond(Report.OpsStreamed, Wall) << " ops/s, live window "
-            << Report.PeakLiveWindow << " ids\n";
+            << uint64_t(perSecond(Report.OpsStreamed, Wall))
+            << " ops/s, live window " << Report.PeakLiveWindow << " ids\n";
   if (Profile)
     Prof.printReport(std::cerr, Wall);
 
@@ -1083,7 +991,7 @@ int cmdServe(const OptionParser &Opts) {
     std::cerr << "# serve: wall " << formatDouble(Wall, 3) << "s, threads="
               << Fleet.threads() << ", slices=" << Fleet.slices()
               << ", steals=" << Fleet.steals() << ", "
-              << perSecond(R.TotalSessions, Wall) << " sessions/s\n";
+              << uint64_t(perSecond(R.TotalSessions, Wall)) << " sessions/s\n";
     if (FO.Prof)
       Prof.printReport(std::cerr, Wall);
 
@@ -1127,55 +1035,18 @@ int cmdServe(const OptionParser &Opts) {
   }
 }
 
-/// A bound column for the exact table: "-" when the closed form does not
-/// apply at the cell's parameters.
-std::string formatBound(double Words) {
-  return std::isnan(Words) ? std::string("-") : formatDouble(Words, 1);
-}
-
 int cmdExact(const OptionParser &Opts) {
-  // Quotas are integer denominators; "inf" is the non-moving manager
-  // (solver convention C = 0 — see ExactParams).
-  std::vector<uint64_t> Ms, Ns;
-  std::vector<QuotaSpec> Cs;
+  ExactParams Limits;
+  Limits.BudgetCap = Opts.getUInt("budget-cap", 0);
+  Limits.NodeLimit = Opts.getUInt("node-limit", 0);
+  Limits.MaxArena = unsigned(Opts.getUInt("max-arena", 0));
+  std::vector<ExactCell> Cells;
+  unsigned Skipped = 0;
   std::string Error;
-  if (!parseUIntList(Opts.getString("Ms", "2,4,8"), "Ms", Ms, Error) ||
-      !parseUIntList(Opts.getString("ns", "2,4"), "ns", Ns, Error) ||
-      !parseQuotaList(Opts.getString("cs", "1,2,4,inf"), Cs, Error)) {
+  if (!parseExactGrid(Opts, Limits, Cells, Skipped, Error)) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-
-  struct ExactCell {
-    ExactParams P;
-    std::string CLabel;
-  };
-  std::vector<ExactCell> Cells;
-  unsigned Skipped = 0;
-  for (uint64_t M : Ms)
-    for (uint64_t N : Ns)
-      for (const QuotaSpec &Q : Cs) {
-        ExactParams P;
-        P.M = M;
-        P.N = N;
-        P.C = Q.C;
-        P.BudgetCap = Opts.getUInt("budget-cap", 0);
-        P.NodeLimit = Opts.getUInt("node-limit", 0);
-        P.MaxArena = unsigned(Opts.getUInt("max-arena", 0));
-        if (N > M) {
-          // Out of domain, not an error: a P2(M, n) program can never
-          // allocate an object larger than its live bound.
-          ++Skipped;
-          continue;
-        }
-        if (!P.valid()) {
-          std::cerr << "error: cell M=" << M << " n=" << N << " c=" << Q.Label
-                    << " is outside the solvable range (M <= 24,"
-                    << " power-of-two n <= 16, arena <= 30)\n";
-          return 1;
-        }
-        Cells.push_back({P, Q.Label});
-      }
 
   Runner R = makeRunner(Opts);
 
@@ -1189,19 +1060,10 @@ int cmdExact(const OptionParser &Opts) {
     Certs[size_t(I)] = certifyCell(P, solveExact(P));
   });
 
-  ResultSink Sink({"M", "n", "c", "exact", "lower", "robson", "thm2",
-                   "upper", "nodes", "status"});
+  ResultSink Sink(certificateHeader(/*WithNodes=*/true));
   uint64_t NumOk = 0, NumStrict = 0, NumFailed = 0;
   for (size_t I = 0; I != Cells.size(); ++I) {
-    const ExactCell &Cell = Cells[I];
     const ExactCertificate &Cert = Certs[I];
-    uint64_t Nodes = 0;
-    for (const ArenaOutcome &A : Cert.Result.Arenas)
-      Nodes += A.Nodes;
-    std::string Status = !Cert.Result.Solved ? "unsolved"
-                         : !Cert.ok()        ? "FAIL"
-                         : Cert.Strict       ? "ok-strict"
-                                             : "ok";
     if (Cert.ok()) {
       ++NumOk;
       NumStrict += Cert.Strict;
@@ -1209,19 +1071,7 @@ int cmdExact(const OptionParser &Opts) {
       ++NumFailed;
       std::cerr << "exact: certificate FAILED: " << Cert.describe() << "\n";
     }
-    Sink.append(Row()
-                    .addCell(Cell.P.M)
-                    .addCell(Cell.P.N)
-                    .addCell(Cell.CLabel)
-                    .addCell(Cert.Result.Solved
-                                 ? std::to_string(Cert.Result.ExactWords)
-                                 : std::string("-"))
-                    .addCell(formatBound(Cert.LowerWords))
-                    .addCell(formatBound(Cert.RobsonWords))
-                    .addCell(formatBound(Cert.Theorem2Words))
-                    .addCell(formatBound(Cert.UpperWords))
-                    .addCell(Nodes)
-                    .addCell(Status));
+    Sink.append(certificateRow(Cells[I], Cert, /*WithNodes=*/true));
   }
 
   // Ground truth must be monotone in the quota: a larger integer c (and
