@@ -28,27 +28,14 @@
 namespace pcb {
 
 /// Statistics re-derived from an event stream.
-struct AuditReport {
-  uint64_t HighWaterMark = 0;
-  uint64_t LiveWords = 0;
-  uint64_t PeakLiveWords = 0;
-  uint64_t TotalAllocatedWords = 0;
-  uint64_t MovedWords = 0;
-  uint64_t NumAllocations = 0;
-  uint64_t NumFrees = 0;
-  uint64_t NumMoves = 0;
+struct AuditReport : HeapStats {
   /// True when the replay saw no inconsistency (double frees, moves of
   /// dead objects, overlapping placements are detected structurally).
   bool Consistent = true;
 
   /// True when every field agrees with the heap's own statistics.
   bool matches(const HeapStats &S) const {
-    return Consistent && HighWaterMark == S.HighWaterMark &&
-           LiveWords == S.LiveWords && PeakLiveWords == S.PeakLiveWords &&
-           TotalAllocatedWords == S.TotalAllocatedWords &&
-           MovedWords == S.MovedWords &&
-           NumAllocations == S.NumAllocations && NumFrees == S.NumFrees &&
-           NumMoves == S.NumMoves;
+    return Consistent && static_cast<const HeapStats &>(*this) == S;
   }
 };
 

@@ -188,19 +188,15 @@ DifferentialReport DifferentialHarness::run(const FuzzSchedule &S) const {
                            });
     if (It != Report.Runs.end()) {
       PolicyRunResult Again = runPolicy(Opts.ReplayCheckPolicy, Trace, M);
-      auto Same = [&](const char *Field, uint64_t First, uint64_t Second) {
-        if (First == Second)
-          return;
-        Report.Cross.push_back(Violation{
-            "replay-divergence", Opts.ReplayCheckPolicy, 0,
-            std::string(Field) + " was " + std::to_string(First) +
-                " on the first run but " + std::to_string(Second) +
-                " on the second"});
-      };
-      Same("HighWaterMark", It->Stats.HighWaterMark,
-           Again.Stats.HighWaterMark);
-      Same("MovedWords", It->Stats.MovedWords, Again.Stats.MovedWords);
-      Same("NumMoves", It->Stats.NumMoves, Again.Stats.NumMoves);
+      for (const HeapStatsField &F : HeapStatsFields) {
+        uint64_t First = It->Stats.*F.Member, Second = Again.Stats.*F.Member;
+        if (First != Second)
+          Report.Cross.push_back(Violation{
+              "replay-divergence", Opts.ReplayCheckPolicy, 0,
+              std::string(F.Name) + " was " + std::to_string(First) +
+                  " on the first run but " + std::to_string(Second) +
+                  " on the second"});
+      }
     }
   }
   return Report;

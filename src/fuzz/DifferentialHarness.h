@@ -97,8 +97,8 @@ public:
     /// Stop collecting per-run violations beyond this many (a broken
     /// substrate would otherwise report one per step).
     size_t MaxViolationsPerRun = 16;
-    /// Cross-check the live bitboard heap against the preserved
-    /// pre-bitboard ReferenceHeap on every step — free blocks, placement
+    /// Cross-check the live bitboard heap against the naive
+    /// ReferenceHeap on every step — free blocks, placement
     /// queries, object table, statistics, and occupancy/start masks (the
     /// 14th, policy-invisible checker: the managers never see the
     /// reference heap).

@@ -119,19 +119,10 @@ void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
   // Statistics parity: every counter the telemetry exports.
   const HeapStats &LS = H.stats();
   const HeapStats &RS = Ref.stats();
-  auto Stat = [&](const char *Field, uint64_t Got, uint64_t Want) {
-    if (Got != Want)
-      Report(std::string(Field) + " = " + std::to_string(Got) +
-             " but the reference says " + std::to_string(Want));
-  };
-  Stat("TotalAllocatedWords", LS.TotalAllocatedWords, RS.TotalAllocatedWords);
-  Stat("LiveWords", LS.LiveWords, RS.LiveWords);
-  Stat("PeakLiveWords", LS.PeakLiveWords, RS.PeakLiveWords);
-  Stat("HighWaterMark", LS.HighWaterMark, RS.HighWaterMark);
-  Stat("MovedWords", LS.MovedWords, RS.MovedWords);
-  Stat("NumAllocations", LS.NumAllocations, RS.NumAllocations);
-  Stat("NumFrees", LS.NumFrees, RS.NumFrees);
-  Stat("NumMoves", LS.NumMoves, RS.NumMoves);
+  for (const HeapStatsField &F : HeapStatsFields)
+    if (LS.*F.Member != RS.*F.Member)
+      Report(std::string(F.Name) + " = " + std::to_string(LS.*F.Member) +
+             " but the reference says " + std::to_string(RS.*F.Member));
 
   // Bitboard parity over the canonicalization hooks' window.
   Expect("occupancyMask", 64, H.occupancyMask(64), Ref.occupancyMask(64));

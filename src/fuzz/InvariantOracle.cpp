@@ -91,28 +91,12 @@ size_t InvariantOracle::checkDeep(uint64_t Step,
                        "recorded events are internally inconsistent "
                        "(double free, overlap, or move of a dead object)"));
   else if (!A.matches(S)) {
-    auto Diff = [](const char *Field, uint64_t Audited, uint64_t Stated) {
-      return std::string(Field) + " audited=" + std::to_string(Audited) +
-             " stats=" + std::to_string(Stated) + "; ";
-    };
     std::string Detail;
-    if (A.HighWaterMark != S.HighWaterMark)
-      Detail += Diff("HighWaterMark", A.HighWaterMark, S.HighWaterMark);
-    if (A.LiveWords != S.LiveWords)
-      Detail += Diff("LiveWords", A.LiveWords, S.LiveWords);
-    if (A.PeakLiveWords != S.PeakLiveWords)
-      Detail += Diff("PeakLiveWords", A.PeakLiveWords, S.PeakLiveWords);
-    if (A.TotalAllocatedWords != S.TotalAllocatedWords)
-      Detail += Diff("TotalAllocatedWords", A.TotalAllocatedWords,
-                     S.TotalAllocatedWords);
-    if (A.MovedWords != S.MovedWords)
-      Detail += Diff("MovedWords", A.MovedWords, S.MovedWords);
-    if (A.NumAllocations != S.NumAllocations)
-      Detail += Diff("NumAllocations", A.NumAllocations, S.NumAllocations);
-    if (A.NumFrees != S.NumFrees)
-      Detail += Diff("NumFrees", A.NumFrees, S.NumFrees);
-    if (A.NumMoves != S.NumMoves)
-      Detail += Diff("NumMoves", A.NumMoves, S.NumMoves);
+    for (const HeapStatsField &F : HeapStatsFields)
+      if (A.*F.Member != S.*F.Member)
+        Detail += std::string(F.Name) + " audited=" +
+                  std::to_string(A.*F.Member) +
+                  " stats=" + std::to_string(S.*F.Member) + "; ";
     Out.push_back(make("audit-mismatch", Step, Detail));
   }
 

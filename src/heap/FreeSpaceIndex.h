@@ -35,12 +35,12 @@
 /// exists for address-space-boundary semantics, e.g. a placement ending
 /// exactly at AddrLimit).
 ///
-/// Semantics are identical to the original node-based interval index,
-/// preserved as testsupport/ReferenceFreeSpaceIndex and cross-checked
-/// continuously by the equivalence property test and the differential
-/// fuzzer's heap-parity oracle. All tie-breaks resolve to the lowest
-/// address, and numBlocksBelow / largestBlockBelow stay exact for the
-/// telemetry layer.
+/// Semantics are those of testsupport/ReferenceFreeSpaceIndex, the
+/// specification (one sorted block map, each query its definition walked
+/// in address order), cross-checked continuously by the equivalence
+/// property test and the differential fuzzer's heap-parity oracle. All
+/// tie-breaks resolve to the lowest address, and numBlocksBelow /
+/// largestBlockBelow stay exact for the telemetry layer.
 ///
 //===----------------------------------------------------------------------===//
 

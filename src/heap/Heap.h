@@ -70,6 +70,27 @@ struct HeapStats {
   uint64_t NumAllocations = 0;
   uint64_t NumFrees = 0;
   uint64_t NumMoves = 0;
+
+  bool operator==(const HeapStats &) const = default;
+};
+
+/// One HeapStats field: its name and its member.
+struct HeapStatsField {
+  const char *Name;
+  uint64_t HeapStats::*Member;
+};
+
+/// Every HeapStats field, in the one order the diagnoses that compare two
+/// statistics records report them.
+inline constexpr HeapStatsField HeapStatsFields[] = {
+    {"HighWaterMark", &HeapStats::HighWaterMark},
+    {"LiveWords", &HeapStats::LiveWords},
+    {"PeakLiveWords", &HeapStats::PeakLiveWords},
+    {"TotalAllocatedWords", &HeapStats::TotalAllocatedWords},
+    {"MovedWords", &HeapStats::MovedWords},
+    {"NumAllocations", &HeapStats::NumAllocations},
+    {"NumFrees", &HeapStats::NumFrees},
+    {"NumMoves", &HeapStats::NumMoves},
 };
 
 /// The simulated heap: object table + free-space index + statistics.

@@ -10,7 +10,6 @@
 #include "obs/Profiler.h"
 
 #include <cassert>
-#include <optional>
 
 using namespace pcb;
 
@@ -35,29 +34,34 @@ void CostObliviousAllocator::onFreeing(ObjectId Id) {
 
 void CostObliviousAllocator::onFreed(ObjectId, Addr From, uint64_t Size) {
   // A program that frees moved objects (PF) re-enters here from inside
-  // reallocMove; only the outermost frame times the cascade, or the
-  // nested ScopedTimers would each re-count the whole remainder.
-  struct DepthGuard {
-    unsigned &D;
-    explicit DepthGuard(unsigned &D) : D(D) { ++D; }
-    ~DepthGuard() { --D; }
-  } Guard(CascadeDepth);
-  std::optional<ScopedTimer> Timer;
-  if (CascadeDepth == 1)
-    Timer.emplace(Profiler::SecRealloc);
-  auto It = Classes.find(Size);
-  if (It == Classes.end())
+  // reallocMove, once per link of the cascade. Queue the hole; only the
+  // outermost frame (the one that found the queue empty) drains it, in
+  // FIFO order, so the stack stays flat however long the cascade runs. PF
+  // frees one object per move, so the moves come in the order a
+  // recursive cascade would make them.
+  Holes.push_back({From, Size});
+  if (Holes.size() > 1)
     return;
-  // The highest-addressed class-mate strictly above the hole slides
-  // down into it: addresses only ever decrease, so a program that frees
-  // every moved object (PF) drives a cascade that removes one object
-  // per link and terminates.
-  auto Last = std::prev(It->second.end());
-  if (Last->first <= From)
-    return;
-  Profiler::bump(Profiler::CtrReallocPasses);
-  // Perfect fit and no overlap: the mover has the hole's exact size and
-  // a strictly higher address, so its range starts at or past From+Size.
-  if (reallocMove(Last->second, From))
-    ++NumBackfills;
+  ScopedTimer Timer(Profiler::SecRealloc);
+  // Index, not iterator: a move's free appends to Holes.
+  for (size_t I = 0; I != Holes.size(); ++I) {
+    auto [Hole, HoleSize] = Holes[I];
+    auto It = Classes.find(HoleSize);
+    if (It == Classes.end())
+      continue;
+    // The highest-addressed class-mate strictly above the hole slides
+    // down into it: addresses only ever decrease, so a program that
+    // frees every moved object (PF) drives a cascade that removes one
+    // object per link and terminates.
+    auto Last = std::prev(It->second.end());
+    if (Last->first <= Hole)
+      continue;
+    Profiler::bump(Profiler::CtrReallocPasses);
+    // Perfect fit and no overlap: the mover has the hole's exact size
+    // and a strictly higher address, so its range starts at or past the
+    // hole's end.
+    if (reallocMove(Last->second, Hole))
+      ++NumBackfills;
+  }
+  Holes.clear();
 }

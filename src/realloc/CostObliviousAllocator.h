@@ -29,6 +29,8 @@
 #include "realloc/ReallocManager.h"
 
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace pcb {
 
@@ -55,9 +57,9 @@ private:
   // the hole.
   std::map<uint64_t, std::map<Addr, ObjectId>> Classes;
   uint64_t NumBackfills = 0;
-  // Re-entry depth of onFreed (PF cascades); only the outermost frame
-  // owns the mm.realloc profiler section.
-  unsigned CascadeDepth = 0;
+  // Holes (start, size) awaiting backfill; non-empty exactly while the
+  // outermost onFreed drains a cascade.
+  std::vector<std::pair<Addr, uint64_t>> Holes;
 };
 
 } // namespace pcb

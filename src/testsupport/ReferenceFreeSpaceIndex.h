@@ -6,20 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The original node-based free-space index, kept verbatim as the one
-/// testing oracle for the bitboard FreeSpaceIndex that replaced it on the
-/// hot path, and the free space of ReferenceHeap. Three synchronized
-/// structures keep every query logarithmic in the number of free blocks:
-/// an address-ordered map, a size-ordered set (best fit), and
-/// per-size-class address sets (first fit). Slower but obviously correct;
-/// the equivalence property test and the differential fuzzer's
-/// heap-parity oracle drive both indexes through identical operation
-/// streams and compare every query result.
+/// The specification of the free-space queries: the oracle for the
+/// bitboard FreeSpaceIndex, and the free space of ReferenceHeap. One
+/// sorted map goes from block start to block end; blocks are disjoint and
+/// coalesced, and the last runs to AddrLimit (the model's infinite tail).
+/// Each query is its definition walked over the blocks in address order,
+/// with nothing else to keep in sync: linear in the number of free blocks
+/// and obviously correct. The equivalence property test and the
+/// differential fuzzer's heap-parity oracle drive both indexes through
+/// identical operation streams and compare every query result.
 ///
-/// Deliberately not linked into the heap/mm/bench layers — only tests and
-/// the fuzzing harness may depend on it. Profiler instrumentation is
-/// stripped (the live index owns the fsi.* sections; the oracle must not
-/// double-count them when both run side by side).
+/// Only tests and the fuzzing harness may link it, never the
+/// heap/mm/bench layers. It has no profiler hooks: the live index owns the
+/// fsi.* sections, and the oracle must not double-count them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,17 +30,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <utility>
 
 namespace pcb {
 
-/// Address- and size-indexed free blocks with placement queries; the
-/// pre-rewrite implementation, preserved as an oracle.
+/// The free blocks in address order, and every query as a walk over them.
 class ReferenceFreeSpaceIndex {
 public:
   /// Initializes with the whole address space [0, AddrLimit) free.
-  ReferenceFreeSpaceIndex();
+  ReferenceFreeSpaceIndex() { ByAddr[0] = AddrLimit; }
 
   /// Marks [Start, Start + Size) free, coalescing neighbours. The range
   /// must currently be absent from the index (i.e. used).
@@ -54,7 +50,7 @@ public:
   bool isFree(Addr Start, uint64_t Size) const;
 
   /// Lowest address where \p Size words fit.
-  Addr firstFit(uint64_t Size) const;
+  Addr firstFit(uint64_t Size) const { return firstFitFrom(0, Size); }
 
   /// Lowest address >= \p From where \p Size words fit (a block
   /// containing \p From counts from \p From onward).
@@ -70,15 +66,16 @@ public:
 
   /// Start of the free block with the largest span clipped to [0, Limit)
   /// among blocks starting below \p Limit whose clipped span is at least
-  /// \p Size (ties broken by lowest address), or InvalidAddr. A plain
-  /// address-order scan — the obviously-correct worst fit.
+  /// \p Size (ties broken by lowest address), or InvalidAddr.
   Addr worstFitBelow(uint64_t Size, Addr Limit) const;
 
   /// Number of free blocks (including the infinite tail).
   size_t numBlocks() const { return ByAddr.size(); }
 
   /// Free words below \p Limit.
-  uint64_t freeWordsBelow(Addr Limit) const;
+  uint64_t freeWordsBelow(Addr Limit) const {
+    return Limit == 0 ? 0 : freeWordsIn(0, Limit);
+  }
 
   /// Free words within [Start, End).
   uint64_t freeWordsIn(Addr Start, Addr End) const;
@@ -96,18 +93,7 @@ public:
   const_iterator end() const { return ByAddr.end(); }
 
 private:
-  void eraseBlock(std::map<Addr, Addr>::iterator It);
-  void addBlock(Addr Start, Addr End);
-
-  /// Size class of a block: floor(log2(size)). Class K holds sizes in
-  /// [2^K, 2^(K+1)).
-  static unsigned classOf(uint64_t Size);
-
-  static constexpr unsigned NumClasses = 61;
-
-  std::map<Addr, Addr> ByAddr;              // start -> end
-  std::set<std::pair<uint64_t, Addr>> BySize; // (size, start); best fit
-  std::set<Addr> Buckets[NumClasses];       // per-class starts (first fit)
+  std::map<Addr, Addr> ByAddr; // start -> end
 };
 
 } // namespace pcb

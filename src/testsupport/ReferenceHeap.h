@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The naive full-heap oracle for the differential fuzzer: the
-/// pre-bitboard Heap (object table, free space, footprint accounting)
-/// built on the node-based ReferenceFreeSpaceIndex, so the live bitboard
-/// Heap is checked against structures that share none of its code.
+/// The naive full-heap oracle for the differential fuzzer: a plain Heap
+/// (object table, free space, footprint accounting) on the free-space
+/// specification ReferenceFreeSpaceIndex, so the live bitboard Heap is
+/// checked against structures that share none of its code.
 /// Memory managers are policies on top of a heap model; they decide
 /// *where* to place or move objects, the heap validates and records it.
 ///

@@ -231,6 +231,14 @@ TEST(InvariantOracle, CatchesDroppedEventInLog) {
   EXPECT_GT(Oracle.checkDeep(1, Out), 0u);
   ASSERT_FALSE(Out.empty());
   EXPECT_EQ(Out.front().Check, "audit-mismatch");
+  // Every differing statistic, in HeapStatsFields order: the log holds
+  // the 8-word allocation only, the heap both.
+  EXPECT_EQ(Out.front().Detail,
+            "HighWaterMark audited=8 stats=12; "
+            "LiveWords audited=8 stats=12; "
+            "PeakLiveWords audited=8 stats=12; "
+            "TotalAllocatedWords audited=8 stats=12; "
+            "NumAllocations audited=1 stats=2; ");
 }
 
 // --- The heap-parity checker -----------------------------------------------

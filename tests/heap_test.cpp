@@ -11,6 +11,7 @@
 #include "heap/HeapImage.h"
 #include "heap/IntervalSet.h"
 #include "heap/Metrics.h"
+#include "obs/Profiler.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -250,6 +251,20 @@ TEST(FreeSpaceIndex, FitBelowLimit) {
   Addr B = F.firstFit(9);
   EXPECT_EQ(B, 100u); // the hole is too small: the fit is the tail
   EXPECT_GT(B + 9, Addr(100));
+}
+
+// A free run that a full occupancy word closes is a rejected candidate
+// like any other: the first-fit scan counts it as a probe before jumping
+// over the full words.
+TEST(FreeSpaceIndex, FitProbesCountRunsClosedByFullWords) {
+  FreeSpaceIndex Idx;
+  Idx.reserve(0, 56);   // word 0 ends in the free run [56, 64)
+  Idx.reserve(64, 64);  // word 1 is full
+  Idx.reserve(160, 32); // word 2 starts with the free run [128, 160)
+  Profiler Prof;
+  ProfilerScope Scope(Prof);
+  EXPECT_EQ(Idx.firstFit(16), 128u);
+  EXPECT_EQ(Prof.counter(Profiler::CtrFitProbes), 1u);
 }
 
 TEST(FreeSpaceIndex, FreeWordsAccounting) {

@@ -3,8 +3,8 @@
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
-// Property test: the bitboard FreeSpaceIndex and the preserved node-based
-// ReferenceFreeSpaceIndex are driven through identical random
+// Property test: the bitboard FreeSpaceIndex and ReferenceFreeSpaceIndex,
+// the specification of every query, are driven through identical random
 // reserve/release streams, and every placement and aggregate query is
 // compared after every operation. Any semantic drift in the rewrite —
 // a tie-break, a boundary, a stale summary — shows up as a mismatch with

@@ -72,7 +72,7 @@ int usage() {
       << "             cs=10,25,50,75,100 logm=14 logn=8 --threads=<ncores>\n"
       << "             csv=0 json=0 out= timeline=PREFIX stride=1]\n"
       << "  fuzz      [seed=1 iterations=50 ops=384 policies=all family=all\n"
-      << "             c=50 logm=12 maxlog=8 deep=64 index-oracle=1\n"
+      << "             c=50 logm=12 maxlog=8 deep=64 heap-oracle=1\n"
       << "             repro-dir=. --threads=N timeline=PREFIX trace=FILE\n"
       << "             controller=fixed period=16 c1=1.0 smoothing=0.25]\n"
       << "  trace-record out=FILE [pattern=mixed | program=NAME | session=ID]\n"
@@ -543,9 +543,7 @@ int cmdFuzz(const OptionParser &Opts) {
     return 1;
   // heap-oracle=0 drops the per-step live-vs-reference full-heap
   // cross-check (on by default; the CI fuzz smoke relies on it).
-  // index-oracle is the flag's pre-promotion name, kept as an alias.
-  HO.HeapParity =
-      Opts.getBool("heap-oracle", Opts.getBool("index-oracle", true));
+  HO.HeapParity = Opts.getBool("heap-oracle", true);
   DifferentialHarness Harness(HO);
 
   Runner R = makeRunner(Opts);
