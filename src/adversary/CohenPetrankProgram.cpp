@@ -23,15 +23,13 @@ CohenPetrankProgram::CohenPetrankProgram(uint64_t M, uint64_t N, double C,
                                          const Options &O)
     : M(M), N(N), C(C), Opts(O), LogN(log2Exact(N)),
       Core(M, O.TrackGhosts) {
-  assert(M >= N && "live bound below the largest object");
-  assert(LogN >= 4 && "n too small for a two-stage construction");
+  assert(!paramsError(M, N, C) && "inadmissible PF parameters");
 
   // Admissible sigmas: 2^sigma <= 3c/4 (evacuation unprofitable) and
   // 2*sigma <= log2(n) - 2 (stage two non-empty).
   BoundParams P{M, N, C};
   unsigned MaxSigma =
       std::min(cohenPetrankMaxSigma(C), (LogN - 2) / 2);
-  assert(MaxSigma >= 1 && "c too small for any admissible density");
   if (Opts.SigmaOverride != 0) {
     assert(Opts.SigmaOverride <= MaxSigma && "sigma override inadmissible");
     Sigma = Opts.SigmaOverride;
@@ -48,6 +46,17 @@ CohenPetrankProgram::CohenPetrankProgram(uint64_t M, uint64_t N, double C,
   TargetH = cohenPetrankLowerWasteFactorForSigma(P, Sigma);
   X = (1.0 - TargetH / std::pow(2.0, double(Sigma))) / (double(Sigma) + 1.0);
   X = std::max(X, 0.0);
+}
+
+const char *CohenPetrankProgram::paramsError(uint64_t M, uint64_t N,
+                                             double C) {
+  if (!isPowerOfTwo(N) || N < 16)
+    return "n must be a power of two >= 16 for a two-stage construction";
+  if (M < N)
+    return "live bound M below the largest object n";
+  if (cohenPetrankMaxSigma(C) < 1)
+    return "c too small for any admissible density (need 3c/4 >= 2)";
+  return nullptr;
 }
 
 bool CohenPetrankProgram::onObjectMoved(ObjectId Id, Addr From, Addr To) {

@@ -68,8 +68,15 @@ public:
 
   /// \p M and \p N are the live bound and maximum object size in words
   /// (N a power of two); \p C the manager's compaction quota.
+  /// The parameters must pass paramsError (asserted).
   CohenPetrankProgram(uint64_t M, uint64_t N, double C);
   CohenPetrankProgram(uint64_t M, uint64_t N, double C, const Options &O);
+
+  /// Why the construction cannot run at (\p M, \p N, \p C), or nullptr
+  /// when it can: N a power of two of at least 16 words (stage two needs
+  /// log2(n) >= 4), M >= N, and c large enough for sigma = 1
+  /// (2 <= 3c/4).
+  static const char *paramsError(uint64_t M, uint64_t N, double C);
 
   bool step(MutatorContext &Ctx) override;
   bool onObjectMoved(ObjectId Id, Addr From, Addr To) override;

@@ -68,6 +68,20 @@ std::unique_ptr<Program> pcb::createProgramChecked(const std::string &Name,
                                                    uint64_t M, unsigned LogN,
                                                    double C,
                                                    std::string *Error) {
+  // The paper's two constructions refuse (M, n, c) they cannot build on;
+  // the other programs clamp their sizes to the live bound.
+  const char *Why = nullptr;
+  if (LogN >= 64)
+    Why = "log2(n) must be below 64";
+  else if (Name == "robson")
+    Why = RobsonProgram::paramsError(M, LogN);
+  else if (Name == "cohen-petrank" || Name == "pf")
+    Why = CohenPetrankProgram::paramsError(M, pow2(LogN), C);
+  if (Why) {
+    if (Error)
+      *Error = "program '" + Name + "': " + Why;
+    return nullptr;
+  }
   std::unique_ptr<Program> P = createProgram(Name, M, LogN, C);
   if (!P && Error)
     *Error =

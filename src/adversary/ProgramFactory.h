@@ -33,10 +33,11 @@ namespace pcb {
 std::unique_ptr<Program> createProgram(const std::string &Name, uint64_t M,
                                        unsigned LogN, double C);
 
-/// createProgram with a diagnosable failure: on an unknown name returns
+/// createProgram with a diagnosable failure: on an unknown name, or on
+/// parameters the named program's constructor would assert on, returns
 /// nullptr and, when \p Error is non-null, sets *Error to a one-line
-/// message naming every valid program — the same contract as
-/// createManagerChecked.
+/// message (an unknown name lists every valid program) — the same
+/// contract as createManagerChecked.
 std::unique_ptr<Program> createProgramChecked(const std::string &Name,
                                               uint64_t M, unsigned LogN,
                                               double C,

@@ -15,7 +15,14 @@ using namespace pcb;
 
 RobsonProgram::RobsonProgram(uint64_t M, unsigned LastStep)
     : LastStep(LastStep), Core(M, /*TrackGhosts=*/true) {
-  assert(M >= pow2(LastStep) && "live bound below the largest allocation");
+  assert(!paramsError(M, LastStep) &&
+         "live bound below the largest allocation");
+}
+
+const char *RobsonProgram::paramsError(uint64_t M, unsigned LastStep) {
+  if (LastStep >= 64 || M < pow2(LastStep))
+    return "live bound M below the largest allocation n";
+  return nullptr;
 }
 
 bool RobsonProgram::onObjectMoved(ObjectId Id, Addr From, Addr To) {

@@ -34,8 +34,14 @@ namespace pcb {
 class RobsonProgram : public Program {
 public:
   /// Runs steps 0 .. \p LastStep; the classic program uses
-  /// LastStep = log2(n). \p M is the live-space bound.
+  /// LastStep = log2(n). \p M is the live-space bound. The parameters
+  /// must pass paramsError (asserted).
   RobsonProgram(uint64_t M, unsigned LastStep);
+
+  /// Why the program cannot run to \p LastStep under live bound \p M, or
+  /// nullptr when it can: its largest allocation, 2^LastStep words, must
+  /// fit M.
+  static const char *paramsError(uint64_t M, unsigned LastStep);
 
   bool step(MutatorContext &Ctx) override;
   bool onObjectMoved(ObjectId Id, Addr From, Addr To) override;

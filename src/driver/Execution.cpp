@@ -46,8 +46,7 @@ bool Execution::runStep() {
   ++Steps;
   if (Opts.Log)
     Opts.Log->record(HeapEvent::stepEnd());
-  if (Opts.CheckInvariants)
-    checkInvariants();
+  checkInvariants();
   if (Opts.DeepCheckEvery != 0 && Steps % Opts.DeepCheckEvery == 0)
     assert(MM.heap().checkConsistency() &&
            "heap failed its structural self-check");

@@ -66,8 +66,6 @@ struct ExecutionResult {
 class Execution : public MutatorContext {
 public:
   struct Options {
-    /// Validate invariants after every step (cheap; leave on).
-    bool CheckInvariants = true;
     /// Additionally run the heap's full structural self-check
     /// (Heap::checkConsistency, O(objects)) every this-many steps;
     /// 0 disables. Used by the property tests.

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -78,12 +77,9 @@ DifferentialHarness::runPolicy(const std::string &Policy,
   // The heap-parity mirror is fed the original event first: it tracks
   // the real heap, and must stay immune to injected log corruption.
   EventLog Log;
-  std::optional<HeapParityChecker> Parity;
-  if (Opts.HeapParity)
-    Parity.emplace(H);
+  HeapParityChecker Parity(H);
   H.setEventCallback([this, &Log, &Parity](const HeapEvent &E) {
-    if (Parity)
-      Parity->observe(E);
+    Parity.observe(E);
     HeapEvent Copy = E;
     if (!Opts.LogTap || Opts.LogTap(Copy))
       Log.record(Copy);
@@ -102,18 +98,17 @@ DifferentialHarness::runPolicy(const std::string &Policy,
 
   uint64_t Step = 0;
   bool More = true;
-  while (More && R.Violations.size() < Opts.MaxViolationsPerRun) {
+  while (More && R.Violations.size() < MaxViolationsPerRun) {
     More = E.runStep();
     Log.record(HeapEvent::stepEnd());
     ++Step;
     Oracle.checkStep(Step, R.Violations);
-    if (Parity)
-      Parity->checkStep(Policy, Step, R.Violations);
+    Parity.checkStep(Policy, Step, R.Violations);
   }
   // The endpoint is always checked deeply, whatever the cadence.
   Oracle.checkDeep(Step, R.Violations);
-  if (R.Violations.size() > Opts.MaxViolationsPerRun)
-    R.Violations.resize(Opts.MaxViolationsPerRun);
+  if (R.Violations.size() > MaxViolationsPerRun)
+    R.Violations.resize(MaxViolationsPerRun);
 
   R.Stats = H.stats();
   H.setEventCallback({});

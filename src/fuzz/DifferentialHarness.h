@@ -94,15 +94,6 @@ public:
     /// it. Corrupting the log this way must be caught by the oracle's
     /// audit checks — that is the planted-bug experiment.
     std::function<bool(HeapEvent &)> LogTap;
-    /// Stop collecting per-run violations beyond this many (a broken
-    /// substrate would otherwise report one per step).
-    size_t MaxViolationsPerRun = 16;
-    /// Cross-check the live bitboard heap against the naive
-    /// ReferenceHeap on every step — free blocks, placement
-    /// queries, object table, statistics, and occupancy/start masks (the
-    /// 14th, policy-invisible checker: the managers never see the
-    /// reference heap).
-    bool HeapParity = true;
     /// Observation port: invoked with each per-policy Execution right
     /// after construction, before any step runs. Lets callers attach
     /// step observers (e.g. a TimelineSampler recording the heap state

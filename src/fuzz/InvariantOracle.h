@@ -40,6 +40,7 @@
 #include "driver/EventLog.h"
 #include "mm/MemoryManager.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,6 +60,10 @@ struct Violation {
 
   std::string describe() const;
 };
+
+/// Violations collected per policy run or per arena at most: a broken
+/// substrate would otherwise report one per step.
+inline constexpr size_t MaxViolationsPerRun = 16;
 
 /// Re-checks heap/manager/event-log agreement during an execution.
 class InvariantOracle {

@@ -314,9 +314,14 @@ std::string WorkloadFuzzer::patternName(Pattern P) {
   return "unknown";
 }
 
+const char *WorkloadFuzzer::optionsError(const Options &O) {
+  if (O.MaxLogSize >= 64 || O.LiveBound < pow2(O.MaxLogSize))
+    return "live bound below the largest object 2^maxlog";
+  return nullptr;
+}
+
 FuzzSchedule WorkloadFuzzer::generate() const {
-  assert(Opts.LiveBound >= pow2(Opts.MaxLogSize) &&
-         "live bound below the largest object");
+  assert(!optionsError(Opts) && "live bound below the largest object");
   Rng R(Opts.Seed);
   FuzzSchedule S;
   S.Seed = Opts.Seed;

@@ -114,8 +114,13 @@ public:
   explicit WorkloadFuzzer(const Options &O) : Opts(O) {}
 
   /// Generates the schedule determined by the options (pure function of
-  /// them; calling twice yields the same schedule).
+  /// them; calling twice yields the same schedule). The options must pass
+  /// optionsError (asserted).
   FuzzSchedule generate() const;
+
+  /// Why \p O cannot generate a schedule, or nullptr when it can: the
+  /// largest object, 2^MaxLogSize words, must fit the live bound.
+  static const char *optionsError(const Options &O);
 
   /// Every self-contained pattern, in a fixed order (used by `pcbound
   /// fuzz` to cycle patterns across iterations). Excludes Pattern::Trace,

@@ -220,85 +220,6 @@ void FreeSpaceIndex::recomputeSuper(size_t I) const {
 }
 
 //===----------------------------------------------------------------------===//
-// The interval map above the dense board
-//===----------------------------------------------------------------------===//
-
-bool FreeSpaceIndex::highRangeFree(Addr S, Addr E) const {
-  if (HighUsed.empty() || S >= E)
-    return true;
-  auto It = HighUsed.upper_bound(S);
-  if (It != HighUsed.begin() && std::prev(It)->second > S)
-    return false;
-  return It == HighUsed.end() || It->first >= E;
-}
-
-uint64_t FreeSpaceIndex::highUsedWordsIn(Addr S, Addr E) const {
-  if (HighUsed.empty() || S >= E)
-    return 0;
-  uint64_t Used = 0;
-  auto It = HighUsed.upper_bound(S);
-  if (It != HighUsed.begin())
-    --It;
-  for (; It != HighUsed.end() && It->first < E; ++It) {
-    Addr Lo = std::max(It->first, S), Hi = std::min(It->second, E);
-    if (Hi > Lo)
-      Used += Hi - Lo;
-  }
-  return Used;
-}
-
-uint64_t FreeSpaceIndex::highOccupancyWord(uint64_t I) const {
-  if (HighUsed.empty())
-    return 0;
-  Addr Base = Addr(I) * WordBits;
-  uint64_t Out = 0;
-  auto It = HighUsed.upper_bound(Base);
-  if (It != HighUsed.begin())
-    --It;
-  for (; It != HighUsed.end() && It->first < Base + WordBits; ++It) {
-    Addr Lo = std::max(It->first, Base);
-    Addr Hi = std::min<Addr>(It->second, Base + WordBits);
-    if (Hi > Lo)
-      Out |= bitRange(unsigned(Lo - Base), unsigned(Hi - Base));
-  }
-  return Out;
-}
-
-void FreeSpaceIndex::highReserve(Addr S, Addr E) {
-  assert(highRangeFree(S, E) && "reserve target is not free");
-  Addr NS = S, NE = E;
-  // Merge touching neighbours so the free gaps between intervals stay
-  // nonempty (run enumeration depends on it).
-  auto It = HighUsed.upper_bound(S);
-  if (It != HighUsed.begin()) {
-    auto P = std::prev(It);
-    if (P->second == S) {
-      NS = P->first;
-      HighUsed.erase(P);
-    }
-  }
-  It = HighUsed.find(E);
-  if (It != HighUsed.end()) {
-    NE = It->second;
-    HighUsed.erase(It);
-  }
-  HighUsed[NS] = NE;
-}
-
-void FreeSpaceIndex::highRelease(Addr S, Addr E) {
-  auto It = HighUsed.upper_bound(S);
-  assert(It != HighUsed.begin() && "releasing a range that is partly free");
-  --It;
-  Addr IS = It->first, IE = It->second;
-  assert(IS <= S && E <= IE && "releasing a range that is partly free");
-  HighUsed.erase(It);
-  if (IS < S)
-    HighUsed[IS] = S;
-  if (E < IE)
-    HighUsed[E] = IE;
-}
-
-//===----------------------------------------------------------------------===//
 // Mutation
 //===----------------------------------------------------------------------===//
 
@@ -318,7 +239,7 @@ void FreeSpaceIndex::reserve(Addr Start, uint64_t Size) {
     noteReserve(Start, DenseEnd);
   }
   if (End > MaxDenseBits)
-    highReserve(std::max<Addr>(Start, MaxDenseBits), End);
+    HighUsed.insert(std::max<Addr>(Start, MaxDenseBits), End);
   TotalBlocks += size_t(LeftFree) + size_t(RightFree) - 1;
 }
 
@@ -338,7 +259,7 @@ void FreeSpaceIndex::release(Addr Start, uint64_t Size) {
     noteRelease(Start, DenseEnd);
   }
   if (End > MaxDenseBits)
-    highRelease(std::max<Addr>(Start, MaxDenseBits), End);
+    HighUsed.erase(std::max<Addr>(Start, MaxDenseBits), End);
   TotalBlocks += 1 - size_t(LeftFree) - size_t(RightFree);
 }
 
@@ -562,64 +483,48 @@ Addr FreeSpaceIndex::firstFitInSuper(size_t I, uint64_t &Run, uint64_t Size,
   return Hit;
 }
 
+template <typename FnT>
+bool FreeSpaceIndex::forEachGap(Addr T, FnT Fn) const {
+  for (auto It = HighUsed.firstEndingAfter(T); It != HighUsed.end(); ++It) {
+    auto [IS, IE] = *It;
+    if (T < IS && Fn(T, IS))
+      return true;
+    T = IE;
+  }
+  return T < AddrLimit && Fn(T, AddrLimit);
+}
+
 template <typename DescendT, typename FnT>
-FreeSpaceIndex::ScanEnd FreeSpaceIndex::forEachRun(Addr From, Addr StopBase,
+FreeSpaceIndex::ScanEnd FreeSpaceIndex::forEachRun(Addr StopBase,
                                                    DescendT Descend,
                                                    FnT Fn) const {
   const uint64_t Cap = capBits();
+  const size_t NS = Sum.size();
+  size_t StopSI = StopBase >= Cap ? NS : size_t(ceilDiv(StopBase, SuperBits));
   uint64_t Run = 0;
-  if (From < Cap) {
-    size_t SI = size_t(From / SuperBits);
-    if (From % SuperBits != 0) {
-      // Partial first super: word-scan it, then chain from the next one.
-      if (scanWords(Occ, From, uint64_t(SI + 1) * SuperBits, Run, Fn))
+  for (size_t I = 0; I != StopSI; ++I) {
+    const Super &S = Sum[I];
+    uint64_t Base = uint64_t(I) * SuperBits;
+    if (S.FreeCount == SuperBits) {
+      Run += SuperBits;
+      continue;
+    }
+    if (Descend(I, S, Run)) {
+      if (S.Dirty ? scanSuperFused(I, Run, Fn)
+                  : scanWords(Occ, Base, Base + SuperBits, Run, Fn))
         return {true, 0, 0, false};
-      ++SI;
+    } else {
+      uint64_t L = Run + S.Pre;
+      if (L != 0 && Fn(Addr(Base + S.Pre - L), Addr(Base + S.Pre)))
+        return {true, 0, 0, false};
+      Run = S.Suf;
     }
-    const size_t NS = Sum.size();
-    size_t StopSI =
-        StopBase >= Cap ? NS : size_t(ceilDiv(StopBase, SuperBits));
-    if (StopSI > NS)
-      StopSI = NS;
-    for (size_t I = SI; I != StopSI; ++I) {
-      const Super &S = Sum[I];
-      uint64_t Base = uint64_t(I) * SuperBits;
-      if (S.FreeCount == SuperBits) {
-        Run += SuperBits;
-        continue;
-      }
-      if (Descend(I, S, Run)) {
-        if (S.Dirty ? scanSuperFused(I, Run, Fn)
-                    : scanWords(Occ, Base, Base + SuperBits, Run, Fn))
-          return {true, 0, 0, false};
-      } else {
-        uint64_t L = Run + S.Pre;
-        if (L != 0 && Fn(Addr(Base + S.Pre - L), Addr(Base + S.Pre)))
-          return {true, 0, 0, false};
-        Run = S.Suf;
-      }
-    }
-    if (StopSI != NS)
-      return {false, Run, Addr(uint64_t(StopSI) * SuperBits), false};
-  } else {
-    // Dense board skipped entirely; reconstruct its trailing free run so
-    // the tail run start is exact.
-    uint64_t Last = Occ.findLastSetBefore(Cap);
-    Run = Last == PackedBitmap::NoBit ? Cap : Cap - (Last + 1);
   }
-  // Tail: the open run reaches from Cap - Run through the interval map's
-  // gaps to AddrLimit. Runs starting below From were already rejected by
-  // the caller's straddle pre-check, so they are skipped, not clipped.
-  Addr T = Addr(Cap - Run);
-  for (const auto &[IS, IE] : HighUsed) {
-    if (T < IS && T >= From && Fn(T, IS))
-      return {true, 0, 0, true};
-    if (IE > T)
-      T = IE;
-  }
-  if (T < AddrLimit && T >= From && Fn(T, AddrLimit))
-    return {true, 0, 0, true};
-  return {false, 0, AddrLimit, true};
+  if (StopSI != NS)
+    return {false, Run, Addr(uint64_t(StopSI) * SuperBits), false};
+  // Tail: the open run reaches from Cap - Run through HighUsed's gaps to
+  // AddrLimit.
+  return {forEachGap(Addr(Cap - Run), Fn), 0, AddrLimit, true};
 }
 
 //===----------------------------------------------------------------------===//
@@ -634,7 +539,7 @@ bool FreeSpaceIndex::isFree(Addr Start, uint64_t Size) const {
   if (Start < capBits() &&
       !Occ.rangeClear(Start, std::min<Addr>(End, capBits())))
     return false;
-  return highRangeFree(Start, End);
+  return HighUsed.empty() || !HighUsed.overlaps(Start, End);
 }
 
 Addr FreeSpaceIndex::firstFit(uint64_t Size) const {
@@ -700,23 +605,20 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
     Run = Last == PackedBitmap::NoBit ? Cap : Cap - (Last + 1);
   }
   if (Found == InvalidAddr) {
-    // Tail: the open run reaches from Cap - Run through the interval
-    // map's gaps to AddrLimit. Runs starting below From were already
-    // rejected by the straddle pre-check, so they are skipped.
-    Addr T = Addr(Cap - Run);
-    for (const auto &[IS, IE] : HighUsed) {
-      if (T < IS && T >= From) {
-        if (IS - T >= Size) {
-          Found = T;
-          break;
-        }
-        ++Probes;
+    // Tail: the open run reaches from Cap - Run through HighUsed's gaps
+    // to AddrLimit. Runs starting below From were already rejected by the
+    // straddle pre-check, so they are skipped.
+    forEachGap(Addr(Cap - Run), [&](Addr S, Addr E) {
+      if (S < From)
+        return false;
+      // The infinite tail always fits.
+      if (E == AddrLimit || E - S >= Size) {
+        Found = S;
+        return true;
       }
-      if (IE > T)
-        T = IE;
-    }
-    if (Found == InvalidAddr && T < AddrLimit && T >= From)
-      Found = T; // the infinite tail always fits
+      ++Probes;
+      return false;
+    });
   }
   Profiler::bump(Profiler::CtrFitProbes, Probes);
   assert(Found != InvalidAddr && "infinite tail should always fit");
@@ -730,7 +632,7 @@ Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
   uint64_t BestSize = UINT64_MAX;
   Addr Best = InvalidAddr;
   forEachRun(
-      0, AddrLimit,
+      AddrLimit,
       [&](size_t, const Super &S, uint64_t) {
         // A dirty super is judged by its Max upper bound alone; a clean
         // one descends only when an interior run could tighten the
@@ -767,7 +669,7 @@ Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
   Addr Found = InvalidAddr;
   uint64_t Probes = 0;
   forEachRun(
-      0, AddrLimit,
+      AddrLimit,
       [&](size_t, const Super &S, uint64_t) {
         return uint64_t(S.Max) >= Size;
       },
@@ -793,7 +695,7 @@ Addr FreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
   Addr Best = InvalidAddr;
   uint64_t BestSpan = 0;
   ScanEnd End = forEachRun(
-      0, Limit,
+      Limit,
       [&](size_t, const Super &S, uint64_t) {
         // A clipped span never exceeds the run's length, so a super
         // whose longest run cannot beat the incumbent (strictly — ties
@@ -857,21 +759,15 @@ size_t FreeSpaceIndex::numBlocksBelow(Addr Limit) const {
     }
   }
   if (Limit > Cap) {
-    // Runs starting in [Cap, Limit): the tail run (when the dense board
-    // ends used) and the gaps after each interval.
-    Addr T = Cap;
-    bool NewStart = PrevUsed;
-    for (const auto &[IS, IE] : HighUsed) {
-      if (T >= Limit)
-        break;
-      if (T < IS && NewStart)
-        ++N;
-      if (IE > T)
-        T = IE;
-      NewStart = true;
-    }
-    if (T < Limit && T < AddrLimit && NewStart)
-      ++N;
+    // Runs starting in [Cap, Limit): the one at Cap unless the dense
+    // board's last run continues into it, then the gap after each
+    // interval.
+    forEachGap(Cap, [&](Addr S, Addr) {
+      if (S >= Limit)
+        return true;
+      N += size_t(S != Cap || PrevUsed);
+      return false;
+    });
   }
   return N;
 }
@@ -879,7 +775,7 @@ size_t FreeSpaceIndex::numBlocksBelow(Addr Limit) const {
 uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
   uint64_t Best = 0;
   ScanEnd End = forEachRun(
-      0, Limit,
+      Limit,
       [&](size_t, const Super &S, uint64_t) {
         return uint64_t(S.Max) > Best;
       },
@@ -900,25 +796,16 @@ uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
 void FreeSpaceIndex::occupancyWords(Addr Start, size_t Count,
                                     uint64_t *Out) const {
   Occ.extract(Start, Count, Out);
-  if (HighUsed.empty())
-    return;
   Addr End = Start + uint64_t(Count) * WordBits;
-  auto It = HighUsed.upper_bound(Start);
-  if (It != HighUsed.begin())
-    --It;
-  for (; It != HighUsed.end() && It->first < End; ++It) {
+  for (auto It = HighUsed.firstEndingAfter(Start);
+       It != HighUsed.end() && It->first < End; ++It) {
     Addr Lo = std::max(It->first, Start), Hi = std::min(It->second, End);
-    if (Hi <= Lo)
-      continue;
-    size_t W0 = size_t((Lo - Start) / WordBits);
-    size_t W1 = size_t((Hi - Start - 1) / WordBits);
-    for (size_t WI = W0; WI <= W1; ++WI) {
-      Addr WBase = Start + uint64_t(WI) * WordBits;
-      unsigned BLo = Lo > WBase ? unsigned(Lo - WBase) : 0;
-      unsigned BHi =
-          Hi < WBase + WordBits ? unsigned(Hi - WBase) : WordBits;
-      Out[WI] |= bitRange(BLo, BHi);
-    }
+    // WBase is the first address of each output word [Lo, Hi) touches.
+    for (Addr WBase = Lo - (Lo - Start) % WordBits; WBase < Hi;
+         WBase += WordBits)
+      Out[(WBase - Start) / WordBits] |=
+          bitRange(unsigned(std::max(Lo, WBase) - WBase),
+                   unsigned(std::min<Addr>(Hi, WBase + WordBits) - WBase));
   }
 }
 
@@ -926,31 +813,17 @@ std::pair<Addr, Addr> FreeSpaceIndex::nextFreeRun(Addr Pos) const {
   const uint64_t Cap = capBits();
   if (Pos < Cap) {
     uint64_t S = Occ.findFirstClear(Pos);
-    if (S < Cap) {
-      uint64_t E = Occ.findFirstSet(S);
-      if (E != PackedBitmap::NoBit)
-        return {Addr(S), Addr(E)};
-      // The run reaches the end of the board: it extends through the
-      // tail to the first interval (or forever).
-      Addr TailEnd =
-          HighUsed.empty() ? AddrLimit : HighUsed.begin()->first;
-      return {Addr(S), TailEnd};
-    }
-    Pos = Addr(S); // == Cap: the dense board is fully used past Pos
+    uint64_t E = S < Cap ? Occ.findFirstSet(S) : PackedBitmap::NoBit;
+    if (E != PackedBitmap::NoBit)
+      return {Addr(S), Addr(E)};
+    // The run reaches the end of the board (or the board is used from
+    // Pos to its end): it continues, or starts, above it.
+    Pos = Addr(S);
   }
-  // First free run with start >= Pos among the interval map's gaps.
-  Addr T = Pos;
-  auto It = HighUsed.upper_bound(T);
-  if (It != HighUsed.begin() && std::prev(It)->second > T)
-    T = std::prev(It)->second;
-  for (;;) {
-    if (T >= AddrLimit)
-      return {InvalidAddr, InvalidAddr};
-    auto Next = HighUsed.lower_bound(T);
-    if (Next == HighUsed.end())
-      return {T, AddrLimit};
-    if (Next->first > T)
-      return {T, Next->first};
-    T = Next->second;
-  }
+  std::pair<Addr, Addr> Run{InvalidAddr, InvalidAddr};
+  forEachGap(Pos, [&](Addr S, Addr E) {
+    Run = {S, E};
+    return true;
+  });
+  return Run;
 }

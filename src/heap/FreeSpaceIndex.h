@@ -31,9 +31,11 @@
 /// The bitmap covers only the committed prefix of the 2^60-word address
 /// space; everything above is implicitly free (the model's infinite
 /// tail), except for objects explicitly placed beyond the maximum dense
-/// capacity, which live in a tiny sorted interval map (a cold path that
-/// exists for address-space-boundary semantics, e.g. a placement ending
-/// exactly at AddrLimit).
+/// capacity, which live in an IntervalSet of used ranges (a cold path
+/// that exists for address-space-boundary semantics, e.g. a placement
+/// ending exactly at AddrLimit). One gap walk, forEachGap, enumerates the
+/// free runs of that region for every query, and occupancyWords is the
+/// one place its intervals are stitched into occupancy bits.
 ///
 /// Semantics are those of testsupport/ReferenceFreeSpaceIndex, the
 /// specification (one sorted block map, each query its definition walked
@@ -48,12 +50,12 @@
 #define PCBOUND_HEAP_FREESPACEINDEX_H
 
 #include "heap/HeapTypes.h"
+#include "heap/IntervalSet.h"
 #include "heap/PackedBitmap.h"
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -109,14 +111,15 @@ public:
 
   /// Free words within [Start, End). Inline: the compactors probe this
   /// once per candidate chunk, so the dense popcount path must not pay a
-  /// call or touch the (almost always empty) interval map.
+  /// call or touch the (almost always empty) interval set.
   uint64_t freeWordsIn(Addr Start, Addr End) const {
     assert(Start < End && "empty query range");
     uint64_t UsedDense =
         Start < capBits()
             ? Occ.popcountRange(Start, std::min<Addr>(End, capBits()))
             : 0;
-    uint64_t UsedHigh = HighUsed.empty() ? 0 : highUsedWordsIn(Start, End);
+    uint64_t UsedHigh =
+        HighUsed.empty() ? 0 : HighUsed.coveredWords(Start, End);
     return (End - Start) - UsedDense - UsedHigh;
   }
 
@@ -135,7 +138,11 @@ public:
   /// 1 = used); words beyond the committed prefix are zero. This is the
   /// raw substrate Heap's mask queries expose.
   uint64_t occupancyWord(uint64_t I) const {
-    return I < Occ.sizeWords() ? Occ.word(size_t(I)) : highOccupancyWord(I);
+    if (I < Occ.sizeWords())
+      return Occ.word(size_t(I));
+    uint64_t W = 0;
+    occupancyWords(Addr(I) * WordBits, 1, &W);
+    return W;
   }
 
   /// Copies the occupancy of [Start, Start + 64 * Count) into \p Out as
@@ -194,7 +201,7 @@ private:
   static constexpr unsigned SuperWords = 64;
   static constexpr unsigned SuperBits = SuperWords * WordBits;
   /// Dense-bitmap ceiling: 2^26 bits (an 8 MiB board). Reservations
-  /// ending beyond it go to the sorted interval map instead.
+  /// ending beyond it put their part above it in HighUsed instead.
   static constexpr uint64_t MaxDenseBits = uint64_t(1) << 26;
   static constexpr unsigned NumClasses = 61;
 
@@ -233,18 +240,24 @@ private:
     bool ReachedTail;
   };
 
-  /// Walks the complete maximal free runs with start >= \p From in
-  /// address order, including the final tail run ending at AddrLimit.
-  /// \p Fn(S, E) returns true to stop. \p Descend(I, Sup, CarryIn)
-  /// decides whether super \p I is scanned at word level; when it
-  /// declines, only the boundary run completing at the super's prefix is
-  /// reported (from the always-exact Pre/Suf digests), so Descend must
-  /// return true whenever an interior run of the super could interest Fn
-  /// (it may recompute the digest itself to decide). Supers whose base
-  /// is >= \p StopBase are not entered (the dense walk ends there).
+  /// Walks the complete maximal free runs in address order, including
+  /// the final tail run ending at AddrLimit. \p Fn(S, E) returns true to
+  /// stop. \p Descend(I, Sup, CarryIn) decides whether super \p I is
+  /// scanned at word level; when it declines, only the boundary run
+  /// completing at the super's prefix is reported (from the always-exact
+  /// Pre/Suf digests), so Descend must return true whenever an interior
+  /// run of the super could interest Fn (it may recompute the digest
+  /// itself to decide). Supers whose base is >= \p StopBase are not
+  /// entered (the dense walk ends there).
   template <typename DescendT, typename FnT>
-  ScanEnd forEachRun(Addr From, Addr StopBase, DescendT Descend,
-                     FnT Fn) const;
+  ScanEnd forEachRun(Addr StopBase, DescendT Descend, FnT Fn) const;
+
+  /// Walks the free space of [T, AddrLimit) as runs in address order:
+  /// [T, first interval of HighUsed) when nonempty (a T inside an
+  /// interval starts the walk at its end), then the gap after each
+  /// interval, the last one ending at AddrLimit. \p Fn(S, E) returns
+  /// true to stop; returns true when it did.
+  template <typename FnT> bool forEachGap(Addr T, FnT Fn) const;
 
   /// Committed bits of the dense board (== Occ.sizeBits()).
   uint64_t capBits() const { return Occ.sizeBits(); }
@@ -290,29 +303,18 @@ private:
   bool bitFree(Addr A) const {
     if (A < capBits())
       return !Occ.test(A);
-    return HighUsed.empty() || highRangeFree(A, A + 1);
+    return HighUsed.empty() || !HighUsed.contains(A);
   }
-
-  /// Used words of the interval map intersecting [S, E).
-  uint64_t highUsedWordsIn(Addr S, Addr E) const;
-  /// True when [S, E) misses every interval of the map.
-  bool highRangeFree(Addr S, Addr E) const;
-  /// Occupancy word \p I synthesized from the interval map.
-  uint64_t highOccupancyWord(uint64_t I) const;
 
   /// The maximal free run with the lowest start >= \p Pos (iterator
   /// plumbing; \p Pos must not be interior to a free run).
   std::pair<Addr, Addr> nextFreeRun(Addr Pos) const;
 
-  /// Reserve/release of the interval-map region.
-  void highReserve(Addr S, Addr E);
-  void highRelease(Addr S, Addr E);
-
   PackedBitmap Occ;                ///< 1 = used, dense prefix only
   mutable std::vector<Super> Sum;  ///< one digest per super, lazy
-  /// Used intervals at or above MaxDenseBits, keyed by start; disjoint
-  /// and coalesced (no two touching intervals).
-  std::map<Addr, Addr> HighUsed;
+  /// Used space at or above MaxDenseBits. Coalesced, so the free gaps
+  /// between its intervals are nonempty (forEachGap relies on it).
+  IntervalSet HighUsed;
   size_t TotalBlocks = 1;
 };
 

@@ -7,6 +7,7 @@
 
 #include "heap/IntervalSet.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pcb;
@@ -53,35 +54,22 @@ void IntervalSet::erase(Addr Start, Addr End) {
 
 bool IntervalSet::containsRange(Addr Start, Addr End) const {
   assert(Start < End && "empty interval");
-  auto It = Map.upper_bound(Start);
-  if (It == Map.begin())
-    return false;
-  --It;
-  return It->first <= Start && End <= It->second;
+  auto It = firstEndingAfter(Start);
+  return It != Map.end() && It->first <= Start && End <= It->second;
 }
 
 bool IntervalSet::overlaps(Addr Start, Addr End) const {
   assert(Start < End && "empty interval");
-  auto It = Map.upper_bound(Start);
-  if (It != Map.end() && It->first < End)
-    return true;
-  if (It == Map.begin())
-    return false;
-  --It;
-  return It->second > Start;
+  auto It = firstEndingAfter(Start);
+  return It != Map.end() && It->first < End;
 }
 
 uint64_t IntervalSet::coveredWords(Addr Start, Addr End) const {
   assert(Start < End && "empty interval");
   uint64_t Covered = 0;
-  auto It = Map.upper_bound(Start);
-  if (It != Map.begin()) {
-    auto Prev = std::prev(It);
-    if (Prev->second > Start)
-      Covered += std::min(Prev->second, End) - Start;
-  }
-  for (; It != Map.end() && It->first < End; ++It)
-    Covered += std::min(It->second, End) - It->first;
+  for (auto It = firstEndingAfter(Start); It != Map.end() && It->first < End;
+       ++It)
+    Covered += std::min(It->second, End) - std::max(It->first, Start);
   return Covered;
 }
 
@@ -91,11 +79,8 @@ void IntervalSet::clear() {
 }
 
 std::pair<Addr, Addr> IntervalSet::intervalContaining(Addr A) const {
-  auto It = Map.upper_bound(A);
-  if (It == Map.begin())
-    return {InvalidAddr, InvalidAddr};
-  --It;
-  if (A < It->second)
+  auto It = firstEndingAfter(A);
+  if (It != Map.end() && It->first <= A)
     return {It->first, It->second};
   return {InvalidAddr, InvalidAddr};
 }

@@ -9,7 +9,9 @@
 /// A set of disjoint half-open intervals [start, end) over the word
 /// address space, with coalescing insertion. Backing store is an ordered
 /// map keyed by interval start, so all operations are logarithmic in the
-/// number of maximal intervals.
+/// number of maximal intervals. It holds the used space above
+/// FreeSpaceIndex's dense board and the live ranges the event auditor
+/// checks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 namespace pcb {
@@ -61,6 +64,18 @@ public:
 
   const_iterator begin() const { return Map.begin(); }
   const_iterator end() const { return Map.end(); }
+
+  /// The first interval ending after \p A: the one containing A if there
+  /// is one, else the first starting above it (or end()). Inline: the
+  /// free-space index's tail walks start here on every fit query, almost
+  /// always on an empty set.
+  const_iterator firstEndingAfter(Addr A) const {
+    // Only the last interval starting at or below A can contain it.
+    auto It = Map.upper_bound(A);
+    if (It != Map.begin() && std::prev(It)->second > A)
+      --It;
+    return It;
+  }
 
   /// The maximal interval containing \p A, or {InvalidAddr, InvalidAddr}.
   std::pair<Addr, Addr> intervalContaining(Addr A) const;

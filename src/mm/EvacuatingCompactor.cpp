@@ -59,7 +59,9 @@ Addr EvacuatingCompactor::evacuateFor(uint64_t Size) {
 
   uint64_t MaxUsed =
       uint64_t(Opts.DensityThreshold * double(ChunkSize));
-  uint64_t Scan = std::min(NumChunks, Opts.MaxScanChunks);
+  // At most this many candidate chunks are examined per allocation.
+  constexpr uint64_t MaxScanChunks = 4096;
+  uint64_t Scan = std::min(NumChunks, MaxScanChunks);
 
   // Take the first qualifying chunk (evacuable under both the density
   // threshold and the remaining budget).

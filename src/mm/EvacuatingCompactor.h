@@ -41,8 +41,6 @@ public:
     /// Requests below this size never trigger evacuation (scanning for
     /// tiny chunks costs more than it saves).
     uint64_t MinEvacuationSize = 8;
-    /// At most this many candidate chunks are examined per allocation.
-    uint64_t MaxScanChunks = 4096;
   };
 
   EvacuatingCompactor(Heap &H, double C) : MemoryManager(H, C) {}

@@ -51,7 +51,9 @@ Addr HybridManager::evacuateFor(unsigned Class) {
     return InvalidAddr;
 
   uint64_t MaxUsed = uint64_t(Opts.DensityThreshold * double(ChunkSize));
-  uint64_t Scan = std::min(NumChunks, Opts.MaxScanChunks);
+  // At most this many candidate chunks are examined per slot miss.
+  constexpr uint64_t MaxScanChunks = 4096;
+  uint64_t Scan = std::min(NumChunks, MaxScanChunks);
 
   uint64_t BestChunk = UINT64_MAX;
   uint64_t BestUsed = UINT64_MAX;

@@ -35,8 +35,6 @@ public:
     double DensityThreshold = 0.25;
     /// Requests below this size never trigger evacuation.
     uint64_t MinEvacuationSize = 8;
-    /// At most this many candidate chunks are examined per slot miss.
-    uint64_t MaxScanChunks = 4096;
   };
 
   HybridManager(Heap &H, double C) : MemoryManager(H, C) {}

@@ -18,8 +18,6 @@ using namespace pcb;
 void MeshingCompactor::checkOpts() const {
   assert(Opts.ChunkLog >= 1 && Opts.ChunkLog < 32 &&
          "unreasonable chunk size");
-  assert(Opts.MaxProbePairs != 0 && Opts.MaxMerges != 0 &&
-         "a mesh pass must be allowed to do something");
 }
 
 bool MeshingCompactor::chunkSelfContained(uint64_t Index) const {
@@ -94,11 +92,13 @@ bool MeshingCompactor::meshPass() {
                      return A.Live < B.Live;
                    });
 
+  // At most this many pair probes and merges per mesh pass.
+  constexpr uint64_t MaxProbePairs = 4096, MaxMerges = 8;
   uint64_t Merges = 0;
   uint64_t Probes = 0;
   std::vector<bool> Consumed(Cands.size(), false);
-  for (size_t S = 0; S != Cands.size() && Merges != Opts.MaxMerges &&
-                     Probes != Opts.MaxProbePairs;
+  for (size_t S = 0; S != Cands.size() && Merges != MaxMerges &&
+                     Probes != MaxProbePairs;
        ++S) {
     if (Consumed[S])
       continue;
@@ -111,7 +111,7 @@ bool MeshingCompactor::meshPass() {
       continue;
     }
     // Probe the densest partners first so merges pack tightly.
-    for (size_t D = Cands.size(); D-- > S + 1 && Probes != Opts.MaxProbePairs;) {
+    for (size_t D = Cands.size(); D-- > S + 1 && Probes != MaxProbePairs;) {
       if (Consumed[D])
         continue;
       ++Probes;

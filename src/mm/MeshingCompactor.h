@@ -42,10 +42,6 @@ public:
     /// log2 of the mesh chunk size in words. At the default 6 one chunk
     /// is one occupancy word and a pair probe is a single AND.
     unsigned ChunkLog = 6;
-    /// At most this many pair probes per mesh pass.
-    uint64_t MaxProbePairs = 4096;
-    /// At most this many merges per mesh pass.
-    uint64_t MaxMerges = 8;
   };
 
   MeshingCompactor(Heap &H, double C) : MemoryManager(H, C) { checkOpts(); }

@@ -172,8 +172,7 @@ Addr PagedSpaceManager::placeFor(uint64_t Size) {
 
   // Slot path, with G1-style evacuation as the last resort before
   // growing the heap.
-  if (Allocatable[Class].empty() && FreePages.empty() &&
-      Opts.AllowEvacuation)
+  if (Allocatable[Class].empty() && FreePages.empty())
     evacuateSparsestPage();
   return takeSlot(Class, /*AvoidPage=*/UINT64_MAX);
 }

@@ -45,8 +45,6 @@ public:
     /// Evacuate a page only when its live fraction is at most this (the
     /// G1 "liveness threshold").
     double EvacuationThreshold = 0.25;
-    /// Enable evacuation at all (off = pure region recycling).
-    bool AllowEvacuation = true;
   };
 
   PagedSpaceManager(Heap &H, double C) : MemoryManager(H, C) { init(); }

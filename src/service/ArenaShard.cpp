@@ -133,10 +133,10 @@ void ArenaShard::flush() {
   FragmentationMetrics FM = measureFragmentation(H);
   PeakFrag = std::max(PeakFrag, FM.ExternalFragmentation);
   UtilSum += FM.Utilization;
-  if (Oracle && Violations.size() < Cfg.MaxViolations) {
+  if (Oracle && Violations.size() < MaxViolationsPerRun) {
     Oracle->checkStep(NumFlushes, Violations);
-    if (Violations.size() > Cfg.MaxViolations)
-      Violations.resize(Cfg.MaxViolations);
+    if (Violations.size() > MaxViolationsPerRun)
+      Violations.resize(MaxViolationsPerRun);
   }
 }
 
@@ -170,10 +170,10 @@ bool ArenaShard::runSlice(uint64_t MaxFlushes) {
       recordTimelinePoint();
     // Closing deep check: the audit replay and budget history over the
     // whole recorded stream.
-    if (Oracle && Violations.size() < Cfg.MaxViolations) {
+    if (Oracle && Violations.size() < MaxViolationsPerRun) {
       Oracle->checkDeep(NumFlushes, Violations);
-      if (Violations.size() > Cfg.MaxViolations)
-        Violations.resize(Cfg.MaxViolations);
+      if (Violations.size() > MaxViolationsPerRun)
+        Violations.resize(MaxViolationsPerRun);
     }
   }
   return true;

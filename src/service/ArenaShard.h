@@ -78,8 +78,6 @@ struct ShardConfig {
   bool Audit = false;
   /// Oracle deep-check cadence, in flushes (with Audit).
   uint64_t DeepCheckEvery = 16;
-  /// Cap on violations collected per arena.
-  size_t MaxViolations = 16;
 };
 
 /// One shared-nothing arena shard; see the file comment for semantics.

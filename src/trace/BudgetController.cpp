@@ -60,9 +60,13 @@ void MemBalancerController::observe(const BudgetSample &S) {
 }
 
 double MemBalancerController::slackTargetWords() const {
+  // Floor on E*: below this much slack the heap is essentially
+  // unfragmented and a move reclaims nothing worth the budget, so the
+  // gate denies regardless of the growth signal.
+  constexpr double MinSlackWords = 64.0;
   double Target =
       std::sqrt(Opts.C1 * double(Live) * Growth / std::max(1.0, MoveCost));
-  return std::max(Opts.MinSlackWords, Target);
+  return std::max(MinSlackWords, Target);
 }
 
 bool MemBalancerController::allowSpend() const {

@@ -128,10 +128,6 @@ public:
     double C1 = 1.0;
     /// EWMA weight of the newest live-growth sample.
     double Smoothing = 0.25;
-    /// Floor on the slack target E*: below this much slack the heap is
-    /// essentially unfragmented and a move reclaims nothing worth the
-    /// budget, so the gate denies regardless of the growth signal.
-    double MinSlackWords = 64.0;
   };
 
   MemBalancerController() = default;
@@ -141,7 +137,7 @@ public:
   void observe(const BudgetSample &S) override;
   bool allowSpend() const override;
 
-  /// The current E* = max(MinSlackWords, sqrt(c1 * L * g / cost)).
+  /// The current E* = max(64, sqrt(c1 * L * g / cost)).
   double slackTargetWords() const;
   double growthEwma() const { return Growth; }
 

@@ -2,11 +2,13 @@
 # pass/fail (or WILL_FAIL, which cannot tell exit 1 from a signal) is too
 # coarse:
 #   EXIT=<n>     the command must exit with status exactly <n> and print a
-#                diagnosis on stderr;
+#                diagnosis on stderr; with ERROR_LINE=1 that diagnosis must
+#                be exactly one line starting "error: ";
 #   GOLDEN=FILE  the command must exit 0 and its stdout must equal FILE
 #                byte for byte.
 #
-# Usage: cmake -DCMD=<exe> "-DARGS=<args>" (-DEXIT=<n> | -DGOLDEN=<file>)
+# Usage: cmake -DCMD=<exe> "-DARGS=<args>"
+#              (-DEXIT=<n> [-DERROR_LINE=1] | -DGOLDEN=<file>)
 #              -P CliExpect.cmake
 
 separate_arguments(CMD_ARGS UNIX_COMMAND "${ARGS}")
@@ -21,6 +23,10 @@ if(DEFINED EXIT)
   endif()
   if(Err STREQUAL "")
     message(FATAL_ERROR "${CMD} ${ARGS}: exited ${Code} without a diagnosis")
+  endif()
+  if(ERROR_LINE AND NOT Err MATCHES "^error: [^\n]*\n$")
+    message(FATAL_ERROR "${CMD} ${ARGS}: expected a one-line 'error:' "
+                        "diagnosis, got:\n${Err}")
   endif()
   message(STATUS "exit ${Code}: ${Err}")
 elseif(DEFINED GOLDEN)

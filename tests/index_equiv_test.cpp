@@ -389,4 +389,110 @@ TEST_P(FullWordParity, FullLastWordOnTheDenseBoard) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullWordParity, ::testing::Values(1, 7, 42));
 
+// --- Above the dense board --------------------------------------------------
+//
+// The dense board stops at 2^26 bits; a reservation ending beyond it keeps
+// its part above the ceiling in an interval set, and every query walks
+// that set's gaps up to AddrLimit. These boards straddle the ceiling, sit
+// far above it and crowd the top of the address space (placements ending
+// exactly at AddrLimit included), so the walks cross the dense board, a
+// run continuing past its end, several gaps and a tail that may be short
+// or missing.
+
+constexpr Addr DenseCeiling = Addr(1) << 26;
+
+/// True when firstFitFrom(From, Size) has an answer: the block containing
+/// From holds Size words from From on, or a block above From holds them.
+/// (The top of the address space can be too crowded for either.)
+bool fitExistsFrom(const ReferenceFreeSpaceIndex &Ref, Addr From,
+                   uint64_t Size) {
+  if (Ref.isFree(From, Size))
+    return true;
+  for (const auto &[S, E] : Ref)
+    if (S >= From && E - S >= Size)
+      return true;
+  return false;
+}
+
+class AboveDenseBoard : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AboveDenseBoard, StraddlesCeilingAndReachesAddrLimit) {
+  const uint64_t Seed = GetParam();
+  Rng R(Seed);
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  std::vector<std::pair<Addr, uint64_t>> Reserved;
+  // Three windows of Span words: across the ceiling, far above it, and
+  // the top of the address space.
+  constexpr Addr Span = Addr(1) << 14;
+  const std::array<Addr, 3> Lows = {DenseCeiling - Span / 2, Addr(1) << 40,
+                                    AddrLimit - Span};
+  auto Pick = [&](size_t Windows) {
+    return Lows[R.nextBelow(Windows)] + R.nextBelow(Span);
+  };
+  // A cursor firstFitFrom can answer for Size: drawn from all three
+  // windows, redrawn below the top one when the top is too crowded.
+  auto PickFrom = [&](uint64_t Size) {
+    Addr From = Pick(3);
+    return fitExistsFrom(Ref, From, Size) ? From : Pick(2);
+  };
+  constexpr int NumOps = 300;
+
+  for (int Op = 0; Op != NumOps; ++Op) {
+    if (Reserved.empty() || R.nextBool(0.6)) {
+      uint64_t Size = 1 + R.nextBelow(R.nextBool(0.5) ? 64 : 2048);
+      Addr A = InvalidAddr;
+      switch (R.nextBelow(4)) {
+      case 0: // across the ceiling when that range is free
+        A = Ref.firstFitFrom(DenseCeiling - 1 - R.nextBelow(Size), Size);
+        break;
+      case 1: // ending exactly at AddrLimit when that range is free
+        A = AddrLimit - Size;
+        if (!Ref.isFree(A, Size))
+          A = Ref.firstFitFrom(PickFrom(Size), Size);
+        break;
+      default:
+        A = Ref.firstFitFrom(PickFrom(Size), Size);
+        break;
+      }
+      ASSERT_TRUE(Ref.isFree(A, Size)) << "op " << Op;
+      Fast.reserve(A, Size);
+      Ref.reserve(A, Size);
+      Reserved.emplace_back(A, Size);
+    } else {
+      size_t I = R.nextBelow(Reserved.size());
+      auto [A, Size] = Reserved[I];
+      Fast.release(A, Size);
+      Ref.release(A, Size);
+      Reserved[I] = Reserved.back();
+      Reserved.pop_back();
+    }
+
+    uint64_t QSize = 1 + R.nextBelow(R.nextBool(0.5) ? 64 : 4096);
+    expectQueriesMatch(Fast, Ref, QSize, PickFrom(QSize),
+                       uint64_t(1) << R.nextBelow(12), Pick(3), Op);
+    Addr S = Pick(3), E = std::min<Addr>(S + 1 + R.nextBelow(Span), AddrLimit);
+    EXPECT_EQ(Fast.freeWordsIn(S, E), Ref.freeWordsIn(S, E))
+        << "op " << Op << " [" << S << ", " << E << ")";
+    // Two occupancy words read at an unaligned start, bit by bit against
+    // the reference, and the aligned word under it read both ways.
+    Addr W = std::min<Addr>(Pick(3), AddrLimit - 2 * 64);
+    std::array<uint64_t, 2> Out{};
+    Fast.occupancyWords(W, Out.size(), Out.data());
+    for (unsigned B = 0; B != 2 * 64; ++B)
+      EXPECT_EQ((Out[B / 64] >> (B % 64)) & 1, Ref.isFree(W + B, 1) ? 0u : 1u)
+          << "op " << Op << " bit " << W + B;
+    uint64_t Aligned = 0;
+    Fast.occupancyWords(W / 64 * 64, 1, &Aligned);
+    EXPECT_EQ(Fast.occupancyWord(W / 64), Aligned) << "op " << Op;
+    if (HasFailure())
+      FAIL() << "first divergence at op " << Op << " (seed " << Seed << ")";
+    if (Op % 16 == 0)
+      expectBlocksMatch(Fast, Ref, Op);
+  }
+  expectBlocksMatch(Fast, Ref, NumOps);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AboveDenseBoard, ::testing::Values(1, 2, 3));
+
 } // namespace

@@ -72,8 +72,8 @@ int usage() {
       << "             cs=10,25,50,75,100 logm=14 logn=8 --threads=<ncores>\n"
       << "             csv=0 json=0 out= timeline=PREFIX stride=1]\n"
       << "  fuzz      [seed=1 iterations=50 ops=384 policies=all family=all\n"
-      << "             c=50 logm=12 maxlog=8 deep=64 heap-oracle=1\n"
-      << "             repro-dir=. --threads=N timeline=PREFIX trace=FILE\n"
+      << "             c=50 logm=12 maxlog=8 deep=64 repro-dir=.\n"
+      << "             --threads=N timeline=PREFIX trace=FILE\n"
       << "             controller=fixed period=16 c1=1.0 smoothing=0.25]\n"
       << "  trace-record out=FILE [pattern=mixed | program=NAME | session=ID]\n"
       << "             [format=binary seed=1 ops=4096 live=4096 maxlog=8\n"
@@ -128,8 +128,14 @@ int cmdBounds(const OptionParser &Opts) {
 }
 
 int cmdPlan(const OptionParser &Opts) {
-  uint64_t M = Opts.getUInt("M", pow2(28));
-  uint64_t N = Opts.getUInt("n", pow2(20));
+  BoundParams P; // the plan searches c itself; C keeps its valid default
+  P.M = Opts.getUInt("M", pow2(28));
+  P.N = Opts.getUInt("n", pow2(20));
+  if (!P.valid()) {
+    std::cerr << "error: need power-of-two M >= n >= 2\n";
+    return 1;
+  }
+  uint64_t M = P.M, N = P.N;
   double Target = Opts.getDouble("target", 2.5);
   CompactionPlan Plan = planCompactionBudget(M, N, Target);
   if (!Plan.Feasible) {
@@ -147,6 +153,36 @@ int cmdPlan(const OptionParser &Opts) {
             << "  Theorem 1 then forces at most "
             << formatDouble(Plan.AchievedLowerBound, 3) << " x\n";
   return 0;
+}
+
+/// Reads the exponent option \p Key (default \p Default) into \p Out.
+/// Prints an error and returns false unless 2^value fits the 2^60-word
+/// address space.
+bool getLog2(const OptionParser &Opts, const std::string &Key,
+             unsigned Default, unsigned &Out) {
+  constexpr unsigned Limit = log2Exact(AddrLimit);
+  uint64_t V = Opts.getUInt(Key, Default);
+  if (V >= Limit) {
+    std::cerr << "error: " << Key << "=" << V << " is out of range (need "
+              << Key << " < " << Limit << ")\n";
+    return false;
+  }
+  Out = unsigned(V);
+  return true;
+}
+
+/// Checks that a generated workload under \p LiveBound can hold its
+/// largest object, 2^\p MaxLogSize words. Prints an error and returns
+/// false otherwise.
+bool checkWorkload(uint64_t LiveBound, unsigned MaxLogSize) {
+  WorkloadFuzzer::Options O;
+  O.LiveBound = LiveBound;
+  O.MaxLogSize = MaxLogSize;
+  const char *Why = WorkloadFuzzer::optionsError(O);
+  if (Why)
+    std::cerr << "error: " << Why << " (maxlog=" << MaxLogSize
+              << ", live=" << LiveBound << ")\n";
+  return !Why;
 }
 
 /// Builds the program named program= — any factory name, or "spec" with
@@ -257,8 +293,9 @@ int cmdSimulate(const OptionParser &Opts) {
       Opts.getString("program", Realloc ? "update-mix" : "cohen-petrank");
   std::string Policy =
       Opts.getString("policy", Realloc ? "realloc-jin" : "evacuating");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM, LogN;
+  if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
+    return 1;
   double C = Opts.getDouble("c", 50.0);
   bool Verbose = Opts.getBool("verbose", false);
   bool Profile = Opts.getBool("profile", false);
@@ -409,8 +446,9 @@ bool parsePolicyList(const OptionParser &Opts, uint64_t LiveBound,
 
 int cmdSweep(const OptionParser &Opts) {
   std::string ProgName = Opts.getString("program", "cohen-petrank");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM, LogN;
+  if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
+    return 1;
   uint64_t M = pow2(LogM);
 
   std::vector<double> Cs =
@@ -419,10 +457,12 @@ int cmdSweep(const OptionParser &Opts) {
   std::vector<std::string> Policies;
   if (!parsePolicyList(Opts, /*LiveBound=*/M, Policies))
     return 1;
-  std::string FactoryError;
-  if (!createProgramChecked(ProgName, M, LogN, 50.0, &FactoryError)) {
-    std::cerr << "error: " << FactoryError << "\n";
-    return 1;
+  for (double C : Cs) {
+    std::string FactoryError;
+    if (!createProgramChecked(ProgName, M, LogN, C, &FactoryError)) {
+      std::cerr << "error: c=" << C << ": " << FactoryError << "\n";
+      return 1;
+    }
   }
 
   Runner R = makeRunner(Opts);
@@ -541,9 +581,6 @@ int cmdFuzz(const OptionParser &Opts) {
     HO.ReplayCheckPolicy = "realloc-bucket";
   if (!parseControllerSpec(Opts, HO.Controller))
     return 1;
-  // heap-oracle=0 drops the per-step live-vs-reference full-heap
-  // cross-check (on by default; the CI fuzz smoke relies on it).
-  HO.HeapParity = Opts.getBool("heap-oracle", true);
   DifferentialHarness Harness(HO);
 
   Runner R = makeRunner(Opts);
@@ -678,8 +715,9 @@ int cmdTraceRecord(const OptionParser &Opts) {
     // policy only shapes placement, which the trace does not record, but
     // stays selectable so budget-starved fallback paths (which can change
     // the *schedule* of a c-aware adversary) are reachable too.
-    unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-    unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+    unsigned LogM, LogN;
+    if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
+      return 1;
     double C = Opts.getDouble("c", 50.0);
     uint64_t M = pow2(LogM);
     Heap H;
@@ -702,9 +740,12 @@ int cmdTraceRecord(const OptionParser &Opts) {
     SessionParams SP;
     SP.FleetSeed = Opts.getUInt("seed", 1);
     SP.TargetOps = Opts.getUInt("ops", 48);
-    SP.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
+    if (!getLog2(Opts, "maxlog", 6, SP.MaxLogSize))
+      return 1;
     SP.LiveBound =
         std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
+    if (!checkWorkload(SP.LiveBound, SP.MaxLogSize))
+      return 1;
     uint64_t GlobalId = Opts.getUInt("session", 0);
     Rec.record(generateSessionTrace(SP, GlobalId));
     Source = "session-" + std::to_string(GlobalId);
@@ -720,7 +761,9 @@ int cmdTraceRecord(const OptionParser &Opts) {
     FO.NumOps = Opts.getUInt("ops", 4096);
     FO.LiveBound =
         std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 12));
-    FO.MaxLogSize = unsigned(Opts.getUInt("maxlog", 8));
+    if (!getLog2(Opts, "maxlog", 8, FO.MaxLogSize) ||
+        !checkWorkload(FO.LiveBound, FO.MaxLogSize))
+      return 1;
     Rec.record(WorkloadFuzzer(FO).generate().materialize());
     Source = PatName;
   }
@@ -972,6 +1015,9 @@ int cmdServe(const OptionParser &Opts) {
       return 1;
     FO.Shard.Session.LiveBound =
         std::max(FO.Shard.Session.LiveBound, std::max<uint64_t>(1, TracePeak));
+  } else if (!checkWorkload(FO.Shard.Session.LiveBound,
+                            FO.Shard.Session.MaxLogSize)) {
+    return 1;
   }
 
   Profiler Prof;
