@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 
 using namespace pcb;
 
@@ -71,9 +72,8 @@ bool CohenPetrankProgram::onObjectMoved(ObjectId Id, Addr From, Addr To) {
   for (uint64_t Index : Where[Id]) {
     if (Index == NoChunk)
       continue;
-    auto CIt = Chunks.find(Index);
-    assert(CIt != Chunks.end() && "association points at unknown chunk");
-    for (Entry &E : CIt->second.Entries)
+    assert(Index < Chunks.size() && "association points at unknown chunk");
+    for (Entry &E : Chunks[Index].Entries)
       if (E.Id == Id) {
         E.Phantom = true;
         // A fresh association on a chunk in E removes it from E
@@ -131,16 +131,8 @@ void CohenPetrankProgram::buildInitialAssociation(MutatorContext &Ctx) {
   uint64_t FSigma = Core.offset();
   uint64_t Period = pow2(Sigma);
   assert(Chunks.empty() && "stage boundary reached twice");
-  // Survivor addresses arrive in allocation order, i.e. scattered across
-  // the heap; stable-sorting by chunk first turns the map build into an
-  // ordered end()-hinted append while keeping each chunk's entry order
-  // (allocation order) intact.
-  struct Rec {
-    uint64_t Index;
-    ObjectId Id;
-    uint64_t Size;
-  };
-  std::vector<Rec> Recs;
+  // Survivors arrive in allocation order, which is each chunk's entry
+  // order.
   for (ObjectId Id : Core.objects()) {
     if (!Ctx.heap().isLive(Id))
       continue;
@@ -152,19 +144,11 @@ void CohenPetrankProgram::buildInitialAssociation(MutatorContext &Ctx) {
     uint64_t Distance =
         Opts.RobsonBootstrap ? ((FSigma - O.Address) & (Period - 1)) : 0;
     assert(Distance < O.Size && "survivor is not f_sigma-occupying");
-    Addr Word = O.Address + Distance;
-    Recs.push_back(Rec{Word >> CurLog, Id, O.Size});
-  }
-  std::stable_sort(
-      Recs.begin(), Recs.end(),
-      [](const Rec &A, const Rec &B) { return A.Index < B.Index; });
-  for (const Rec &R : Recs) {
-    if (Chunks.empty() || Chunks.rbegin()->first != R.Index)
-      Chunks.emplace_hint(Chunks.end(), R.Index, ChunkState{});
-    ChunkState &CS = Chunks.rbegin()->second;
-    CS.Entries.push_back(Entry{R.Id, R.Size, false});
-    CS.AssocWords += R.Size;
-    whereSlot(R.Id) = {R.Index, NoChunk};
+    uint64_t Index = (O.Address + Distance) >> CurLog;
+    ChunkState &CS = chunkSlot(Index);
+    CS.Entries.push_back(Entry{Id, O.Size, false});
+    CS.AssocWords += O.Size;
+    whereSlot(Id) = {Index, NoChunk};
   }
 }
 
@@ -187,39 +171,33 @@ void CohenPetrankProgram::normalizeChunk(ChunkState &CS) {
 void CohenPetrankProgram::mergeChunksTo(unsigned NewLog) {
   assert(NewLog >= CurLog && "partitions only coarsen");
   while (CurLog < NewLog) {
-    // Chunks ascend by index, so merged indices (Index >> 1) arrive
-    // nondecreasing: build the coarser partition with end-hinted inserts
-    // and steal the first child's entry storage instead of copying.
-    std::map<uint64_t, ChunkState> Merged;
-    auto Last = Merged.end();
-    for (auto &[Index, CS] : Chunks) {
-      uint64_t Coarse = Index >> 1;
-      if (Last == Merged.end() || Last->first != Coarse)
-        Last = Merged.emplace_hint(Merged.end(), Coarse, ChunkState{});
-      ChunkState &Dst = Last->second;
+    // Chunk I folds into chunk I/2 of the coarser partition, whose chunks
+    // start outside E: E membership dissolves on a step change
+    // (Definition 4.12). The first child's entry storage is stolen
+    // instead of copied.
+    std::vector<ChunkState> Merged((Chunks.size() + 1) / 2);
+    for (uint64_t Index = 0; Index != Chunks.size(); ++Index) {
+      ChunkState &CS = Chunks[Index];
+      ChunkState &Dst = Merged[Index >> 1];
       Dst.AssocWords += CS.AssocWords;
       if (Dst.Entries.empty())
         Dst.Entries = std::move(CS.Entries);
       else
         Dst.Entries.insert(Dst.Entries.end(), CS.Entries.begin(),
                            CS.Entries.end());
-      // E membership dissolves on a step change (Definition 4.12).
-      Dst.InE = false;
     }
     Chunks = std::move(Merged);
     ++CurLog;
   }
-  for (auto &[Index, CS] : Chunks) {
-    (void)Index;
+  for (ChunkState &CS : Chunks)
     normalizeChunk(CS);
-  }
   rebuildWhere();
 }
 
 void CohenPetrankProgram::rebuildWhere() {
   Where.assign(Where.size(), {NoChunk, NoChunk});
-  for (const auto &[Index, CS] : Chunks)
-    for (const Entry &E : CS.Entries) {
+  for (uint64_t Index = 0; Index != Chunks.size(); ++Index)
+    for (const Entry &E : Chunks[Index].Entries) {
       if (E.Phantom)
         continue;
       std::array<uint64_t, 2> &Slot = whereSlot(E.Id);
@@ -236,10 +214,8 @@ void CohenPetrankProgram::rebuildWhere() {
 void CohenPetrankProgram::reevaluateChunk(MutatorContext &Ctx,
                                           uint64_t Index, uint64_t T,
                                           std::vector<uint64_t> &Worklist) {
-  auto CIt = Chunks.find(Index);
-  if (CIt == Chunks.end())
-    return;
-  ChunkState &CS = CIt->second;
+  assert(Index < Chunks.size() && "re-evaluating an unknown chunk");
+  ChunkState &CS = Chunks[Index];
 
   // Free as many associated objects as possible while AssocWords stays at
   // least T (Algorithm 1 line 13). Removing the largest removable entry
@@ -278,10 +254,10 @@ void CohenPetrankProgram::reevaluateChunk(MutatorContext &Ctx,
     std::array<uint64_t, 2> &Slot = Where[Id];
     uint64_t Other = Slot[0] == Index ? Slot[1] : Slot[0];
     assert(Other != NoChunk && "half object with only one chunk");
-    auto OIt = Chunks.find(Other);
-    assert(OIt != Chunks.end() && "other half's chunk is unknown");
+    assert(Other < Chunks.size() && "other half's chunk is unknown");
+    ChunkState &OtherCS = Chunks[Other];
     bool Found = false;
-    for (Entry &E : OIt->second.Entries)
+    for (Entry &E : OtherCS.Entries)
       if (E.Id == Id) {
         E.Words += Words;
         Found = true;
@@ -289,7 +265,7 @@ void CohenPetrankProgram::reevaluateChunk(MutatorContext &Ctx,
       }
     assert(Found && "other half's entry is missing");
     (void)Found;
-    OIt->second.AssocWords += Words;
+    OtherCS.AssocWords += Words;
     Slot = {Other, NoChunk};
     Worklist.push_back(Other);
   }
@@ -299,10 +275,8 @@ void CohenPetrankProgram::freeForDensity(MutatorContext &Ctx, unsigned I) {
   uint64_t T = Opts.MaintainDensity ? pow2(I - Sigma) : 1;
   std::vector<uint64_t> Worklist;
   Worklist.reserve(Chunks.size());
-  for (const auto &[Index, CS] : Chunks) {
-    (void)CS;
+  for (uint64_t Index = 0; Index != Chunks.size(); ++Index)
     Worklist.push_back(Index);
-  }
   while (!Worklist.empty()) {
     uint64_t Index = Worklist.back();
     Worklist.pop_back();
@@ -311,12 +285,10 @@ void CohenPetrankProgram::freeForDensity(MutatorContext &Ctx, unsigned I) {
 }
 
 void CohenPetrankProgram::clearChunkForOverwrite(uint64_t Index) {
-  auto It = Chunks.find(Index);
-  if (It == Chunks.end())
-    return;
-  for ([[maybe_unused]] const Entry &E : It->second.Entries)
+  ChunkState &CS = chunkSlot(Index);
+  for ([[maybe_unused]] const Entry &E : CS.Entries)
     assert(E.Phantom && "overwriting a chunk with live associations");
-  Chunks.erase(It);
+  CS = ChunkState{};
 }
 
 void CohenPetrankProgram::allocateStageTwo(MutatorContext &Ctx, unsigned I) {
@@ -360,8 +332,7 @@ double CohenPetrankProgram::potential() const {
   double TwoSigma = std::pow(2.0, double(Sigma));
   double ChunkSize = double(pow2(CurLog));
   double U = 0.0;
-  for (const auto &[Index, CS] : Chunks) {
-    (void)Index;
+  for (const ChunkState &CS : Chunks) {
     if (CS.InE)
       U += ChunkSize;
     else
@@ -377,7 +348,8 @@ bool CohenPetrankProgram::checkAssociationInvariants() const {
   std::map<ObjectId, uint64_t> Seen; // id -> total associated words
   std::map<ObjectId, unsigned> Count;
   ChunkView View(CurLog);
-  for (const auto &[Index, CS] : Chunks) {
+  for (uint64_t Index = 0; Index != Chunks.size(); ++Index) {
+    const ChunkState &CS = Chunks[Index];
     uint64_t Sum = 0;
     for (const Entry &E : CS.Entries) {
       Sum += E.Words;
@@ -419,8 +391,7 @@ bool CohenPetrankProgram::checkDensityInvariant() const {
   if (!Opts.MaintainDensity || Chunks.empty() || !RanStageTwoStep)
     return true;
   uint64_t T = CurLog >= Sigma ? pow2(CurLog - Sigma) : 1;
-  for (const auto &[Index, CS] : Chunks) {
-    (void)Index;
+  for (const ChunkState &CS : Chunks) {
     uint64_t LiveWords = 0;
     unsigned LiveCount = 0;
     for (const Entry &E : CS.Entries) {

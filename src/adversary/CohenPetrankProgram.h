@@ -37,7 +37,7 @@
 #include "adversary/RobsonCore.h"
 
 #include <array>
-#include <map>
+#include <vector>
 
 namespace pcb {
 
@@ -154,7 +154,11 @@ private:
   RobsonCore Core;
   unsigned CurLog = 0;
   bool RanStageTwoStep = false;
-  std::map<uint64_t, ChunkState> Chunks;
+  /// Chunk index -> its association set, for the aligned 2^CurLog-chunks
+  /// that tile [0, HS). A flat table grown on demand: a chunk never
+  /// associated keeps its default state (no entries, not in E), which
+  /// adds nothing to the potential, the invariants or the density pass.
+  std::vector<ChunkState> Chunks;
   /// Object id -> the one or two chunk indices it is associated with,
   /// indexed by id ({NoChunk, NoChunk} = not associated; slot 0 always
   /// names a real chunk otherwise). A flat table: ids are dense and the
@@ -162,6 +166,12 @@ private:
   std::vector<std::array<uint64_t, 2>> Where;
   const Heap *TheHeap = nullptr;
 
+  /// Chunks[Index], growing the table as needed.
+  ChunkState &chunkSlot(uint64_t Index) {
+    if (Index >= Chunks.size())
+      Chunks.resize(size_t(Index) + 1);
+    return Chunks[Index];
+  }
   /// Where[Id], growing the table as needed.
   std::array<uint64_t, 2> &whereSlot(ObjectId Id) {
     if (Id >= Where.size())

@@ -161,13 +161,15 @@ void genUniform(ScheduleBuilder &B, Rng &R, const Opt &O, size_t N) {
 
 void genBimodal(ScheduleBuilder &B, Rng &R, const Opt &O, size_t N) {
   uint64_t Huge = pow2(O.MaxLogSize);
+  // At maxlog=0 half of Huge is 0, and objects are at least one word.
+  uint64_t HugeMin = std::max<uint64_t>(1, Huge / 2);
   for (size_t End = B.numOps() + N; B.numOps() < End;) {
     if (B.numLive() != 0 && R.nextBool(0.4)) {
       freeRandom(B, R);
       continue;
     }
     uint64_t Size =
-        R.nextBool(0.9) ? R.nextInRange(1, 16) : R.nextInRange(Huge / 2, Huge);
+        R.nextBool(0.9) ? R.nextInRange(1, 16) : R.nextInRange(HugeMin, Huge);
     if (B.canAlloc(Size))
       B.alloc(Size);
     else if (!freeRandom(B, R))

@@ -48,28 +48,17 @@ void BuddyManager::releaseBlock(Addr A, unsigned Order) {
 }
 
 Addr BuddyManager::placeFor(uint64_t Size) {
-  unsigned Order = log2Ceil(Size);
-  Addr A = takeBlock(Order);
-  PendingBlock = A;
-  PendingOrder = Order;
-  return A;
+  return takeBlock(log2Ceil(Size));
 }
 
 void BuddyManager::onPlaced(ObjectId Id) {
-  assert(PendingBlock != InvalidAddr &&
-         "buddy manager does not move objects");
   const Object &O = heap().object(Id);
-  assert(O.Address == PendingBlock && "placement does not match its block");
-  Blocks[Id] = {PendingBlock, PendingOrder};
-  PaddingWords += pow2(PendingOrder) - O.Size;
-  PendingBlock = InvalidAddr;
+  PaddingWords += pow2(log2Ceil(O.Size)) - O.Size;
 }
 
 void BuddyManager::onFreeing(ObjectId Id) {
-  auto It = Blocks.find(Id);
-  assert(It != Blocks.end() && "freeing an object without a buddy block");
   const Object &O = heap().object(Id);
-  PaddingWords -= pow2(It->second.second) - O.Size;
-  releaseBlock(It->second.first, It->second.second);
-  Blocks.erase(It);
+  unsigned Order = log2Ceil(O.Size);
+  PaddingWords -= pow2(Order) - O.Size;
+  releaseBlock(O.Address, Order);
 }

@@ -19,6 +19,9 @@
 /// object padding — is never entered into the free lists, which keeps
 /// buddy-coalescing sound across carve boundaries.
 ///
+/// Only the free lists are kept: a live object's block is its address
+/// and order log2Ceil(size), read off the heap's object table.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_MM_BUDDYMANAGER_H
@@ -26,7 +29,6 @@
 
 #include "mm/MemoryManager.h"
 
-#include <map>
 #include <set>
 #include <vector>
 
@@ -60,13 +62,8 @@ private:
   /// Free blocks per order, lowest address first for determinism.
   std::vector<std::set<Addr>> FreeLists =
       std::vector<std::set<Addr>>(MaxOrder + 1);
-  /// The live block (start, order) backing each object.
-  std::map<ObjectId, std::pair<Addr, unsigned>> Blocks;
   /// Where the next carved block begins.
   Addr Frontier = 0;
-  /// Block address chosen by placeFor, consumed by onPlaced.
-  Addr PendingBlock = InvalidAddr;
-  unsigned PendingOrder = 0;
   uint64_t PaddingWords = 0;
 };
 

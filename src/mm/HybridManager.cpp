@@ -22,15 +22,11 @@ Addr HybridManager::acquireSlot(unsigned Class, Addr AvoidStart,
     Addr A = *It;
     if (A + pow2(Class) <= AvoidStart || A >= AvoidEnd) {
       List.erase(It);
-      PendingSlot = A;
-      PendingClass = Class;
       return A;
     }
   }
   Addr A = alignUp(Frontier, pow2(Class));
   Frontier = A + pow2(Class);
-  PendingSlot = A;
-  PendingClass = Class;
   return A;
 }
 
@@ -79,9 +75,8 @@ Addr HybridManager::evacuateFor(unsigned Class) {
     unsigned ObjClass = log2Ceil(O.Size);
     Addr Dest = acquireSlot(ObjClass, Start, End);
     if (!tryMoveObject(Id, Dest)) {
-      // Undo the pending acquisition: the slot goes back to its list.
-      FreeSlots[PendingClass].insert(PendingSlot);
-      PendingSlot = InvalidAddr;
+      // Undo the acquisition: the slot goes back to its list.
+      FreeSlots[ObjClass].insert(Dest);
       return InvalidAddr;
     }
   }
@@ -131,35 +126,16 @@ Addr HybridManager::placeFor(uint64_t Size) {
   unsigned Class = log2Ceil(Size);
   assert(Class <= MaxClass && "request beyond the maximum size class");
 
-  if (!FreeSlots[Class].empty()) {
-    Addr A = *FreeSlots[Class].begin();
-    FreeSlots[Class].erase(FreeSlots[Class].begin());
-    PendingSlot = A;
-    PendingClass = Class;
-    return A;
-  }
-
-  if (pow2(Class) >= Opts.MinEvacuationSize) {
+  if (FreeSlots[Class].empty() && pow2(Class) >= Opts.MinEvacuationSize) {
     Addr Cleared = evacuateFor(Class);
-    if (Cleared != InvalidAddr) {
-      PendingSlot = Cleared;
-      PendingClass = Class;
+    if (Cleared != InvalidAddr)
       return Cleared;
-    }
   }
 
   return acquireSlot(Class, /*AvoidStart=*/0, /*AvoidEnd=*/0);
 }
 
-void HybridManager::onPlaced(ObjectId Id) {
-  assert(PendingSlot != InvalidAddr && "placement without an acquired slot");
-  Slots[Id] = {PendingSlot, PendingClass};
-  PendingSlot = InvalidAddr;
-}
-
 void HybridManager::onFreeing(ObjectId Id) {
-  auto It = Slots.find(Id);
-  assert(It != Slots.end() && "freeing an object without a slot");
-  FreeSlots[It->second.second].insert(It->second.first);
-  Slots.erase(It);
+  const Object &O = heap().object(Id);
+  FreeSlots[log2Ceil(O.Size)].insert(O.Address);
 }

@@ -14,6 +14,9 @@
 /// combination beats both pure Robson (for moderate c) and the naive
 /// (c+1)M compactor; bench E6 measures this implementation against both.
 ///
+/// Only the free lists are kept: a live object's slot is its address
+/// and class log2Ceil(size), read off the heap's object table.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_MM_HYBRIDMANAGER_H
@@ -47,12 +50,11 @@ public:
 
 protected:
   Addr placeFor(uint64_t Size) override;
-  void onPlaced(ObjectId Id) override;
   void onFreeing(ObjectId Id) override;
 
 private:
   /// Pops a free slot of \p Class outside [AvoidStart, AvoidEnd), or
-  /// carves one at the frontier. Sets Pending state for onPlaced.
+  /// carves one at the frontier.
   Addr acquireSlot(unsigned Class, Addr AvoidStart, Addr AvoidEnd);
 
   /// Tries to clear a class-aligned chunk below the frontier; returns its
@@ -71,10 +73,7 @@ private:
   std::map<unsigned, uint64_t> FailedScanSignature;
   std::vector<std::set<Addr>> FreeSlots =
       std::vector<std::set<Addr>>(MaxClass + 1);
-  std::map<ObjectId, std::pair<Addr, unsigned>> Slots;
   Addr Frontier = 0;
-  Addr PendingSlot = InvalidAddr;
-  unsigned PendingClass = 0;
   uint64_t NumEvacuations = 0;
 };
 

@@ -16,29 +16,18 @@ using namespace pcb;
 Addr SegregatedFitManager::placeFor(uint64_t Size) {
   unsigned Class = log2Ceil(Size);
   assert(Class <= MaxClass && "request beyond the maximum size class");
-  Addr A;
-  if (!FreeSlots[Class].empty()) {
-    A = *FreeSlots[Class].begin();
-    FreeSlots[Class].erase(FreeSlots[Class].begin());
-  } else {
-    A = alignUp(Frontier, pow2(Class));
+  std::set<Addr> &List = FreeSlots[Class];
+  if (List.empty()) {
+    Addr A = alignUp(Frontier, pow2(Class));
     Frontier = A + pow2(Class);
+    return A;
   }
-  PendingSlot = A;
-  PendingClass = Class;
+  Addr A = *List.begin();
+  List.erase(List.begin());
   return A;
 }
 
-void SegregatedFitManager::onPlaced(ObjectId Id) {
-  assert(PendingSlot != InvalidAddr &&
-         "segregated manager does not move objects");
-  Slots[Id] = {PendingSlot, PendingClass};
-  PendingSlot = InvalidAddr;
-}
-
 void SegregatedFitManager::onFreeing(ObjectId Id) {
-  auto It = Slots.find(Id);
-  assert(It != Slots.end() && "freeing an object without a slot");
-  FreeSlots[It->second.second].insert(It->second.first);
-  Slots.erase(It);
+  const Object &O = heap().object(Id);
+  FreeSlots[log2Ceil(O.Size)].insert(O.Address);
 }

@@ -13,6 +13,9 @@
 /// Robson's matching upper bound territory; we measure exactly where it
 /// lands in the E4 bench.
 ///
+/// Only the free lists are kept: a live object's slot is its address
+/// and class log2Ceil(size), read off the heap's object table.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_MM_SEGREGATEDFITMANAGER_H
@@ -20,7 +23,6 @@
 
 #include "mm/MemoryManager.h"
 
-#include <map>
 #include <set>
 #include <vector>
 
@@ -34,7 +36,6 @@ public:
 
 protected:
   Addr placeFor(uint64_t Size) override;
-  void onPlaced(ObjectId Id) override;
   void onFreeing(ObjectId Id) override;
 
 private:
@@ -43,11 +44,7 @@ private:
   /// Free slots per class, lowest address first.
   std::vector<std::set<Addr>> FreeSlots =
       std::vector<std::set<Addr>>(MaxClass + 1);
-  /// The slot (start, class) backing each live object.
-  std::map<ObjectId, std::pair<Addr, unsigned>> Slots;
   Addr Frontier = 0;
-  Addr PendingSlot = InvalidAddr;
-  unsigned PendingClass = 0;
 };
 
 } // namespace pcb

@@ -234,9 +234,10 @@ TEST(CohenPetrank, PotentialIsALowerBoundOnHeapSize) {
 }
 
 TEST(CohenPetrank, AssociationInvariantsHold) {
-  // Claim 4.15, checked after every step against both a moving and a
-  // non-moving manager.
-  for (const char *Policy : {"first-fit", "evacuating", "sliding"}) {
+  // Claim 4.15, checked after every step against moving and non-moving
+  // managers, the size-class managers among them.
+  for (const char *Policy : {"first-fit", "evacuating", "sliding",
+                             "segregated-fit", "hybrid", "buddy"}) {
     const uint64_t M = pow2(13);
     const uint64_t N = pow2(8);
     Heap H;
@@ -336,7 +337,7 @@ TEST(CohenPetrank, LiveNeverExceedsBoundWithGhosts) {
 }
 
 TEST(CohenPetrank, TrackedChunksShrinkAcrossMerges) {
-  // Partition coarsening halves the index space; the chunk map must
+  // Partition coarsening halves the index space; the chunk table must
   // never grow across a merge.
   const uint64_t M = pow2(13);
   const uint64_t N = pow2(8);

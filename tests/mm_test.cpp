@@ -431,6 +431,31 @@ TEST(Hybrid, EvacuationSplitsContainingFreeSlot) {
   ASSERT_TRUE(H.checkConsistency());
 }
 
+TEST(Hybrid, DeniedEvacuationReturnsItsSlot) {
+  // The slot an evacuation takes for an object whose move is then denied
+  // must go back to its free list, or the heap leaks that slot.
+  Heap H;
+  HybridManager::Options Opts;
+  Opts.DensityThreshold = 0.5;
+  Opts.MinEvacuationSize = 4;
+  HybridManager MM(H, 2.0, Opts);
+  for (int I = 0; I != 4; ++I)
+    MM.free(MM.allocate(16));
+  ObjectId A = MM.allocate(9);
+  ASSERT_EQ(H.object(A).Address, 0u);
+  // The class-2 miss picks the sparse chunk [8, 12) and takes the fresh
+  // class-4 slot at 16 for the 9-word object; the gate denies the move.
+  MM.setSpendGate([] { return false; });
+  ObjectId B = MM.allocate(4);
+  EXPECT_EQ(MM.numEvacuations(), 0u);
+  EXPECT_EQ(H.object(A).Address, 0u);
+  EXPECT_EQ(H.object(B).Address, 32u);
+  // The denied move's slot is reused, not leaked below a new carve at 48.
+  ObjectId C = MM.allocate(16);
+  EXPECT_EQ(H.object(C).Address, 16u);
+  ASSERT_TRUE(H.checkConsistency());
+}
+
 // --- Sliding compactor ---------------------------------------------------
 
 TEST(Sliding, UnlimitedPacksPerfectly) {
