@@ -14,6 +14,14 @@
 /// constraint held at every prefix of the execution (not merely at the
 /// end).
 ///
+/// The audit is one left fold, EventAuditor: each event updates the
+/// report, the live objects, the used ranges and the budget counters, with
+/// no look-ahead, and every failure flag is sticky. So folding a log in
+/// installments gives exactly the verdict of folding it whole, and a
+/// caller that checks a growing log (InvariantOracle) folds each event
+/// once. auditEvents and auditBudgetHistory are that fold over a whole
+/// stream.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_DRIVER_AUDITORS_H
@@ -21,8 +29,11 @@
 
 #include "heap/Heap.h"
 #include "heap/HeapEvent.h"
+#include "heap/IntervalSet.h"
 
 #include <cstdint>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace pcb {
@@ -37,6 +48,38 @@ struct AuditReport : HeapStats {
   bool matches(const HeapStats &S) const {
     return Consistent && static_cast<const HeapStats &>(*this) == S;
   }
+};
+
+/// The audit of an event stream, one event at a time.
+class EventAuditor {
+public:
+  /// \p C is the c-partial quota denominator the budget history is held
+  /// to; C <= 0 means unlimited.
+  explicit EventAuditor(double C = 0.0) : C(C) {}
+
+  /// Folds the next event of the stream into the audit.
+  void fold(const HeapEvent &E);
+
+  /// The statistics re-derived from the events folded so far.
+  const AuditReport &report() const { return R; }
+
+  /// True when, at every prefix folded so far, the moved words stayed
+  /// within floor(allocated words / c).
+  bool budgetHeld() const { return BudgetHeld; }
+
+private:
+  void occupy(Addr A, uint64_t Size);
+  void vacate(Addr A, uint64_t Size);
+
+  double C;
+  AuditReport R;
+  std::unordered_map<ObjectId, std::pair<Addr, uint64_t>> Live;
+  IntervalSet Used;
+  // Every allocated and moved word, consistent or not, as the budget
+  // history counts them.
+  uint64_t Allocated = 0;
+  uint64_t Moved = 0;
+  bool BudgetHeld = true;
 };
 
 /// Replays \p Events and re-derives the statistics.

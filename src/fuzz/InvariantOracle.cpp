@@ -7,9 +7,9 @@
 
 #include "fuzz/InvariantOracle.h"
 
-#include "driver/Auditors.h"
 #include "realloc/ReallocationLedger.h"
 
+#include <cassert>
 #include <cmath>
 
 using namespace pcb;
@@ -25,7 +25,8 @@ InvariantOracle::InvariantOracle(const Heap &H, const MemoryManager &MM,
 
 InvariantOracle::InvariantOracle(const Heap &H, const MemoryManager &MM,
                                  const EventLog &Log, Options O)
-    : H(H), MM(MM), Log(Log), Opts(O) {}
+    : H(H), MM(MM), Log(Log), Opts(O),
+      Audit(MM.ledger().quotaDenominator()) {}
 
 Violation InvariantOracle::make(const std::string &Check, uint64_t Step,
                                 const std::string &Detail) const {
@@ -84,8 +85,13 @@ size_t InvariantOracle::checkDeep(uint64_t Step,
   if (!H.checkConsistency(&Why))
     Out.push_back(make("structural", Step, Why));
 
+  const std::vector<HeapEvent> &Events = Log.events();
+  assert(Folded <= Events.size() && "the event log shrank under the oracle");
+  for (; Folded != Events.size(); ++Folded)
+    Audit.fold(Events[Folded]);
+
   const HeapStats &S = H.stats();
-  AuditReport A = auditEvents(Log.events());
+  const AuditReport &A = Audit.report();
   if (!A.Consistent)
     Out.push_back(make("event-stream", Step,
                        "recorded events are internally inconsistent "
@@ -100,7 +106,7 @@ size_t InvariantOracle::checkDeep(uint64_t Step,
     Out.push_back(make("audit-mismatch", Step, Detail));
   }
 
-  if (!auditBudgetHistory(Log.events(), MM.ledger().quotaDenominator()))
+  if (!Audit.budgetHeld())
     Out.push_back(make("budget-history", Step,
                        "a prefix of the execution moved more than "
                        "allocated/c words"));

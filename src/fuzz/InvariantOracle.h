@@ -20,23 +20,32 @@
 ///     manager's declared overheadBound() multiple of allocated words
 ///     (finite for c-partial managers and the reallocation family).
 ///
-/// Checked every DeepCheckEvery steps and at the end (O(objects+events)):
+/// Checked every DeepCheckEvery steps and at the end (O(objects + new
+/// events)):
 ///   * Heap::checkConsistency — live objects disjoint, free index the
 ///     exact complement, statistics match a recount,
-///   * auditEvents over the recorded event stream reproduces the heap's
+///   * the audit of the recorded event stream reproduces the heap's
 ///     statistics exactly (the independent-witness property),
-///   * auditBudgetHistory — the c-partial constraint held on *every*
+///   * the budget history — the c-partial constraint held on *every*
 ///     prefix of the execution, not merely at the end,
 ///   * ledger-reconcile / overhead-history — for reallocation managers,
 ///     the ReallocationLedger's own counters must equal the heap's
 ///     cumulative move/allocation statistics end-to-end, and its
 ///     worst-prefix ratio must respect the bound.
 ///
+/// The audit and the budget history are one EventAuditor, bound to the
+/// ledger's quota denominator, and a cursor into the log: each deep check
+/// folds only the events recorded since the previous one. The fold has
+/// no look-ahead and sticky failure flags, so its verdict is that of
+/// auditEvents/auditBudgetHistory over the whole log, at O(new events)
+/// per check instead of O(history). The log must only grow.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_FUZZ_INVARIANTORACLE_H
 #define PCBOUND_FUZZ_INVARIANTORACLE_H
 
+#include "driver/Auditors.h"
 #include "driver/EventLog.h"
 #include "mm/MemoryManager.h"
 
@@ -97,6 +106,9 @@ private:
   const EventLog &Log;
   Options Opts;
   uint64_t LastHighWaterMark = 0;
+  EventAuditor Audit;
+  /// Events of Log already folded into Audit.
+  size_t Folded = 0;
 };
 
 } // namespace pcb

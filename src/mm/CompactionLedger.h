@@ -80,7 +80,7 @@ public:
 
 private:
   const Heap &H;
-  double C;
+  const double C;
 };
 
 } // namespace pcb

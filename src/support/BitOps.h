@@ -68,7 +68,20 @@ inline unsigned topBitIndex(uint64_t X) {
   return 63u - unsigned(std::countl_zero(X));
 }
 
-inline unsigned popcount64(uint64_t X) { return unsigned(std::popcount(X)); }
+/// Number of set bits. Baseline x86-64 has no popcnt instruction, and
+/// there std::popcount becomes a call into libgcc's table-driven
+/// __popcountdi2; the SWAR sum below stays inline. Everywhere else
+/// (a -mpopcnt build, aarch64) std::popcount is one instruction.
+inline unsigned popcount64(uint64_t X) {
+#if defined(__x86_64__) && !defined(__POPCNT__)
+  X = X - ((X >> 1) & 0x5555555555555555u);
+  X = (X & 0x3333333333333333u) + ((X >> 2) & 0x3333333333333333u);
+  X = (X + (X >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return unsigned((X * 0x0101010101010101u) >> 56);
+#else
+  return unsigned(std::popcount(X));
+#endif
+}
 
 #if !defined(PCB_DISABLE_AVX2) && defined(__x86_64__)
 #define PCB_HAVE_AVX2_KERNELS 1

@@ -3,9 +3,11 @@
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
-// Every query below is its definition, walked over the free blocks in
-// address order. Keep it that way: the oracle is worth exactly as much as
-// it is easy to check by reading.
+// The free blocks are one sorted block vector; release, reserve and isFree
+// find their place in it with one binary search (lowerBound). Every query
+// below is its definition, walked over the free blocks in address order.
+// Keep it that way: the oracle is worth exactly as much as it is easy to
+// check by reading.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,62 +17,70 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 using namespace pcb;
+
+size_t ReferenceFreeSpaceIndex::lowerBound(Addr A) const {
+  auto StartsBefore = [](const std::pair<Addr, Addr> &Block, Addr Key) {
+    return Block.first < Key;
+  };
+  return size_t(
+      std::lower_bound(ByAddr.begin(), ByAddr.end(), A, StartsBefore) -
+      ByAddr.begin());
+}
 
 void ReferenceFreeSpaceIndex::release(Addr Start, uint64_t Size) {
   assert(Size != 0 && "releasing zero words");
   Addr End = Start + Size;
 
-  // Find a predecessor to coalesce with.
-  auto It = ByAddr.lower_bound(Start);
+  // The released range goes between blocks I - 1 and I.
+  size_t I = lowerBound(Start);
   // A free block beginning inside [Start, End) means the range is being
   // double-released (a block beginning exactly at End is fine: it is the
   // coalescing successor).
-  assert((It == ByAddr.end() || It->first >= End) &&
+  assert((I == ByAddr.size() || ByAddr[I].first >= End) &&
          "releasing a range that is partly free");
-  if (It != ByAddr.begin()) {
-    auto Prev = std::prev(It);
-    assert(Prev->second <= Start && "releasing a range that is partly free");
-    if (Prev->second == Start) {
-      Start = Prev->first;
-      ByAddr.erase(Prev);
-    }
+  assert((I == 0 || ByAddr[I - 1].second <= Start) &&
+         "releasing a range that is partly free");
+  bool JoinsPrev = I != 0 && ByAddr[I - 1].second == Start;
+  bool JoinsNext = I != ByAddr.size() && ByAddr[I].first == End;
+  if (JoinsPrev && JoinsNext) {
+    ByAddr[I - 1].second = ByAddr[I].second;
+    ByAddr.erase(ByAddr.begin() + I);
+  } else if (JoinsPrev) {
+    ByAddr[I - 1].second = End;
+  } else if (JoinsNext) {
+    ByAddr[I].first = Start;
+  } else {
+    ByAddr.insert(ByAddr.begin() + I, {Start, End});
   }
-  // Find a successor to coalesce with.
-  It = ByAddr.find(End);
-  if (It != ByAddr.end()) {
-    End = It->second;
-    ByAddr.erase(It);
-  }
-  ByAddr[Start] = End;
 }
 
 void ReferenceFreeSpaceIndex::reserve(Addr Start, uint64_t Size) {
   assert(Size != 0 && "reserving zero words");
   Addr End = Start + Size;
-  auto It = ByAddr.upper_bound(Start);
-  assert(It != ByAddr.begin() && "reserve target is not free");
-  --It;
-  Addr BlockStart = It->first;
-  Addr BlockEnd = It->second;
+  // The last block starting at or before Start.
+  size_t I = lowerBound(Start + 1);
+  assert(I != 0 && "reserve target is not free");
+  --I;
+  auto [BlockStart, BlockEnd] = ByAddr[I];
   assert(BlockStart <= Start && End <= BlockEnd &&
          "reserve target is not entirely free");
-  ByAddr.erase(It);
-  if (BlockStart < Start)
-    ByAddr[BlockStart] = Start;
   if (End < BlockEnd)
-    ByAddr[End] = BlockEnd;
+    ByAddr.insert(ByAddr.begin() + I + 1, {End, BlockEnd});
+  if (BlockStart < Start)
+    ByAddr[I].second = Start;
+  else
+    ByAddr.erase(ByAddr.begin() + I);
 }
 
 bool ReferenceFreeSpaceIndex::isFree(Addr Start, uint64_t Size) const {
   assert(Size != 0 && "querying zero words");
-  auto It = ByAddr.upper_bound(Start);
-  if (It == ByAddr.begin())
+  size_t I = lowerBound(Start + 1);
+  if (I == 0)
     return false;
-  --It;
-  return It->first <= Start && Start + Size <= It->second;
+  const auto &[BlockStart, BlockEnd] = ByAddr[I - 1];
+  return BlockStart <= Start && Start + Size <= BlockEnd;
 }
 
 Addr ReferenceFreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
@@ -78,7 +88,8 @@ Addr ReferenceFreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
   // A block straddling From serves the request from From onward.
   if (From != 0 && isFree(From, Size))
     return From;
-  for (auto It = ByAddr.lower_bound(From); It != ByAddr.end(); ++It)
+  for (auto It = ByAddr.begin() + lowerBound(From); It != ByAddr.end();
+       ++It)
     if (It->second - It->first >= Size)
       return It->first;
   assert(false && "infinite tail should always fit");
@@ -142,7 +153,7 @@ uint64_t ReferenceFreeSpaceIndex::freeWordsIn(Addr Start, Addr End) const {
 
 size_t ReferenceFreeSpaceIndex::numBlocksBelow(Addr Limit) const {
   // The blocks before the first one starting at or past Limit.
-  return size_t(std::distance(ByAddr.begin(), ByAddr.lower_bound(Limit)));
+  return lowerBound(Limit);
 }
 
 uint64_t ReferenceFreeSpaceIndex::largestBlockBelow(Addr Limit) const {

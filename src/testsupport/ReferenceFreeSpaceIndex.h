@@ -8,8 +8,9 @@
 /// \file
 /// The specification of the free-space queries: the oracle for the
 /// bitboard FreeSpaceIndex, and the free space of ReferenceHeap. One
-/// sorted map goes from block start to block end; blocks are disjoint and
-/// coalesced, and the last runs to AddrLimit (the model's infinite tail).
+/// sorted block vector holds (start, end) pairs in address order; blocks
+/// are disjoint and coalesced, and the last runs to AddrLimit (the
+/// model's infinite tail).
 /// Each query is its definition walked over the blocks in address order,
 /// with nothing else to keep in sync: linear in the number of free blocks
 /// and obviously correct. The equivalence property test and the
@@ -29,7 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace pcb {
 
@@ -37,7 +39,7 @@ namespace pcb {
 class ReferenceFreeSpaceIndex {
 public:
   /// Initializes with the whole address space [0, AddrLimit) free.
-  ReferenceFreeSpaceIndex() { ByAddr[0] = AddrLimit; }
+  ReferenceFreeSpaceIndex() : ByAddr{{0, AddrLimit}} {}
 
   /// Marks [Start, Start + Size) free, coalescing neighbours. The range
   /// must currently be absent from the index (i.e. used).
@@ -88,12 +90,15 @@ public:
   uint64_t largestBlockBelow(Addr Limit) const;
 
   /// Iteration over (start, end) free blocks in address order.
-  using const_iterator = std::map<Addr, Addr>::const_iterator;
+  using const_iterator = std::vector<std::pair<Addr, Addr>>::const_iterator;
   const_iterator begin() const { return ByAddr.begin(); }
   const_iterator end() const { return ByAddr.end(); }
 
 private:
-  std::map<Addr, Addr> ByAddr; // start -> end
+  /// Index of the first block starting at or after \p A.
+  size_t lowerBound(Addr A) const;
+
+  std::vector<std::pair<Addr, Addr>> ByAddr; // (start, end), by start
 };
 
 } // namespace pcb

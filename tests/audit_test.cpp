@@ -156,6 +156,78 @@ TEST(Auditors, BudgetHistoryIsExactPast2To53) {
   EXPECT_FALSE(auditBudgetHistory(Events, 1.0));
 }
 
+// Folds \p Events one at a time into an EventAuditor and holds it, at
+// every prefix, to the whole-stream audits of that prefix. Returns the
+// fold of the whole stream.
+EventAuditor expectFoldMatchesEveryPrefix(const std::vector<HeapEvent> &Events,
+                                          double C) {
+  EventAuditor Fold(C);
+  std::vector<HeapEvent> Prefix;
+  for (size_t K = 0;; ++K) {
+    SCOPED_TRACE("prefix of " + std::to_string(K) + " events");
+    AuditReport Whole = auditEvents(Prefix);
+    const AuditReport &R = Fold.report();
+    EXPECT_EQ(R.Consistent, Whole.Consistent);
+    for (const HeapStatsField &F : HeapStatsFields)
+      EXPECT_EQ(R.*F.Member, Whole.*F.Member) << F.Name;
+    EXPECT_EQ(Fold.budgetHeld(), auditBudgetHistory(Prefix, C));
+    if (K == Events.size() || ::testing::Test::HasFailure())
+      return Fold;
+    Fold.fold(Events[K]);
+    Prefix.push_back(Events[K]);
+  }
+}
+
+TEST(Auditors, FoldMatchesWholeLogAtEveryPrefix) {
+  // A recorded PF x evacuating execution: consistent, within budget.
+  {
+    const double C = 10.0;
+    Heap H;
+    auto MM = createManager("evacuating", H, C);
+    CohenPetrankProgram PF(pow2(9), pow2(4), C);
+    EventLog Log;
+    Execution::Options Opts;
+    Opts.Log = &Log;
+    Execution(*MM, PF, pow2(9), Opts).run();
+    ASSERT_GT(Log.events().size(), 100u);
+    EventAuditor Fold = expectFoldMatchesEveryPrefix(Log.events(), C);
+    EXPECT_TRUE(Fold.report().matches(H.stats()));
+    EXPECT_NE(Fold.report().NumMoves, 0u);
+    EXPECT_TRUE(Fold.budgetHeld());
+  }
+  // The corrupt streams above, each with a clean tail after the fault so
+  // the fold must keep its failure flag.
+  const std::vector<HeapEvent> Tail = {
+      HeapEvent::alloc(7, 4096, 8), HeapEvent::move(7, 4096, 4160, 8),
+      HeapEvent::release(7, 4160, 8), HeapEvent::stepEnd()};
+  const std::vector<std::vector<HeapEvent>> Corrupt = {
+      {HeapEvent::alloc(0, 0, 4), HeapEvent::release(0, 0, 4),
+       HeapEvent::release(0, 0, 4)},
+      {HeapEvent::alloc(0, 0, 8), HeapEvent::alloc(1, 4, 8)},
+      {HeapEvent::alloc(0, 0, 4), HeapEvent::release(0, 0, 4),
+       HeapEvent::move(0, 0, 8, 4)},
+      // The overlapping object never held its range: freeing it must
+      // not erase its neighbour's.
+      {HeapEvent::alloc(0, 0, 8), HeapEvent::alloc(1, 4, 8),
+       HeapEvent::release(1, 4, 8), HeapEvent::release(0, 0, 8)},
+  };
+  for (std::vector<HeapEvent> Events : Corrupt) {
+    Events.insert(Events.end(), Tail.begin(), Tail.end());
+    EventAuditor Fold = expectFoldMatchesEveryPrefix(Events, 2.0);
+    EXPECT_FALSE(Fold.report().Consistent);
+  }
+  // The mid-run budget breach, then enough allocation to fund it.
+  std::vector<HeapEvent> Breach = {
+      HeapEvent::alloc(0, 0, 10),
+      HeapEvent::move(0, 0, 16, 10),
+      HeapEvent::alloc(1, 32, 990),
+  };
+  Breach.insert(Breach.end(), Tail.begin(), Tail.end());
+  EventAuditor Fold = expectFoldMatchesEveryPrefix(Breach, 2.0);
+  EXPECT_TRUE(Fold.report().Consistent);
+  EXPECT_FALSE(Fold.budgetHeld());
+}
+
 // --- End-to-end: every execution audits clean -------------------------------
 
 struct AuditCase {

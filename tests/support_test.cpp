@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/AsciiChart.h"
+#include "support/BitOps.h"
 #include "support/MathUtils.h"
 #include "support/OptionParser.h"
 #include "support/Random.h"
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <vector>
 
 using namespace pcb;
 
@@ -84,6 +86,28 @@ TEST(MathUtils, CeilDivAndSatSub) {
   EXPECT_EQ(ceilDiv(5, 4), 2u);
   EXPECT_EQ(satSub(5, 3), 2u);
   EXPECT_EQ(satSub(3, 5), 0u);
+}
+
+TEST(BitOps, Popcount64MatchesPerBitCount) {
+  auto PerBit = [](uint64_t X) {
+    unsigned N = 0;
+    for (unsigned B = 0; B != 64; ++B)
+      N += unsigned(X >> B) & 1u;
+    return N;
+  };
+  std::vector<uint64_t> Words = {0, ~uint64_t(0), 0x5555555555555555u,
+                                 0xaaaaaaaaaaaaaaaau, 0x0f0f0f0f0f0f0f0fu,
+                                 0xff00ff00ff00ff00u};
+  for (unsigned B = 0; B != 64; ++B) {
+    Words.push_back(uint64_t(1) << B);
+    Words.push_back(~(uint64_t(1) << B));
+    Words.push_back(lowMask(B));
+  }
+  Rng R(19);
+  for (int I = 0; I != 1000; ++I)
+    Words.push_back(R.next());
+  for (uint64_t X : Words)
+    EXPECT_EQ(popcount64(X), PerBit(X)) << std::hex << X;
 }
 
 TEST(Random, Determinism) {

@@ -916,7 +916,10 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
     return 1;
   }
 
-  AuditReport Audit = auditEvents(Log.events());
+  EventAuditor Auditor(C);
+  for (const HeapEvent &E : Log.events())
+    Auditor.fold(E);
+  const AuditReport &Audit = Auditor.report();
   std::cout << "trace: " << Log.size() << " events, "
             << Audit.NumAllocations << " allocs, " << Audit.NumFrees
             << " frees, " << Audit.NumMoves << " moves (recorded HS "
@@ -928,7 +931,7 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
               << " or move of a dead object)\n";
     ++NumProblems;
   }
-  if (!auditBudgetHistory(Log.events(), C)) {
+  if (!Auditor.budgetHeld()) {
     std::cout << "recorded events: c-partial budget (c=" << C
               << ") violated on some prefix\n";
     ++NumProblems;
