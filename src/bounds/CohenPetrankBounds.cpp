@@ -18,7 +18,8 @@ using namespace pcb;
 
 unsigned pcb::cohenPetrankMaxSigma(double C) {
   // 2^sigma <= 3c/4, sigma >= 1.
-  double Limit = 0.75 * C;
+  // Clamped so that c = inf (no compaction) converts to a finite sigma.
+  double Limit = std::min(0.75 * C, 0x1p63);
   if (Limit < 2.0)
     return 0;
   return unsigned(std::floor(std::log2(Limit)));

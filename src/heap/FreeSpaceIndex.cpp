@@ -53,12 +53,18 @@ void FreeSpaceIndex::growDense(uint64_t NeedBits) {
 namespace {
 
 /// First set occupancy bit in [From, To), or To when none. \p To must be
-/// word-aligned and committed; the scan is bounded by To.
-uint64_t findSetIn(const PackedBitmap &Occ, uint64_t From, uint64_t To) {
+/// word-aligned and committed; the scan is bounded by To. \p AllClear
+/// says the caller knows the range holds no set bit; it is read only once
+/// the first word tests clear, so a run cut inside that word costs one
+/// load either way.
+uint64_t findSetIn(const PackedBitmap &Occ, uint64_t From, uint64_t To,
+                   bool AllClear) {
   if (From >= To)
     return To;
   size_t WI = size_t(From / WordBits), W1 = size_t((To - 1) / WordBits);
   uint64_t U = Occ.word(WI) & ~lowMask(unsigned(From % WordBits));
+  if (U == 0 && AllClear)
+    return To;
   for (;;) {
     if (U != 0) {
       uint64_t B = uint64_t(WI) * WordBits + countTrailingZeros(U);
@@ -84,12 +90,16 @@ uint64_t runsGE(uint64_t F, uint64_t L) {
 }
 
 /// Last set occupancy bit in [From, To), or PackedBitmap::NoBit. \p From
-/// must be word-aligned and the range committed.
-uint64_t findSetBackIn(const PackedBitmap &Occ, uint64_t From, uint64_t To) {
+/// must be word-aligned and the range committed. \p AllClear is read as
+/// in findSetIn: only after the last word tests clear.
+uint64_t findSetBackIn(const PackedBitmap &Occ, uint64_t From, uint64_t To,
+                       bool AllClear) {
   if (From >= To)
     return PackedBitmap::NoBit;
   size_t W0 = size_t(From / WordBits), WI = size_t((To - 1) / WordBits);
   uint64_t U = Occ.word(WI) & lowMask(unsigned((To - 1) % WordBits) + 1);
+  if (U == 0 && AllClear)
+    return PackedBitmap::NoBit;
   for (;;) {
     if (U != 0)
       return uint64_t(WI) * WordBits + topBitIndex(U);
@@ -133,9 +143,12 @@ void FreeSpaceIndex::noteRelease(uint64_t S, uint64_t E) {
       continue;
     }
     // The release merged every adjacent run into one; find its extent
-    // within the window (the bits are already cleared).
-    uint64_t RHi = findSetIn(Occ, Hi, WEnd);
-    uint64_t LU = findSetBackIn(Occ, B, Lo);
+    // within the window (the bits are already cleared). Pre and Suf still
+    // hold their pre-release values, and [B, Lo) and [Hi, WEnd) kept
+    // their bits, so a neighbour run reaching the window's edge is read
+    // off them: only a run ending inside the window is scanned for.
+    uint64_t RHi = findSetIn(Occ, Hi, WEnd, Sp.Suf == WEnd - Hi);
+    uint64_t LU = findSetBackIn(Occ, B, Lo, Sp.Pre == Lo - B);
     uint64_t RLo = LU == PackedBitmap::NoBit ? B : LU + 1;
     if (RLo == B)
       Sp.Pre = uint16_t(RHi - B);

@@ -22,6 +22,13 @@
 /// alone. Free blocks are never materialized; they are *views* of the
 /// occupancy words, so the index cannot drift from the heap.
 ///
+/// A release must learn the merged free run it joins inside each super it
+/// touches. Pre and Suf still hold their pre-release values then, so a
+/// neighbour run reaching the super's edge is read off them ([Hi, WEnd)
+/// was all free iff Suf == WEnd - Hi, [B, Lo) iff Pre == Lo - B) once the
+/// word next to the freed range tests clear; only a neighbour run ending
+/// inside the super is found by a word scan.
+///
 /// Inside a super, the word scans jump over stretches of full (all-ones)
 /// occupancy words with the findNotOnesWord kernel: a full word closes
 /// the open run and starts none, so the first one resets the carry to 0
@@ -206,8 +213,10 @@ private:
   static constexpr unsigned NumClasses = 61;
 
   /// Per-super digest. FreeCount, Pre and Suf are maintained exactly by
-  /// every mutation (O(1) for reserve, a window-bounded bit scan for
-  /// release), so run assembly across skipped supers never recomputes
+  /// every mutation: O(1) for reserve; for release, O(1) when a neighbour
+  /// run reaches the super's edge or ends in the word next to the freed
+  /// range, else a word scan bounded by the super that stops at the run's
+  /// end. So run assembly across skipped supers never recomputes
   /// anything. Max degrades to a sound *upper bound* while Dirty (a
   /// reserve can only shrink runs; a release folds its merged run in), so
   /// it still filters descents — a stale pass costs one recompute, a
@@ -273,7 +282,8 @@ private:
 
   /// Digest maintenance for a mutation of dense range [S, E):
   /// noteReserve before any query sees the super again, noteRelease after
-  /// the bits have been cleared (it scans the merged run's extent).
+  /// the bits have been cleared (it finds the merged run's extent from
+  /// the old Pre/Suf where they reach it, else by a word scan).
   void noteReserve(uint64_t S, uint64_t E);
   void noteRelease(uint64_t S, uint64_t E);
 

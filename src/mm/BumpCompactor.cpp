@@ -46,9 +46,12 @@ Addr BumpCompactor::compact() {
 Addr BumpCompactor::placeFor(uint64_t Size) {
   double C = ledger().quotaDenominator();
   // One full compaction per c * M allocated words; with an unlimited
-  // ledger, compact every M words (a reasonable full-compaction cadence).
-  uint64_t Period =
-      C <= 0.0 ? LiveBound : uint64_t(C * double(LiveBound));
+  // ledger, compact every M words (a reasonable full-compaction cadence);
+  // with c = inf, never.
+  double Words = C * double(LiveBound);
+  uint64_t Period = C <= 0.0          ? LiveBound
+                    : Words < 0x1p64 ? uint64_t(Words)
+                                     : UINT64_MAX;
   // The spend gate is consulted once for the whole pass: the gate is
   // constant within a step, so approval here funds every move below. A
   // denial defers the pass; the accumulated period keeps retrying it on

@@ -42,8 +42,8 @@ public:
   /// The worst footprint this manager can ever need for programs that
   /// keep at most LiveBound words live: (c + 1) * LiveBound.
   uint64_t footprintGuarantee() const {
-    double C = ledger().quotaDenominator();
-    return uint64_t((C + 1.0) * double(LiveBound));
+    double Words = (ledger().quotaDenominator() + 1.0) * double(LiveBound);
+    return Words < 0x1p64 ? uint64_t(Words) : UINT64_MAX;
   }
 
 protected:

@@ -21,6 +21,7 @@
 
 #include "heap/Heap.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -36,12 +37,23 @@ namespace pcb {
 /// 64-bit integer division costs measurably more on the compactors'
 /// chunk scans, which ask for the budget once per candidate.)
 inline uint64_t cPartialBudget(uint64_t Allocated, double C) {
+  assert(!std::isnan(C) && "NaN quota denominator");
   if (C <= 0.0)
     return UINT64_MAX;
-  if (Allocated < (uint64_t(1) << 53) || C != std::floor(C))
-    return uint64_t(std::floor(double(Allocated) / C));
+  if (Allocated < (uint64_t(1) << 53) || C != std::floor(C)) {
+    // A tiny C (say 1e-300) makes the quotient overflow uint64_t.
+    double Words = std::floor(double(Allocated) / C);
+    return Words < 0x1p64 ? uint64_t(Words) : UINT64_MAX;
+  }
   return C < 0x1p64 ? Allocated / uint64_t(C) : 0;
 }
+
+/// True when \p C is a quota denominator a command accepts: positive,
+/// with inf meaning no compaction at all. NaN fails (its budget would be
+/// undefined), and so do zero and below, which the ledger reads as
+/// unlimited compaction: that is the full-compaction baseline's own
+/// setting, asked for by name (policy=sliding-unlimited), not by quota.
+inline bool isQuotaDenominator(double C) { return C > 0.0; }
 
 /// Evaluates the c-partial compaction constraint against a heap.
 class CompactionLedger {

@@ -8,6 +8,8 @@
 #include "support/OptionParser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -89,9 +91,17 @@ double OptionParser::getDouble(const std::string &Name, double Default) const {
   auto It = Options.find(Name);
   if (It == Options.end())
     return Default;
+  double Value;
+  return parseNumber(It->second, Value) ? Value : Default;
+}
+
+bool OptionParser::parseNumber(const std::string &Text, double &Out) {
+  const char *Begin = Text.c_str();
   char *End = nullptr;
-  double Value = std::strtod(It->second.c_str(), &End);
-  return (End && *End == '\0') ? Value : Default;
+  errno = 0;
+  Out = std::strtod(Begin, &End);
+  bool Overflow = errno == ERANGE && std::isinf(Out);
+  return End != Begin && *End == '\0' && !Overflow;
 }
 
 bool OptionParser::getBool(const std::string &Name, bool Default) const {
@@ -116,9 +126,8 @@ std::vector<double> pcb::parseNumberList(const std::string &Text,
                                          const std::string &Name) {
   std::vector<double> Values;
   for (const std::string &Item : parseNameList(Text)) {
-    char *End = nullptr;
-    double Value = std::strtod(Item.c_str(), &End);
-    if (!End || *End != '\0') {
+    double Value;
+    if (!OptionParser::parseNumber(Item, Value)) {
       std::cerr << "error: invalid number '" << Item << "' in " << Name
                 << "=\n";
       std::exit(1);

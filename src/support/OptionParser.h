@@ -52,6 +52,11 @@ public:
   /// Parses "256M" style word counts; returns false on malformed input.
   static bool parseWordCount(const std::string &Text, uint64_t &Out);
 
+  /// Parses \p Text as one number ("50", "2.5e3", "inf"); returns false
+  /// when it is empty, has trailing characters, or overflows a double
+  /// (so "1e999" is refused, not read as inf).
+  static bool parseNumber(const std::string &Text, double &Out);
+
 private:
   std::map<std::string, std::string> Options;
   std::vector<std::string> Positional;

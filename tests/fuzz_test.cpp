@@ -470,6 +470,39 @@ TEST(GoldenChunkMerge, CommittedReproducerStillMerges) {
   EXPECT_TRUE(Report.clean()) << Report.summary();
 }
 
+// Policies that fix their own quota record it in the reproducer header:
+// 0, the ledger's unlimited, for sliding-unlimited and the reallocation
+// family. The committed files are the writer's output byte for byte, and
+// ctest cli_replay_fixed_quota_* replays each with exit 0, so the writer
+// and `pcbound replay` cannot drift apart. Regenerate them with:
+//   PCB_REGEN_GOLDEN=<repo>/tests/golden ./fuzz_test
+TEST(Reproducer, FixedQuotaHeadersMatchCommittedFiles) {
+  DifferentialHarness::Options O;
+  O.C = 4.0;
+  O.Policies = {"sliding-unlimited", "realloc-bucket"};
+  FuzzSchedule S = chunkMergeSchedule();
+  DifferentialReport Report = DifferentialHarness(O).run(S);
+  ASSERT_TRUE(Report.clean()) << Report.summary();
+  ASSERT_EQ(Report.Runs.size(), 2u);
+  for (const PolicyRunResult &Run : Report.Runs) {
+    std::ostringstream Written;
+    DifferentialHarness::writeReproducer(Written, S, Run);
+    EXPECT_NE(Written.str().find(" c=0 "), std::string::npos)
+        << Written.str();
+    std::string Name = "/fixed-quota-" + Run.Policy + ".trace";
+    if (const char *Dir = std::getenv("PCB_REGEN_GOLDEN")) {
+      std::ofstream OS(std::string(Dir) + Name);
+      ASSERT_TRUE(OS.good());
+      OS << Written.str();
+    }
+    std::ifstream IS(std::string(PCB_TEST_DATA_DIR) + Name);
+    ASSERT_TRUE(IS.good()) << "missing " << Name;
+    std::stringstream Committed;
+    Committed << IS.rdbuf();
+    EXPECT_EQ(Written.str(), Committed.str()) << Name;
+  }
+}
+
 // Shrinking with a custom predicate: minimize to "at least 3 allocs"
 // (a monotone-ish property with a known-size minimum).
 TEST(Shrink, CustomPredicateFindsMinimum) {

@@ -21,6 +21,8 @@
 
 #include <algorithm>
 #include <array>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -388,6 +390,186 @@ TEST_P(FullWordParity, FullLastWordOnTheDenseBoard) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullWordParity, ::testing::Values(1, 7, 42));
+
+// --- The merged run of a release ---------------------------------------------
+//
+// A release learns the extent of the free run it merges into from two
+// searches inside its super, one on each side of the freed range. A side
+// whose neighbour run reaches the super's edge answers from the old Pre or
+// Suf digest once its first word tests clear; only a run ending inside the
+// super is scanned for. Each board below is built, gets one release, and
+// is then queried. Every query runs on a freshly built pair of indexes:
+// queries that descend a dirty super rebuild its digest, which would hide
+// a wrong one from the queries after them.
+
+constexpr Addr SB = 64 * WordsPerSuper; // bits per super
+constexpr Addr B1 = SB, W1 = 2 * SB;    // the window most boards release in
+
+/// Used ranges [S, E), reserved in this order, and the range released
+/// afterwards (used throughout).
+struct ReleaseBoard {
+  const char *Name;
+  std::vector<std::pair<Addr, Addr>> Used;
+  Addr Lo, Hi;
+};
+
+/// Super 0 ends in a 100-bit free run carried into super 1; super 2
+/// starts with one.
+std::vector<std::pair<Addr, Addr>>
+withNeighbours(std::vector<std::pair<Addr, Addr>> Window) {
+  Window.insert(Window.begin(), {{0, 64}, {3000, SB - 100}});
+  Window.push_back({W1 + 100, W1 + 208});
+  Window.push_back({W1 + 900, W1 + 1000});
+  return Window;
+}
+
+const std::vector<ReleaseBoard> &releaseBoards() {
+  static const std::vector<ReleaseBoard> Boards = {
+      // [B, Lo) free: the left run reaches the low edge.
+      {"LowEdgeRun",
+       withNeighbours({{B1 + 1000, B1 + 1200},
+                       {B1 + 1200, B1 + 1300},
+                       {B1 + 2000, B1 + 2001}}),
+       B1 + 1000, B1 + 1200},
+      // [Hi, WEnd) free: the right run reaches the high edge and is
+      // carried into super 2's prefix.
+      {"HighEdgeRun",
+       withNeighbours({{B1 + 10, B1 + 20}, {B1 + 3000, B1 + 3100}}),
+       B1 + 3000, B1 + 3100},
+      // Both sides reach an edge: the release frees the whole super.
+      {"BothEdgesFreeTheSuper", withNeighbours({{B1 + 1000, B1 + 1100}}),
+       B1 + 1000, B1 + 1100},
+      {"InteriorRunsOnBothSides",
+       withNeighbours({{B1 + 500, B1 + 501},
+                       {B1 + 700, B1 + 900},
+                       {B1 + 1100, B1 + 1101},
+                       {B1 + 3000, B1 + 3010}}),
+       B1 + 700, B1 + 900},
+      // The first word past Hi is clear; a used bit 200 bits on, then
+      // free space to the edge.
+      {"ClearFirstWordThenUsedRight",
+       withNeighbours({{B1 + 10, B1 + 20},
+                       {B1 + 1024, B1 + 1088},
+                       {B1 + 1288, B1 + 1289}}),
+       B1 + 1024, B1 + 1088},
+      // As above with the used bit 100 bits on, within two words of Hi.
+      {"UsedBitNearRight",
+       withNeighbours({{B1 + 10, B1 + 20},
+                       {B1 + 1024, B1 + 1088},
+                       {B1 + 1188, B1 + 1189}}),
+       B1 + 1024, B1 + 1088},
+      // The word below Lo is clear; the window's first used bit is 224
+      // bits below Lo.
+      {"ClearFirstWordThenUsedLeft",
+       withNeighbours({{B1 + 800, B1 + 801},
+                       {B1 + 1024, B1 + 1088},
+                       {B1 + 3000, B1 + 3010}}),
+       B1 + 1024, B1 + 1088},
+      // As above with the first used bit 100 bits below Lo.
+      {"UsedBitNearLeft",
+       withNeighbours({{B1 + 924, B1 + 925},
+                       {B1 + 1024, B1 + 1088},
+                       {B1 + 3000, B1 + 3010}}),
+       B1 + 1024, B1 + 1088},
+      // A release from super 0 into super 1. In super 0 the first used
+      // bit is 108 bits below Lo, behind a clear word.
+      {"SpansSupers",
+       {{2900, 2901},
+        {3008, B1 + 100},
+        {B1 + 100, B1 + 101},
+        {B1 + 2000, B1 + 2001},
+        {W1 + 100, W1 + 208}},
+       3008, B1 + 100},
+      // One used range covers super 1 and reaches into both neighbours.
+      {"FreesAWholeSuper",
+       withNeighbours({{B1 - 50, W1 + 50}}), B1 - 50, W1 + 50},
+      // Two-super boards: super 1 is the dense board's last, so its
+      // suffix run continues into the tail above the board.
+      {"LastSuperHighEdgeRun",
+       {{0, 64}, {3000, SB - 100}, {B1 + 10, B1 + 20}, {B1 + 3000, B1 + 3100}},
+       B1 + 3000, B1 + 3100},
+      {"LastSuperUsedBitNearRight",
+       {{0, 64},
+        {3000, SB - 100},
+        {B1 + 10, B1 + 20},
+        {B1 + 1024, B1 + 1088},
+        {B1 + 1188, B1 + 1189}},
+       B1 + 1024, B1 + 1088},
+  };
+  return Boards;
+}
+
+/// Failure messages name the board instead of dumping its bytes.
+void PrintTo(const ReleaseBoard &Board, std::ostream *OS) {
+  *OS << Board.Name;
+}
+
+void buildAndRelease(const ReleaseBoard &Board, FreeSpaceIndex &Fast,
+                     ReferenceFreeSpaceIndex &Ref) {
+  for (auto [S, E] : Board.Used) {
+    Fast.reserve(S, E - S);
+    Ref.reserve(S, E - S);
+  }
+  Fast.release(Board.Lo, Board.Hi - Board.Lo);
+  Ref.release(Board.Lo, Board.Hi - Board.Lo);
+}
+
+class ReleaseExtent : public ::testing::TestWithParam<ReleaseBoard> {};
+
+TEST_P(ReleaseExtent, QueriesMatchAfterRelease) {
+  const ReleaseBoard &Board = GetParam();
+  auto Fresh = [&](auto Query) {
+    FreeSpaceIndex Fast;
+    ReferenceFreeSpaceIndex Ref;
+    buildAndRelease(Board, Fast, Ref);
+    Query(Fast, Ref);
+  };
+  std::vector<Addr> Points = {Board.Lo, Board.Hi, Board.Lo - 1,
+                              Board.Hi + 1};
+  for (Addr A = SB; A <= 3 * SB; A += SB)
+    Points.insert(Points.end(), {A - 1, A, A + 1});
+  for (auto [S, E] : Board.Used)
+    Points.insert(Points.end(), {S, E});
+  // Every size up to a super and a neighbour's run: a wrong Pre, Suf or
+  // Max shows up as a first fit found or missed at some size.
+  for (uint64_t Size = 1; Size <= SB + 300; ++Size)
+    Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+      ASSERT_EQ(Fast.firstFit(Size), Ref.firstFit(Size)) << "size " << Size;
+    });
+  const std::vector<uint64_t> Sizes = {1,   63,  64,   100,  101,  200,
+                                       201, 900, 1000, 1300, 2000, 3000,
+                                       3100, 4000, SB, SB + 100, SB + 250};
+  for (Addr L : Points) {
+    Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+      EXPECT_EQ(Fast.largestBlockBelow(L), Ref.largestBlockBelow(L)) << L;
+    });
+    Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+      EXPECT_EQ(Fast.numBlocksBelow(L), Ref.numBlocksBelow(L)) << L;
+    });
+    for (uint64_t Size : Sizes)
+      Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+        EXPECT_EQ(Fast.worstFitBelow(Size, L), Ref.worstFitBelow(Size, L))
+            << "size " << Size << " limit " << L;
+      });
+  }
+  for (uint64_t Size : Sizes)
+    Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+      EXPECT_EQ(Fast.bestFit(Size), Ref.bestFit(Size)) << "size " << Size;
+    });
+  Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+    int Op = 0;
+    for (uint64_t Size : Sizes)
+      for (Addr P : Points)
+        expectQueriesMatch(Fast, Ref, Size, P, 64, P, Op++);
+    expectBlocksMatch(Fast, Ref, Op);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Boards, ReleaseExtent,
+                         ::testing::ValuesIn(releaseBoards()),
+                         [](const auto &Info) {
+                           return std::string(Info.param.Name);
+                         });
 
 // --- Above the dense board --------------------------------------------------
 //

@@ -69,6 +69,11 @@ TEST(CompactionLedger, BudgetFormulaIsExactPast2To53) {
   EXPECT_EQ(cPartialBudget(100, 2.5), 40u);
   EXPECT_EQ(cPartialBudget(100, 0x1p70), 0u);
   EXPECT_EQ(cPartialBudget(100, 0.0), UINT64_MAX);
+  // The ends of the accepted quota range: a quotient past 2^64 saturates
+  // (converting it would be undefined), and c = inf allows no moves.
+  EXPECT_EQ(cPartialBudget(100, 1e-300), UINT64_MAX);
+  EXPECT_EQ(cPartialBudget(uint64_t(1) << 60, 0x1p-5), UINT64_MAX);
+  EXPECT_EQ(cPartialBudget(100, HUGE_VAL), 0u);
 }
 
 // --- Placement policies --------------------------------------------------

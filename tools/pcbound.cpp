@@ -27,6 +27,7 @@
 #include "fuzz/WorkloadFuzzer.h"
 #include "heap/HeapImage.h"
 #include "heap/Metrics.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "obs/Profiler.h"
 #include "obs/Timeline.h"
@@ -98,13 +99,36 @@ int usage() {
   return 2;
 }
 
+/// The one diagnosis of a value that is not a compaction quota, printed
+/// as "error: SPEC: not a compaction quota (...)".
+void quotaError(const std::string &Spec) {
+  std::cerr << "error: " << Spec
+            << ": not a compaction quota (need c > 0, or inf for no "
+               "compaction)\n";
+}
+
+/// Reads the quota option c= (default \p Default) into \p C; prints one
+/// error and returns false unless it is a number isQuotaDenominator
+/// accepts.
+bool getQuota(const OptionParser &Opts, double Default, double &C) {
+  C = Default;
+  if (!Opts.has("c"))
+    return true;
+  std::string Text = Opts.getString("c", "");
+  if (OptionParser::parseNumber(Text, C) && isQuotaDenominator(C))
+    return true;
+  quotaError("c=" + Text);
+  return false;
+}
+
 int cmdBounds(const OptionParser &Opts) {
   BoundParams P;
   P.M = Opts.getUInt("M", pow2(28));
   P.N = Opts.getUInt("n", pow2(20));
-  P.C = Opts.getDouble("c", 50.0);
-  if (!P.valid()) {
-    std::cerr << "error: need power-of-two M >= n >= 2 and c > 1\n";
+  if (!getQuota(Opts, 50.0, P.C))
+    return 1;
+  if (!P.valid() || std::isinf(P.C)) {
+    std::cerr << "error: need power-of-two M >= n >= 2 and finite c > 1\n";
     return 1;
   }
   Table T({"bound", "waste_factor", "heap_words"});
@@ -296,7 +320,9 @@ int cmdSimulate(const OptionParser &Opts) {
   unsigned LogM, LogN;
   if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
     return 1;
-  double C = Opts.getDouble("c", 50.0);
+  double C;
+  if (!getQuota(Opts, 50.0, C))
+    return 1;
   bool Verbose = Opts.getBool("verbose", false);
   bool Profile = Opts.getBool("profile", false);
   uint64_t M = pow2(LogM);
@@ -451,8 +477,12 @@ int cmdSweep(const OptionParser &Opts) {
     return 1;
   uint64_t M = pow2(LogM);
 
-  std::vector<double> Cs =
-      parseNumberList(Opts.getString("cs", "10,25,50,75,100"), "cs");
+  std::string CsText = Opts.getString("cs", "10,25,50,75,100");
+  std::vector<double> Cs = parseNumberList(CsText, "cs");
+  if (Cs.empty() || !std::all_of(Cs.begin(), Cs.end(), isQuotaDenominator)) {
+    quotaError("cs=" + CsText);
+    return 1;
+  }
   // Validate every name once, serially, before fanning out.
   std::vector<std::string> Policies;
   if (!parsePolicyList(Opts, /*LiveBound=*/M, Policies))
@@ -538,7 +568,9 @@ int cmdFuzz(const OptionParser &Opts) {
   uint64_t NumOps = Opts.getUInt("ops", 384);
   unsigned LogM = unsigned(Opts.getUInt("logm", 12));
   unsigned MaxLog = unsigned(Opts.getUInt("maxlog", 8));
-  double C = Opts.getDouble("c", 50.0);
+  double C;
+  if (!getQuota(Opts, 50.0, C))
+    return 1;
   uint64_t Deep = Opts.getUInt("deep", 64);
   std::string ReproDir = Opts.getString("repro-dir", ".");
   std::string TimelinePrefix = Opts.getString("timeline", "");
@@ -718,7 +750,9 @@ int cmdTraceRecord(const OptionParser &Opts) {
     unsigned LogM, LogN;
     if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
       return 1;
-    double C = Opts.getDouble("c", 50.0);
+    double C;
+    if (!getQuota(Opts, 50.0, C))
+      return 1;
     uint64_t M = pow2(LogM);
     Heap H;
     std::string Error;
@@ -797,8 +831,8 @@ int replayPcbtrace(const OptionParser &Opts, const std::string &TracePath,
                    std::istream &IS) {
   TraceRunOptions RO;
   RO.Policy = Opts.getString("policy", "first-fit");
-  RO.C = Opts.getDouble("c", 50.0);
-  if (!parseControllerSpec(Opts, RO.Controller))
+  if (!getQuota(Opts, 50.0, RO.C) ||
+      !parseControllerSpec(Opts, RO.Controller))
     return 1;
   RO.LiveBound = Opts.getUInt("live", 0);
   RO.DeepCheckEvery = Opts.getUInt("deep", 0);
@@ -872,7 +906,7 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
   // Reproducers written by `pcbound fuzz` carry their policy and quota in
   // a header comment; explicit options still win.
   std::string HeaderPolicy = "first-fit";
-  double HeaderC = 50.0;
+  std::string HeaderC;
   {
     const std::string Magic = "# pcbound-fuzz-repro";
     std::istringstream Lines(Content);
@@ -891,19 +925,36 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
         if (Key == "policy")
           HeaderPolicy = Value;
         else if (Key == "c")
-          HeaderC = std::strtod(Value.c_str(), nullptr);
+          HeaderC = Value;
       }
       break;
     }
   }
   std::string Policy = Opts.getString("policy", HeaderPolicy);
-  double C = Opts.getDouble("c", HeaderC);
   {
     Heap Probe;
     std::string Error;
     if (!createManagerChecked(Policy, Probe, 50.0, /*LiveBound=*/pow2(12),
                               &Error)) {
       std::cerr << "error: " << Error << "\n";
+      return 1;
+    }
+  }
+  double C;
+  if (Opts.has("c") || HeaderC.empty()) {
+    if (!getQuota(Opts, 50.0, C))
+      return 1;
+  } else {
+    // The header's c= is the quota the recording policy's ledger
+    // enforced: a quota denominator, or the policy's own fixed quota
+    // (sliding-unlimited and the reallocation family record 0, unlimited).
+    Heap Probe;
+    auto Recorder =
+        createManager(HeaderPolicy, Probe, 50.0, /*LiveBound=*/pow2(12));
+    double Own = Recorder ? Recorder->ledger().quotaDenominator() : 50.0;
+    if (!OptionParser::parseNumber(HeaderC, C) ||
+        !(isQuotaDenominator(C) || C == Own)) {
+      quotaError("c=" + HeaderC + " in the header of " + TracePath);
       return 1;
     }
   }
@@ -986,7 +1037,8 @@ int cmdServe(const OptionParser &Opts) {
   FO.Threads = unsigned(Opts.getUInt("threads", 0));
   FO.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   FO.Shard.Policy = Opts.getString("policy", "evacuating");
-  FO.Shard.C = Opts.getDouble("c", 50.0);
+  if (!getQuota(Opts, 50.0, FO.Shard.C))
+    return 1;
   FO.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
   FO.Shard.MaxResident = std::max<uint64_t>(1, Opts.getUInt("resident", 8));
   FO.Shard.SampleEverySessions = Opts.getUInt("sample", 64);
