@@ -32,6 +32,7 @@
 #include "adversary/CohenPetrankProgram.h"
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/EvacuatingCompactor.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -48,8 +49,7 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs =
-      parseNumberList(Opts.getString("cs", "20,50,100"), "cs");
+  std::vector<double> Cs = getQuotaList(Opts, "20,50,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
 

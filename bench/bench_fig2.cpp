@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bounds/BoundSweep.h"
+#include "mm/CompactionLedger.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -27,7 +28,7 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  double C = Opts.getDouble("c", 100.0);
+  double C = getQuota(Opts, 100.0);
   unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 10));
   unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 30));
   uint64_t Ratio = Opts.getUInt("ratio", 256);

@@ -24,6 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
+#include "mm/CompactionLedger.h"
 #include "runner/ResultSink.h"
 #include "service/ServiceFleet.h"
 #include "support/OptionParser.h"
@@ -45,7 +46,7 @@ int main(int argc, char **argv) {
   Base.Threads = unsigned(Opts.getUInt("threads", 0));
   Base.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   Base.Shard.Policy = Opts.getString("policy", "evacuating");
-  Base.Shard.C = Opts.getDouble("c", 50.0);
+  Base.Shard.C = getQuota(Opts, 50.0);
   Base.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
   Base.Shard.MaxResident =
       std::max<uint64_t>(1, Opts.getUInt("resident", 8));

@@ -27,6 +27,7 @@
 #include "adversary/SyntheticWorkloads.h"
 #include "driver/Execution.h"
 #include "mm/ChunkedManager.h"
+#include "mm/CompactionLedger.h"
 #include "mm/EvacuatingCompactor.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -44,7 +45,7 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 8));
-  double C = Opts.getDouble("c", 50.0);
+  double C = getQuota(Opts, 50.0);
   std::vector<double> Thresholds = parseNumberList(
       Opts.getString("thresholds", "0.05,0.1,0.25,0.5,0.9"), "thresholds");
   uint64_t M = pow2(LogM);

@@ -18,6 +18,7 @@
 #include "adversary/CohenPetrankProgram.h"
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -46,7 +47,7 @@ struct SweepPoint {
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  double C = Opts.getDouble("c", 50.0);
+  double C = getQuota(Opts, 50.0);
   unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 6));
   unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 10));
   uint64_t Ratio = Opts.getUInt("ratio", 64);

@@ -28,6 +28,7 @@
 #include "adversary/CohenPetrankProgram.h"
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "BenchUtils.h"
 #include "obs/Profiler.h"
@@ -81,8 +82,7 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 16));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs =
-      parseNumberList(Opts.getString("cs", "10,25,50,75,100"), "cs");
+  std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
   std::string BenchJsonPath = Opts.getString("bench-json", "");

@@ -27,6 +27,7 @@
 #include "BenchUtils.h"
 #include "adversary/ProgramFactory.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "realloc/ReallocationLedger.h"
 #include "runner/ExperimentGrid.h"
@@ -80,7 +81,7 @@ int main(int argc, char **argv) {
       Opts.getString("policies", "realloc-never,realloc-bucket,realloc-jin"));
   unsigned LogM = unsigned(Opts.getUInt("logm", 12));
   unsigned LogN = unsigned(Opts.getUInt("logn", 6));
-  double C = Opts.getDouble("c", 50.0);
+  double C = getQuota(Opts, 50.0);
   uint64_t M = pow2(LogM);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
   if (Programs.empty() || Policies.empty()) {

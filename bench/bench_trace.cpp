@@ -28,6 +28,7 @@
 
 #include "BenchUtils.h"
 #include "fuzz/WorkloadFuzzer.h"
+#include "mm/CompactionLedger.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -64,7 +65,7 @@ int main(int argc, char **argv) {
   Spec.C1 = Opts.getDouble("c1", 10000.0);
   Spec.Smoothing = Opts.getDouble("smoothing", 0.25);
   TraceRunOptions Base;
-  Base.C = Opts.getDouble("c", 50.0);
+  Base.C = getQuota(Opts, 50.0);
   Base.LiveBound = Opts.getUInt("live", 0);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
 

@@ -26,6 +26,7 @@
 #include "bounds/CohenPetrankBounds.h"
 #include "bounds/RobsonBounds.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "support/Statistics.h"
 #include "runner/ExperimentGrid.h"
@@ -45,7 +46,7 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 8));
-  double C = Opts.getDouble("c", 50.0);
+  double C = getQuota(Opts, 50.0);
   uint64_t NumSeeds = Opts.getUInt("seeds", 3);
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

@@ -12,8 +12,8 @@
 /// bitboard rather than a second interval structure kept in sync with the
 /// heap.
 ///
-/// The index owns one bit per committed word (1 = used); a free block is
-/// a maximal zero run. Mutations (reserve/release) are now plain masked
+/// The index owns one bit per word (1 = used); a free block is a maximal
+/// zero run. Mutations (reserve/release) are now plain masked
 /// word stores, and every query is a summary-guided scan: the bitmap is
 /// grouped into 4096-bit supers, each with a lazily recomputed digest
 /// (free-bit count, prefix/suffix/max zero-run lengths, run-start count,
@@ -35,14 +35,13 @@
 /// and the rest change nothing. Under PF the space below a fit is almost
 /// all used, so most of a descent is such a stretch.
 ///
-/// The bitmap covers only the committed prefix of the 2^60-word address
-/// space; everything above is implicitly free (the model's infinite
-/// tail), except for objects explicitly placed beyond the maximum dense
-/// capacity, which live in an IntervalSet of used ranges (a cold path
-/// that exists for address-space-boundary semantics, e.g. a placement
-/// ending exactly at AddrLimit). One gap walk, forEachGap, enumerates the
-/// free runs of that region for every query, and occupancyWords is the
-/// one place its intervals are stitched into occupancy bits.
+/// The board is a PagedBoard over the whole 2^60-word address space: a
+/// page (eight supers) is allocated when a reservation first touches it,
+/// and an absent page reads as all free. Each page carries its supers'
+/// digests, so the walks below step page by page: the stretch of absent
+/// pages before a present one is free space joined to the open run, and
+/// the space after the last page is the tail run to AddrLimit. A walk
+/// costs O(present pages), whatever the address span.
 ///
 /// Semantics are those of testsupport/ReferenceFreeSpaceIndex, the
 /// specification (one sorted block map, each query its definition walked
@@ -57,8 +56,7 @@
 #define PCBOUND_HEAP_FREESPACEINDEX_H
 
 #include "heap/HeapTypes.h"
-#include "heap/IntervalSet.h"
-#include "heap/PackedBitmap.h"
+#include "heap/PagedBoard.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -117,17 +115,10 @@ public:
   uint64_t freeWordsBelow(Addr Limit) const;
 
   /// Free words within [Start, End). Inline: the compactors probe this
-  /// once per candidate chunk, so the dense popcount path must not pay a
-  /// call or touch the (almost always empty) interval set.
+  /// once per candidate chunk.
   uint64_t freeWordsIn(Addr Start, Addr End) const {
     assert(Start < End && "empty query range");
-    uint64_t UsedDense =
-        Start < capBits()
-            ? Occ.popcountRange(Start, std::min<Addr>(End, capBits()))
-            : 0;
-    uint64_t UsedHigh =
-        HighUsed.empty() ? 0 : HighUsed.coveredWords(Start, End);
-    return (End - Start) - UsedDense - UsedHigh;
+    return (End - Start) - Occ.popcountRange(Start, End);
   }
 
   /// Number of free blocks that begin below \p Limit. O(supers): whole
@@ -142,19 +133,15 @@ public:
   uint64_t largestBlockBelow(Addr Limit) const;
 
   /// Word \p I of the occupancy board (bit j = address 64 * I + j,
-  /// 1 = used); words beyond the committed prefix are zero. This is the
-  /// raw substrate Heap's mask queries expose.
-  uint64_t occupancyWord(uint64_t I) const {
-    if (I < Occ.sizeWords())
-      return Occ.word(size_t(I));
-    uint64_t W = 0;
-    occupancyWords(Addr(I) * WordBits, 1, &W);
-    return W;
-  }
+  /// 1 = used); words of absent pages are zero. This is the raw substrate
+  /// Heap's mask queries expose.
+  uint64_t occupancyWord(uint64_t I) const { return Occ.word(I); }
 
   /// Copies the occupancy of [Start, Start + 64 * Count) into \p Out as
   /// packed words; arbitrary Start.
-  void occupancyWords(Addr Start, size_t Count, uint64_t *Out) const;
+  void occupancyWords(Addr Start, size_t Count, uint64_t *Out) const {
+    Occ.extract(Start, Count, Out);
+  }
 
   /// Forward iteration over (start, end) free blocks in address order.
   /// Blocks are materialized lazily by scanning the board.
@@ -207,9 +194,7 @@ private:
   /// Digest granularity: 64 words = 4096 bits per super.
   static constexpr unsigned SuperWords = 64;
   static constexpr unsigned SuperBits = SuperWords * WordBits;
-  /// Dense-bitmap ceiling: 2^26 bits (an 8 MiB board). Reservations
-  /// ending beyond it put their part above it in HighUsed instead.
-  static constexpr uint64_t MaxDenseBits = uint64_t(1) << 26;
+  static constexpr unsigned SupersPerPage = PageWords / SuperWords;
   static constexpr unsigned NumClasses = 61;
 
   /// Per-super digest. FreeCount, Pre and Suf are maintained exactly by
@@ -222,109 +207,90 @@ private:
   /// it still filters descents — a stale pass costs one recompute, a
   /// stale skip cannot happen. Trans and ClassMask are only valid when
   /// clean; the queries that need them (numBlocksBelow, bestFit)
-  /// recompute on the way. A fully free super has FreeCount == SuperBits
-  /// (and canonical Pre = Suf = Max = SuperBits, Trans = 0,
-  /// ClassMask = 0, Dirty = false).
+  /// recompute on the way. The defaults are the fully free super.
   struct Super {
-    uint16_t Pre = 0;      ///< leading free bits (always exact)
-    uint16_t Suf = 0;      ///< trailing free bits (always exact)
-    uint16_t Max = 0;      ///< longest free run (upper bound while Dirty)
-    uint16_t Trans = 0;    ///< free runs starting at an interior position
-    uint16_t FreeCount = 0;///< free bits in the window (always exact)
+    uint16_t Pre = SuperBits;  ///< leading free bits (always exact)
+    uint16_t Suf = SuperBits;  ///< trailing free bits (always exact)
+    uint16_t Max = SuperBits;  ///< longest free run (bound while Dirty)
+    uint16_t Trans = 0;        ///< free runs starting at an interior position
+    uint16_t FreeCount = SuperBits; ///< free bits in the window (exact)
     bool Dirty = false;
-    uint64_t ClassMask = 0;///< classes of runs interior to the window
+    uint64_t ClassMask = 0;        ///< classes of runs interior to the window
   };
+
+  /// One page of the board: its occupancy words (1 = used).
+  struct OccPage {
+    uint64_t W[PageWords] = {};
+  };
+  /// The digests of a page's supers, which queries rebuild lazily. The
+  /// board keeps them in the page's directory entry, so the walks, which
+  /// judge most supers by their digest alone, read one contiguous array.
+  struct PageSums {
+    Super Sum[SupersPerPage];
+  };
+  using Board = PagedBoard<OccPage, PageSums>;
 
   /// Size class of a block: floor(log2(size)). Class K holds sizes in
   /// [2^K, 2^(K+1)).
   static unsigned classOf(uint64_t Size);
 
-  /// Where a run scan ended when no callback stopped it: the open run of
-  /// \p Carry free bits ending at \p Pos (a super boundary), or the tail
-  /// walk completed (\p ReachedTail).
-  struct ScanEnd {
-    bool Stopped;
-    uint64_t Carry;
-    Addr Pos;
-    bool ReachedTail;
+  /// Walks the complete maximal free runs in address order, the tail run
+  /// to AddrLimit included. \p Fn(S, E) returns true to stop; so does
+  /// forEachRun then. \p Descend(Sup) decides whether a super is scanned
+  /// at word level; when it declines, only the boundary run completing at
+  /// the super's prefix is reported (from the always-exact Pre/Suf
+  /// digests), so Descend must return true whenever an interior run of
+  /// the super could interest Fn. Supers whose base is >= \p StopBase are
+  /// not entered: the run still open there is reported ending at a
+  /// boundary >= StopBase, not at its true end, so callers that pass a
+  /// StopBase clip runs to it.
+  template <typename DescendT, typename FnT>
+  bool forEachRun(Addr StopBase, DescendT Descend, FnT Fn) const;
+
+  /// Digest maintenance for a mutation of page-local bits [Lo, Hi) of
+  /// \p Pg with digests \p D, which the board reports through
+  /// NoteMutation: noteReserve before any query sees the supers again,
+  /// noteRelease after the bits have been cleared (it finds the merged
+  /// run's extent from the old Pre/Suf where they reach it, else by a
+  /// word scan).
+  static void noteReserve(PageSums &D, uint64_t Lo, uint64_t Hi);
+  static void noteRelease(const OccPage &Pg, PageSums &D, uint64_t Lo,
+                          uint64_t Hi);
+  static constexpr auto NoteMutation = [](const OccPage &Pg, PageSums &D,
+                                          uint64_t Lo, uint64_t Hi, bool Set) {
+    Set ? noteReserve(D, Lo, Hi) : noteRelease(Pg, D, Lo, Hi);
   };
 
-  /// Walks the complete maximal free runs in address order, including
-  /// the final tail run ending at AddrLimit. \p Fn(S, E) returns true to
-  /// stop. \p Descend(I, Sup, CarryIn) decides whether super \p I is
-  /// scanned at word level; when it declines, only the boundary run
-  /// completing at the super's prefix is reported (from the always-exact
-  /// Pre/Suf digests), so Descend must return true whenever an interior
-  /// run of the super could interest Fn (it may recompute the digest
-  /// itself to decide). Supers whose base is >= \p StopBase are not
-  /// entered (the dense walk ends there).
-  template <typename DescendT, typename FnT>
-  ScanEnd forEachRun(Addr StopBase, DescendT Descend, FnT Fn) const;
-
-  /// Walks the free space of [T, AddrLimit) as runs in address order:
-  /// [T, first interval of HighUsed) when nonempty (a T inside an
-  /// interval starts the walk at its end), then the gap after each
-  /// interval, the last one ending at AddrLimit. \p Fn(S, E) returns
-  /// true to stop; returns true when it did.
-  template <typename FnT> bool forEachGap(Addr T, FnT Fn) const;
-
-  /// Committed bits of the dense board (== Occ.sizeBits()).
-  uint64_t capBits() const { return Occ.sizeBits(); }
-
-  /// Grows the dense board (in whole supers) to cover [0, NeedBits).
-  /// Split so the almost-always-true capacity check inlines into the
-  /// mutation hot path.
-  void ensureDense(uint64_t NeedBits) {
-    if (NeedBits > capBits())
-      growDense(NeedBits);
-  }
-  void growDense(uint64_t NeedBits);
-
-  /// Digest maintenance for a mutation of dense range [S, E):
-  /// noteReserve before any query sees the super again, noteRelease after
-  /// the bits have been cleared (it finds the merged run's extent from
-  /// the old Pre/Suf where they reach it, else by a word scan).
-  void noteReserve(uint64_t S, uint64_t E);
-  void noteRelease(uint64_t S, uint64_t E);
-
-  /// One fused pass over super \p I's words: reports complete free runs
-  /// to \p Fn (threading \p Run as the open-run carry, exactly like the
-  /// plain word scan) while rebuilding the digest as a side effect, so a
-  /// descent into a dirty super costs a single sweep instead of
-  /// recompute-then-rescan. The sweep always runs to the super's end
-  /// (the digest needs it); once Fn stops, remaining runs feed only the
-  /// digest. Returns true when Fn stopped.
+  /// One fused pass over the super of words \p W at address \p Base:
+  /// reports complete free runs to \p Fn (threading \p Run as the
+  /// open-run carry, exactly like the plain word scan) while rebuilding
+  /// the digest \p Sp as a side effect, so a descent into a dirty super
+  /// costs a single sweep instead of recompute-then-rescan. The sweep
+  /// always runs to the super's end (the digest needs it); once Fn stops,
+  /// remaining runs feed only the digest. Returns true when Fn stopped.
   template <typename FnT>
-  bool scanSuperFused(size_t I, uint64_t &Run, FnT &&Fn) const;
+  static bool scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
+                             uint64_t &Run, FnT &&Fn);
 
-  /// First-fit sweep of dirty super \p I: returns the lowest block start
-  /// where \p Size bits fit (exiting immediately — the digest stays
-  /// dirty, nothing was wasted), or InvalidAddr after sweeping the whole
-  /// window, in which case the digest is banked clean as a side effect
-  /// (so the super's now-exact Max skips it until the next mutation).
-  Addr firstFitInSuper(size_t I, uint64_t &Run, uint64_t Size,
-                       uint64_t &Probes) const;
+  /// Rebuilds \p Sp from its words \p W (the fused sweep with no
+  /// callback).
+  static void recomputeSuper(const uint64_t *W, Super &Sp);
 
-  /// Recomputes Sum[I] from the occupancy words if dirty.
-  void ensureClean(size_t I) const;
-  void recomputeSuper(size_t I) const;
-
-  /// True when address \p A (anywhere in [0, AddrLimit)) is free.
-  bool bitFree(Addr A) const {
-    if (A < capBits())
-      return !Occ.test(A);
-    return HighUsed.empty() || !HighUsed.contains(A);
+  /// The supers of entry \p K from this one on are all free (the
+  /// board's top word rounded up), so the walks treat them like absent
+  /// pages.
+  unsigned topSuper(size_t K) const {
+    return unsigned(ceilDiv(Occ.top(K), SuperWords));
   }
+
+  /// True when address \p A is free.
+  bool bitFree(Addr A) const { return !Occ.test(A); }
 
   /// The maximal free run with the lowest start >= \p Pos (iterator
   /// plumbing; \p Pos must not be interior to a free run).
   std::pair<Addr, Addr> nextFreeRun(Addr Pos) const;
 
-  PackedBitmap Occ;                ///< 1 = used, dense prefix only
-  mutable std::vector<Super> Sum;  ///< one digest per super, lazy
-  /// Used space at or above MaxDenseBits. Coalesced, so the free gaps
-  /// between its intervals are nonempty (forEachGap relies on it).
-  IntervalSet HighUsed;
+  Board Occ;
   size_t TotalBlocks = 1;
 };
 

@@ -15,56 +15,17 @@
 
 using namespace pcb;
 
-void Heap::noteStart(Addr Address, ObjectId Id) {
-  if (Address < DenseLimit) {
-    if (Address >= StartBits.sizeBits()) {
-      size_t Need = size_t(Address / WordBits) + 1;
-      StartBits.growWords(std::max(Need, StartBits.sizeWords() * 2));
-      IdAt.resize(size_t(StartBits.sizeBits()), InvalidObjectId);
-    }
-    StartBits.set(Address);
-    IdAt[size_t(Address)] = Id;
-    return;
-  }
-  HighObjects[Address] = Id;
-}
-
-void Heap::forgetStart(Addr Address) {
-  if (Address < DenseLimit) {
-    StartBits.clear(Address);
-    return;
-  }
-  HighObjects.erase(Address);
-}
-
 ObjectId Heap::idStartingAt(Addr Address) const {
-  if (Address < DenseLimit) {
-    assert(StartBits.test(Address) && "no object starts here");
-    return IdAt[size_t(Address)];
-  }
-  auto It = HighObjects.find(Address);
-  assert(It != HighObjects.end() && "no object starts here");
-  return It->second;
-}
-
-Addr Heap::lastStartBefore(Addr Limit) const {
-  if (Limit > DenseLimit && !HighObjects.empty()) {
-    auto It = HighObjects.lower_bound(Limit);
-    if (It != HighObjects.begin())
-      return std::prev(It)->first;
-  }
-  uint64_t B = StartBits.findLastSetBefore(std::min<Addr>(Limit, DenseLimit));
-  return B == PackedBitmap::NoBit ? InvalidAddr : Addr(B);
+  const StartPage *Pg = Starts.find(Address / PageBits);
+  uint64_t Off = Address % PageBits;
+  assert(Pg && (Pg->W[Off / WordBits] >> (Off % WordBits) & 1) &&
+         "no object starts here");
+  return Pg->IdAt[Off];
 }
 
 ObjectId Heap::firstLiveAt(Addr A) const {
-  if (A < DenseLimit) {
-    uint64_t B = StartBits.findFirstSet(A);
-    if (B != PackedBitmap::NoBit)
-      return IdAt[size_t(B)];
-  }
-  auto It = HighObjects.lower_bound(A);
-  return It == HighObjects.end() ? InvalidObjectId : It->second;
+  uint64_t B = Starts.findFirstSet(A);
+  return B == Starts.NoBit ? InvalidObjectId : idStartingAt(B);
 }
 
 ObjectId Heap::place(Addr Address, uint64_t Size) {
@@ -75,7 +36,7 @@ ObjectId Heap::place(Addr Address, uint64_t Size) {
 
   ObjectId Id = ObjectId(Objects.size());
   Objects.push_back(Object{Address, Size, ObjectState::Live});
-  noteStart(Address, Id);
+  Starts.setBit(Address).IdAt[Address % PageBits] = Id;
 
   Stats.TotalAllocatedWords += Size;
   Stats.LiveWords += Size;
@@ -92,7 +53,7 @@ void Heap::free(ObjectId Id) {
   assert(isLive(Id) && "freeing a dead or unknown object");
   Object &O = Objects[Id];
   Free.release(O.Address, O.Size);
-  forgetStart(O.Address);
+  Starts.clearBit(O.Address);
   O.State = ObjectState::Freed;
   Stats.LiveWords -= O.Size;
   ++Stats.NumFrees;
@@ -110,8 +71,8 @@ void Heap::move(ObjectId Id, Addr NewAddress) {
   // every *other* object.
   Free.release(O.Address, O.Size);
   Free.reserve(NewAddress, O.Size);
-  forgetStart(O.Address);
-  noteStart(NewAddress, Id);
+  Starts.clearBit(O.Address);
+  Starts.setBit(NewAddress).IdAt[NewAddress % PageBits] = Id;
   Addr OldAddress = O.Address;
   O.Address = NewAddress;
   Stats.MovedWords += O.Size;
@@ -131,8 +92,7 @@ bool Heap::checkConsistency(std::string *Why) const {
   uint64_t LiveCount = 0;
   Addr PrevEnd = 0;
   uint64_t MaxEnd = 0;
-  // Walk the start index in address order: dense board first, then the
-  // fallback map (its keys are all >= DenseLimit, above every dense bit).
+  // Walk the start index in address order.
   auto CheckOne = [&](Addr Address, ObjectId Id) {
     if (Id >= Objects.size())
       return Fail("address index names an unknown object id " +
@@ -155,12 +115,9 @@ bool Heap::checkConsistency(std::string *Why) const {
     ++LiveCount;
     return true;
   };
-  for (uint64_t B = StartBits.findFirstSet(0); B != PackedBitmap::NoBit;
-       B = StartBits.findFirstSet(B + 1))
-    if (!CheckOne(Addr(B), IdAt[size_t(B)]))
-      return false;
-  for (const auto &[Address, Id] : HighObjects)
-    if (!CheckOne(Address, Id))
+  for (uint64_t B = Starts.findFirstSet(0); B != Starts.NoBit;
+       B = Starts.findFirstSet(B + 1))
+    if (!CheckOne(Addr(B), idStartingAt(B)))
       return false;
   // Every live object appears in the index; no dead object does.
   uint64_t TableLive = 0;
@@ -186,13 +143,9 @@ bool Heap::checkConsistency(std::string *Why) const {
 
 std::vector<ObjectId> Heap::liveObjects() const {
   std::vector<ObjectId> Ids;
-  for (uint64_t B = StartBits.findFirstSet(0); B != PackedBitmap::NoBit;
-       B = StartBits.findFirstSet(B + 1))
-    Ids.push_back(IdAt[size_t(B)]);
-  for (const auto &[Address, Id] : HighObjects) {
-    (void)Address;
-    Ids.push_back(Id);
-  }
+  for (uint64_t B = Starts.findFirstSet(0); B != Starts.NoBit;
+       B = Starts.findFirstSet(B + 1))
+    Ids.push_back(idStartingAt(B));
   return Ids;
 }
 
@@ -242,15 +195,7 @@ bool Heap::occupancyDisjoint(Addr A, Addr B, uint64_t Size) const {
 }
 
 void Heap::objectStartWords(Addr Start, size_t Count, uint64_t *Out) const {
-  StartBits.extract(Start, Count, Out);
-  if (HighObjects.empty())
-    return;
-  Addr End = Start + uint64_t(Count) * WordBits;
-  for (auto It = HighObjects.lower_bound(Start);
-       It != HighObjects.end() && It->first < End; ++It) {
-    uint64_t Off = It->first - Start;
-    Out[size_t(Off / WordBits)] |= uint64_t(1) << (Off % WordBits);
-  }
+  Starts.extract(Start, Count, Out);
 }
 
 std::vector<ObjectId> Heap::liveObjectsIn(Addr Start, uint64_t Size) const {
@@ -258,25 +203,15 @@ std::vector<ObjectId> Heap::liveObjectsIn(Addr Start, uint64_t Size) const {
   std::vector<ObjectId> Ids;
   // An object starting before the range may still reach into it; it
   // exists iff the word at Start is used but carries no start bit there.
-  if (Start != 0 && !Free.isFree(Start, 1)) {
-    bool StartsHere = Start < DenseLimit
-                          ? StartBits.testZeroExtended(Start)
-                          : HighObjects.count(Start) != 0;
-    if (!StartsHere) {
-      Addr Prev = lastStartBefore(Start);
-      assert(Prev != InvalidAddr && "used word with no covering object");
-      ObjectId Id = idStartingAt(Prev);
-      if (Objects[Id].end() > Start)
-        Ids.push_back(Id);
-    }
+  if (Start != 0 && !Free.isFree(Start, 1) && !Starts.test(Start)) {
+    uint64_t Prev = Starts.findLastSetBefore(Start);
+    assert(Prev != Starts.NoBit && "used word with no covering object");
+    ObjectId Id = idStartingAt(Prev);
+    if (Objects[Id].end() > Start)
+      Ids.push_back(Id);
   }
-  if (Start < DenseLimit)
-    for (uint64_t B = StartBits.findFirstSet(Start);
-         B != PackedBitmap::NoBit && B < End;
-         B = StartBits.findFirstSet(B + 1))
-      Ids.push_back(IdAt[size_t(B)]);
-  for (auto It = HighObjects.lower_bound(std::max<Addr>(Start, DenseLimit));
-       It != HighObjects.end() && It->first < End; ++It)
-    Ids.push_back(It->second);
+  for (uint64_t B = Starts.findFirstSet(Start); B != Starts.NoBit && B < End;
+       B = Starts.findFirstSet(B + 1))
+    Ids.push_back(idStartingAt(B));
   return Ids;
 }

@@ -11,15 +11,14 @@
 /// top of this model; they decide *where* to place or move objects, the
 /// Heap validates and records it.
 ///
-/// Address-ordered lookups run on a packed object-start bitboard (bit i
-/// set iff a live object starts at address i) paired with a flat
-/// address -> id table, replacing the former std::map over live objects.
-/// Occupancy itself is not duplicated: the FreeSpaceIndex's occupancy
-/// board is the one copy, and Heap's mask/bitboard queries read it
-/// directly, so the object table and the free space cannot disagree about
-/// which words are used. Starts beyond the dense board's ceiling (a cold
-/// path for address-space-boundary placements) fall back to a small
-/// sorted map.
+/// Address-ordered lookups run on an object-start bitboard (bit i set iff
+/// a live object starts at address i) whose pages also carry an
+/// address -> id table. It is a PagedBoard like the occupancy board: it
+/// covers the whole address space, and pages exist only where objects
+/// have started. Occupancy itself is not duplicated: the FreeSpaceIndex's
+/// occupancy board is the one copy, and Heap's mask/bitboard queries read
+/// it directly, so the object table and the free space cannot disagree
+/// about which words are used.
 ///
 /// Footprint semantics follow the paper: the heap is the smallest
 /// consecutive address prefix the manager ever touches, so the heap size
@@ -42,12 +41,11 @@
 #include "heap/FreeSpaceIndex.h"
 #include "heap/HeapEvent.h"
 #include "heap/HeapTypes.h"
-#include "heap/PackedBitmap.h"
+#include "heap/PagedBoard.h"
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -191,7 +189,7 @@ public:
   bool occupancyDisjoint(Addr A, Addr B, uint64_t Size) const;
 
   /// Ids of live objects intersecting [Start, Start + Size), in address
-  /// order. O(log live + matches).
+  /// order. O(pages + matches).
   std::vector<ObjectId> liveObjectsIn(Addr Start, uint64_t Size) const;
 
   /// Id of the lowest-addressed live object starting at or above \p A, or
@@ -201,31 +199,21 @@ public:
   ObjectId firstLiveAt(Addr A) const;
 
 private:
-  /// Dense start-board ceiling: objects starting at or above it live in
-  /// the sorted fallback map.
-  static constexpr uint64_t DenseLimit = uint64_t(1) << 24;
-
-  /// Records/erases the start bit (dense board or fallback map).
-  void noteStart(Addr Address, ObjectId Id);
-  void forgetStart(Addr Address);
+  /// One page of the start board: bit A set iff a live object starts at
+  /// A, with IdAt naming it. IdAt is meaningful only under set bits, so
+  /// it is left uninitialized and costs memory only where it is written.
+  struct StartPage {
+    uint64_t W[PageWords] = {};
+    ObjectId IdAt[PageBits];
+  };
 
   /// Id of the live object starting at \p Address (which must carry a
-  /// start bit / map entry).
+  /// start bit).
   ObjectId idStartingAt(Addr Address) const;
-
-  /// Start address of the last live object starting strictly below
-  /// \p Limit, or InvalidAddr.
-  Addr lastStartBefore(Addr Limit) const;
 
   std::vector<Object> Objects;
   FreeSpaceIndex Free;
-  /// Live object starts below DenseLimit: bit A set iff a live object
-  /// starts at A, with IdAt[A] naming it (IdAt is meaningful only under
-  /// set bits).
-  PackedBitmap StartBits;
-  std::vector<ObjectId> IdAt;
-  /// Live objects starting at or above DenseLimit, ordered by address.
-  std::map<Addr, ObjectId> HighObjects;
+  PagedBoard<StartPage> Starts;
   HeapStats Stats;
   std::function<void(const HeapEvent &)> OnEvent;
 };

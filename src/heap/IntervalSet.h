@@ -9,9 +9,8 @@
 /// A set of disjoint half-open intervals [start, end) over the word
 /// address space, with coalescing insertion. Backing store is an ordered
 /// map keyed by interval start, so all operations are logarithmic in the
-/// number of maximal intervals. It holds the used space above
-/// FreeSpaceIndex's dense board and the live ranges the event auditor
-/// checks.
+/// number of maximal intervals. It holds the live ranges the event
+/// auditor checks.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,8 +24,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace pcb {
+
+class OptionParser;
 
 /// The c-partial budget after \p Allocated words: floor(Allocated / C)
 /// words of compaction, or UINT64_MAX when C <= 0 (unlimited). Exact for
@@ -54,6 +58,21 @@ inline uint64_t cPartialBudget(uint64_t Allocated, double C) {
 /// unlimited compaction: that is the full-compaction baseline's own
 /// setting, asked for by name (policy=sliding-unlimited), not by quota.
 inline bool isQuotaDenominator(double C) { return C > 0.0; }
+
+/// The one diagnosis of a value that is not a compaction quota, printed
+/// as "error: SPEC: not a compaction quota (...)".
+void quotaError(const std::string &Spec);
+
+/// The quota option c= (default \p Default). Like OptionParser's typed
+/// getters, a value isQuotaDenominator refuses is bad CLI input: it
+/// prints one quotaError and exits with status 1.
+double getQuota(const OptionParser &Opts, double Default);
+
+/// The quota list cs= (default \p Default); an empty list or an item
+/// isQuotaDenominator refuses prints one quotaError and exits with
+/// status 1.
+std::vector<double> getQuotaList(const OptionParser &Opts,
+                                 const std::string &Default);
 
 /// Evaluates the c-partial compaction constraint against a heap.
 class CompactionLedger {

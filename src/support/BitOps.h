@@ -8,7 +8,7 @@
 /// \file
 /// The single home for packed-bitmap word arithmetic: range masks, bit
 /// scans, and popcounts over 64-bit words (with 32-bit variants for the
-/// exact solver's arena boards). The heap substrate (PackedBitmap,
+/// exact solver's arena boards). The heap substrate (PagedBoard,
 /// FreeSpaceIndex, Heap) and the exact game (src/exact/) build on the
 /// same helpers so a boundary bug cannot hide in one copy.
 ///

@@ -78,13 +78,28 @@ bool OptionParser::parseWordCount(const std::string &Text, uint64_t &Out) {
   return true;
 }
 
+namespace {
+
+/// Bad CLI input, not a bug: prints "error: invalid WHAT 'VALUE' in
+/// NAME=" and exits with status 1.
+[[noreturn]] void invalidValue(const char *What, const std::string &Value,
+                               const std::string &Name) {
+  std::cerr << "error: invalid " << What << " '" << Value << "' in " << Name
+            << "=\n";
+  std::exit(1);
+}
+
+} // namespace
+
 uint64_t OptionParser::getUInt(const std::string &Name,
                                uint64_t Default) const {
   auto It = Options.find(Name);
   if (It == Options.end())
     return Default;
   uint64_t Out;
-  return parseWordCount(It->second, Out) ? Out : Default;
+  if (!parseWordCount(It->second, Out))
+    invalidValue("count", It->second, Name);
+  return Out;
 }
 
 double OptionParser::getDouble(const std::string &Name, double Default) const {
@@ -92,7 +107,9 @@ double OptionParser::getDouble(const std::string &Name, double Default) const {
   if (It == Options.end())
     return Default;
   double Value;
-  return parseNumber(It->second, Value) ? Value : Default;
+  if (!parseNumber(It->second, Value))
+    invalidValue("number", It->second, Name);
+  return Value;
 }
 
 bool OptionParser::parseNumber(const std::string &Text, double &Out) {
@@ -109,7 +126,11 @@ bool OptionParser::getBool(const std::string &Name, bool Default) const {
   if (It == Options.end())
     return Default;
   const std::string &V = It->second;
-  return V == "1" || V == "true" || V == "yes";
+  if (V == "1" || V == "true" || V == "yes")
+    return true;
+  if (V != "0" && V != "false" && V != "no")
+    invalidValue("boolean", V, Name);
+  return false;
 }
 
 std::vector<std::string> pcb::parseNameList(const std::string &Text) {
@@ -127,11 +148,8 @@ std::vector<double> pcb::parseNumberList(const std::string &Text,
   std::vector<double> Values;
   for (const std::string &Item : parseNameList(Text)) {
     double Value;
-    if (!OptionParser::parseNumber(Item, Value)) {
-      std::cerr << "error: invalid number '" << Item << "' in " << Name
-                << "=\n";
-      std::exit(1);
-    }
+    if (!OptionParser::parseNumber(Item, Value))
+      invalidValue("number", Item, Name);
     Values.push_back(Value);
   }
   return Values;

@@ -11,7 +11,10 @@
 /// positional argument. Numeric getters accept suffixes K/M/G (powers of
 /// 1024) so parameters can be written the way the paper writes them
 /// ("M=256M", "n=1M"). List values (`cs=10,25,50`, `policies=a,b`) are
-/// split by parseNumberList / parseNameList.
+/// split by parseNumberList / parseNameList. A malformed value is bad CLI
+/// input, not a bug: the typed getters print one "error: invalid ... in
+/// NAME=" line and exit with status 1 rather than fall back to the
+/// default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,14 +40,16 @@ public:
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
 
-  /// Unsigned option with optional K/M/G suffix, or \p Default when absent
-  /// or malformed.
+  /// Unsigned option with optional K/M/G suffix, or \p Default when
+  /// absent; exits with an error when malformed.
   uint64_t getUInt(const std::string &Name, uint64_t Default) const;
 
-  /// Double option, or \p Default when absent or malformed.
+  /// Double option, or \p Default when absent; exits with an error when
+  /// malformed.
   double getDouble(const std::string &Name, double Default) const;
 
-  /// Boolean option: "1", "true", "yes" are true.
+  /// Boolean option: "1", "true", "yes" are true and "0", "false", "no"
+  /// false; anything else exits with an error.
   bool getBool(const std::string &Name, bool Default) const;
 
   const std::vector<std::string> &positional() const { return Positional; }

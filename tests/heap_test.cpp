@@ -11,13 +11,18 @@
 #include "heap/HeapImage.h"
 #include "heap/IntervalSet.h"
 #include "heap/Metrics.h"
+#include "heap/PagedBoard.h"
 #include "obs/Profiler.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace pcb;
 
@@ -549,6 +554,100 @@ TEST(Heap, MoveBeyondMarkGrowsFootprint) {
   EXPECT_EQ(H.stats().HighWaterMark, 108u);
   EXPECT_EQ(H.stats().MovedWords, 8u);
   EXPECT_TRUE(H.checkConsistency());
+}
+
+// Objects across 2^24 and 2^26 (where the start and occupancy boards once
+// switched to cold structures), at 2^40 and ending at AddrLimit: every
+// address-ordered query must agree with a naive recount from the object
+// table, and range queries over [0, AddrLimit) must cost the pages
+// present, not the span (the ctest timeout would catch a span walk).
+TEST(Heap, QueriesAcrossTheAddressSpace) {
+  Heap H;
+  const Addr P24 = Addr(1) << 24, P26 = Addr(1) << 26, P40 = Addr(1) << 40;
+  std::vector<ObjectId> Ids;
+  for (auto [A, Size] : std::vector<std::pair<Addr, uint64_t>>{
+           {0, 8},
+           {P24 - 5, 10},
+           {P24 + 7, 3},
+           {P26 - 1, 2},
+           {P26 + 40000, 3 * PageBits}, // covers two pages whole
+           {P40, 64},
+           {P40 + 64, 1},
+           {AddrLimit - 100, 50},
+           {AddrLimit - 16, 16}})
+    Ids.push_back(H.place(A, Size));
+  H.free(Ids[2]);
+  H.move(Ids[6], P40 + 1000);
+  H.move(Ids[3], P24 + 100);
+
+  std::vector<ObjectId> Naive;
+  for (ObjectId Id = 0; Id != H.numObjects(); ++Id)
+    if (H.isLive(Id))
+      Naive.push_back(Id);
+  std::sort(Naive.begin(), Naive.end(), [&](ObjectId X, ObjectId Y) {
+    return H.object(X).Address < H.object(Y).Address;
+  });
+  EXPECT_EQ(H.liveObjects(), Naive);
+
+  std::vector<Addr> Points = {0, 1, AddrLimit - 200, AddrLimit - 1};
+  for (ObjectId Id : Naive) {
+    const Object &O = H.object(Id);
+    for (Addr A : {O.Address - 1, O.Address, O.Address + 1, O.end() - 1,
+                   O.end()})
+      if (A < AddrLimit)
+        Points.push_back(A);
+  }
+  for (Addr A : Points) {
+    SCOPED_TRACE(::testing::Message() << "at " << A);
+    ObjectId First = InvalidObjectId;
+    for (ObjectId Id : Naive)
+      if (H.object(Id).Address >= A) {
+        First = Id;
+        break;
+      }
+    EXPECT_EQ(H.firstLiveAt(A), First);
+    for (uint64_t Size : {uint64_t(1), uint64_t(64), uint64_t(100000)}) {
+      if (A + Size > AddrLimit)
+        continue;
+      std::vector<ObjectId> In;
+      for (ObjectId Id : Naive)
+        if (H.object(Id).Address < A + Size && H.object(Id).end() > A)
+          In.push_back(Id);
+      EXPECT_EQ(H.liveObjectsIn(A, Size), In) << "size " << Size;
+    }
+    if (A > AddrLimit - 2 * 64)
+      continue;
+    std::array<uint64_t, 2> Starts{};
+    H.objectStartWords(A, Starts.size(), Starts.data());
+    for (unsigned B = 0; B != 2 * 64; ++B) {
+      bool Want = std::any_of(Naive.begin(), Naive.end(), [&](ObjectId Id) {
+        return H.object(Id).Address == A + B;
+      });
+      EXPECT_EQ((Starts[B / 64] >> (B % 64)) & 1, Want ? 1u : 0u)
+          << "bit " << A + B;
+    }
+  }
+  std::string Why;
+  EXPECT_TRUE(H.checkConsistency(&Why)) << Why;
+
+  // The free space is the gaps between the live objects, in address order.
+  std::vector<std::pair<Addr, Addr>> Gaps;
+  uint64_t LiveWords = 0;
+  Addr Prev = 0;
+  for (ObjectId Id : Naive) {
+    const Object &O = H.object(Id);
+    if (O.Address > Prev)
+      Gaps.emplace_back(Prev, O.Address);
+    Prev = O.end();
+    LiveWords += O.Size;
+  }
+  ASSERT_EQ(Prev, AddrLimit) << "an object must end at AddrLimit";
+  const FreeSpaceIndex &F = H.freeSpace();
+  EXPECT_EQ(F.freeWordsIn(0, AddrLimit), AddrLimit - LiveWords);
+  EXPECT_EQ(F.numBlocksBelow(AddrLimit), Gaps.size());
+  EXPECT_EQ(F.numBlocks(), Gaps.size());
+  std::vector<std::pair<Addr, Addr>> Blocks(F.begin(), F.end());
+  EXPECT_EQ(Blocks, Gaps);
 }
 
 TEST(FreeSpaceIndex, BlockCountTracksFragmentation) {

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/FreeSpaceIndex.h"
+#include "heap/PagedBoard.h"
 #include "support/BitOps.h"
 #include "support/Random.h"
 #include "testsupport/ReferenceFreeSpaceIndex.h"
@@ -571,15 +572,14 @@ INSTANTIATE_TEST_SUITE_P(Boards, ReleaseExtent,
                            return std::string(Info.param.Name);
                          });
 
-// --- Above the dense board --------------------------------------------------
+// --- Above the former dense board -------------------------------------------
 //
-// The dense board stops at 2^26 bits; a reservation ending beyond it keeps
-// its part above the ceiling in an interval set, and every query walks
-// that set's gaps up to AddrLimit. These boards straddle the ceiling, sit
-// far above it and crowd the top of the address space (placements ending
-// exactly at AddrLimit included), so the walks cross the dense board, a
-// run continuing past its end, several gaps and a tail that may be short
-// or missing.
+// The occupancy board once stopped at 2^26 bits, with an interval set of
+// used ranges above it; it is now paged over the whole address space.
+// These boards straddle that old ceiling, sit far above it and crowd the
+// top of the address space (placements ending exactly at AddrLimit
+// included), so the walks cross absent pages between distant present ones,
+// a run continuing across them, and a tail that may be short or missing.
 
 constexpr Addr DenseCeiling = Addr(1) << 26;
 
@@ -676,5 +676,140 @@ TEST_P(AboveDenseBoard, StraddlesCeilingAndReachesAddrLimit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AboveDenseBoard, ::testing::Values(1, 2, 3));
+
+// --- Page boundaries and absent pages ----------------------------------------
+//
+// The board keeps PageBits-address pages under a sorted directory. A page
+// absent from it reads as free, and whole pages a reservation covers are
+// stored as one run of full pages. The walks join the free space of absent
+// pages to the open run and treat the space after the last entry as the
+// tail to AddrLimit. The boards below put absent pages between present
+// ones, a free run across absent pages, mutations straddling a page
+// boundary, releases that empty a stored page, and runs of full pages that
+// releases cut, and compare every query with the reference.
+
+constexpr Addr PB = PageBits;
+
+/// Used ranges [S, E), reserved in order, then ranges released in order.
+struct PageBoard {
+  const char *Name;
+  std::vector<std::pair<Addr, Addr>> Used;
+  std::vector<std::pair<Addr, Addr>> Released;
+};
+
+const std::vector<PageBoard> &pageBoards() {
+  static const std::vector<PageBoard> Boards = {
+      // Pages 0 and 5 present, pages 1-4 absent between them.
+      {"AbsentPagesBetween",
+       {{0, 100}, {PB - 300, PB - 200}, {5 * PB + 10, 5 * PB + 20},
+        {6 * PB - 64, 6 * PB}},
+       {}},
+      // A free run from the last 150 words of page 0, across absent
+      // pages 1-4, to 40 words into page 5.
+      {"RunAcrossAbsentPages",
+       {{0, PB - 150}, {5 * PB + 40, 5 * PB + 4000},
+        {5 * PB + 4100, 5 * PB + 4101}},
+       {}},
+      // A reservation across the boundary of pages 0 and 1, kept and
+      // released.
+      {"StraddlingReserve",
+       {{100, 200}, {PB - 100, PB + 100}, {PB + 300, PB + 301}},
+       {}},
+      {"StraddlingRelease",
+       {{100, 200}, {PB - 100, PB + 100}, {PB + 300, PB + 301}},
+       {{PB - 100, PB + 100}}},
+      // A release that leaves stored page 1 all free.
+      {"ReleaseEmptiesAPage",
+       {{0, 64}, {PB + 500, PB + 700}, {2 * PB + 5, 2 * PB + 9}},
+       {{PB + 500, PB + 700}}},
+      // An object covering pages 1-3 whole: a run of full pages.
+      {"RunOfFullPages",
+       {{10, 20}, {PB - 30, 4 * PB + 30}, {5 * PB, 5 * PB + 1}},
+       {}},
+      {"RunReleasedWhole",
+       {{10, 20}, {PB - 30, 4 * PB + 30}, {5 * PB, 5 * PB + 1}},
+       {{PB - 30, 4 * PB + 30}}},
+      // Releases inside a run: a hole within one page, a range whose
+      // edges cut pages 2 and 4 and which frees page 3 whole, and
+      // page-aligned ranges that free whole pages only.
+      {"ReleaseInsideARunPage", {{PB - 30, 4 * PB + 30}},
+       {{2 * PB + 100, 2 * PB + 200}}},
+      {"ReleaseCutsRunEdges", {{PB - 30, 6 * PB + 30}},
+       {{2 * PB + 100, 4 * PB + 7}}},
+      {"ReleaseFreesWholePagesOfRun", {{0, 8 * PB}},
+       {{2 * PB, 3 * PB}, {5 * PB, 7 * PB}}},
+      // The top page of the address space, far above page 0.
+      {"TopPage", {{0, 10}, {AddrLimit - 100, AddrLimit - 40}}, {}},
+  };
+  return Boards;
+}
+
+void PrintTo(const PageBoard &Board, std::ostream *OS) { *OS << Board.Name; }
+
+class PageBoundaries : public ::testing::TestWithParam<PageBoard> {};
+
+TEST_P(PageBoundaries, QueriesMatchReference) {
+  const PageBoard &Board = GetParam();
+  std::vector<Addr> Points = {1, AddrLimit - 200, AddrLimit - 1};
+  for (Addr P = 0; P <= 9; ++P)
+    Points.insert(Points.end(), {P * PB, P * PB + 1, P * PB + PB / 2});
+  for (const auto &Ranges : {Board.Used, Board.Released})
+    for (auto [S, E] : Ranges)
+      for (Addr P : {S - 1, S, S + 1, E - 1, E, E + 1})
+        if (P < AddrLimit) // S - 1 wraps when S is 0
+          Points.push_back(P);
+  const std::vector<uint64_t> Sizes = {1,      63,         64,     100,
+                                       150,    151,        4096,   PB - 1,
+                                       PB,     PB + 1,     3 * PB, 4 * PB + 200,
+                                       10 * PB};
+  for (bool SweepFirst : {true, false}) {
+    SCOPED_TRACE(SweepFirst ? "sweep first" : "plain first");
+    FreeSpaceIndex Fast;
+    ReferenceFreeSpaceIndex Ref;
+    for (auto [S, E] : Board.Used) {
+      Fast.reserve(S, E - S);
+      Ref.reserve(S, E - S);
+    }
+    for (auto [S, E] : Board.Released) {
+      Fast.release(S, E - S);
+      Ref.release(S, E - S);
+    }
+    if (SweepFirst) {
+      for (uint64_t Size : Sizes)
+        ASSERT_EQ(Fast.bestFit(Size), Ref.bestFit(Size)) << "size " << Size;
+    }
+    int Op = 0;
+    for (Addr P : Points) {
+      EXPECT_EQ(Fast.numBlocksBelow(P), Ref.numBlocksBelow(P)) << P;
+      EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
+      for (uint64_t Size : Sizes) {
+        if (!fitExistsFrom(Ref, P, Size))
+          continue;
+        uint64_t Align = uint64_t(1) << (Op % 16);
+        expectQueriesMatch(Fast, Ref, Size, P, Align, P, Op++);
+      }
+      for (Addr Q : Points) {
+        if (P < Q) {
+          EXPECT_EQ(Fast.freeWordsIn(P, Q), Ref.freeWordsIn(P, Q))
+              << "[" << P << ", " << Q << ")";
+        }
+      }
+      std::array<uint64_t, 2> Out{};
+      Addr W = std::min<Addr>(P, AddrLimit - 2 * 64);
+      Fast.occupancyWords(W, Out.size(), Out.data());
+      for (unsigned B = 0; B != 2 * 64; ++B)
+        EXPECT_EQ((Out[B / 64] >> (B % 64)) & 1,
+                  Ref.isFree(W + B, 1) ? 0u : 1u)
+            << "bit " << W + B;
+    }
+    expectBlocksMatch(Fast, Ref, Op);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Boards, PageBoundaries,
+                         ::testing::ValuesIn(pageBoards()),
+                         [](const auto &Info) {
+                           return std::string(Info.param.Name);
+                         });
 
 } // namespace

@@ -333,7 +333,7 @@ TEST(OptionParser, ParsesPairsAndPositionals) {
   EXPECT_TRUE(P.has("M"));
   EXPECT_EQ(P.getUInt("M", 0), uint64_t(256) << 20);
   EXPECT_EQ(P.getUInt("c", 0), 50u);
-  EXPECT_EQ(P.getUInt("x", 9), 9u); // malformed falls back
+  EXPECT_EQ(P.getString("x", ""), "not-a-number");
   EXPECT_EQ(P.getUInt("absent", 3), 3u);
   ASSERT_EQ(P.positional().size(), 1u);
   EXPECT_EQ(P.positional()[0], "run");
@@ -362,7 +362,6 @@ TEST(OptionParser, MalformedPairs) {
   OptionParser P(4, Argv);
   EXPECT_TRUE(P.has("key"));
   EXPECT_EQ(P.getString("key", "fallback"), "");
-  EXPECT_EQ(P.getUInt("key", 7), 7u); // empty value is malformed
   ASSERT_EQ(P.positional().size(), 2u);
   EXPECT_EQ(P.positional()[0], "=value");
   EXPECT_EQ(P.positional()[1], "=");
@@ -384,24 +383,22 @@ TEST(OptionParser, OutOfRangeIntegersAreMalformed) {
   EXPECT_TRUE(OptionParser::parseWordCount("17179869183G", V));
   EXPECT_FALSE(OptionParser::parseWordCount("17179869184G", V));
   EXPECT_FALSE(OptionParser::parseWordCount("99999999999999999999K", V));
-
-  const char *Argv[] = {"tool", "big=18446744073709551616",
-                        "huge=17179869184G", "neg=-5"};
-  OptionParser P(4, Argv);
-  EXPECT_EQ(P.getUInt("big", 42), 42u);
-  EXPECT_EQ(P.getUInt("huge", 42), 42u);
   // Word counts are unsigned; a negative value is malformed, while
-  // getDouble accepts it.
-  EXPECT_EQ(P.getUInt("neg", 42), 42u);
-  EXPECT_DOUBLE_EQ(P.getDouble("neg", 0.0), -5.0);
+  // parseNumber accepts it.
+  EXPECT_FALSE(OptionParser::parseWordCount("-5", V));
+  double D = 0;
+  EXPECT_TRUE(OptionParser::parseNumber("-5", D));
+  EXPECT_DOUBLE_EQ(D, -5.0);
 }
 
 TEST(OptionParser, DoublesAndBools) {
-  const char *Argv[] = {"tool", "t=0.25", "v=true", "w=0"};
-  OptionParser P(4, Argv);
+  const char *Argv[] = {"tool", "t=0.25", "v=true", "w=0", "y=yes", "n=no"};
+  OptionParser P(6, Argv);
   EXPECT_DOUBLE_EQ(P.getDouble("t", 1.0), 0.25);
   EXPECT_TRUE(P.getBool("v", false));
   EXPECT_FALSE(P.getBool("w", true));
+  EXPECT_TRUE(P.getBool("y", false));
+  EXPECT_FALSE(P.getBool("n", true));
   EXPECT_TRUE(P.getBool("absent", true));
 }
 
@@ -409,6 +406,27 @@ TEST(OptionParser, ListsSkipEmptyItems) {
   EXPECT_EQ(parseNameList("a,,b,"), (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(parseNameList("").empty());
   EXPECT_EQ(parseNumberList("10,,2.5", "cs"), (std::vector<double>{10, 2.5}));
+}
+
+// A typo in a typed option is bad CLI input: one "error:" line naming the
+// option and exit status 1, never a silent fall back to the default.
+TEST(OptionParserDeathTest, MalformedTypedValuesExitWithDiagnosis) {
+  const char *Argv[] = {"tool",        "x=not-a-number",
+                        "key=",        "big=18446744073709551616",
+                        "huge=17179869184G", "neg=-5",
+                        "target=abc",  "flag=maybe"};
+  OptionParser P(8, Argv);
+  auto Exits = testing::ExitedWithCode(1);
+  EXPECT_EXIT(P.getUInt("x", 9), Exits, "invalid count 'not-a-number' in x=");
+  EXPECT_EXIT(P.getUInt("key", 7), Exits, "invalid count '' in key=");
+  EXPECT_EXIT(P.getUInt("big", 42), Exits, "in big=");
+  EXPECT_EXIT(P.getUInt("huge", 42), Exits, "in huge=");
+  EXPECT_EXIT(P.getUInt("neg", 42), Exits, "invalid count '-5' in neg=");
+  EXPECT_EXIT(P.getDouble("target", 2.5), Exits,
+              "invalid number 'abc' in target=");
+  EXPECT_EXIT(P.getBool("flag", false), Exits,
+              "invalid boolean 'maybe' in flag=");
+  EXPECT_DOUBLE_EQ(P.getDouble("neg", 0.0), -5.0);
 }
 
 TEST(OptionParserDeathTest, MalformedNumberListExitsWithDiagnosis) {

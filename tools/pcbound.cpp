@@ -99,34 +99,11 @@ int usage() {
   return 2;
 }
 
-/// The one diagnosis of a value that is not a compaction quota, printed
-/// as "error: SPEC: not a compaction quota (...)".
-void quotaError(const std::string &Spec) {
-  std::cerr << "error: " << Spec
-            << ": not a compaction quota (need c > 0, or inf for no "
-               "compaction)\n";
-}
-
-/// Reads the quota option c= (default \p Default) into \p C; prints one
-/// error and returns false unless it is a number isQuotaDenominator
-/// accepts.
-bool getQuota(const OptionParser &Opts, double Default, double &C) {
-  C = Default;
-  if (!Opts.has("c"))
-    return true;
-  std::string Text = Opts.getString("c", "");
-  if (OptionParser::parseNumber(Text, C) && isQuotaDenominator(C))
-    return true;
-  quotaError("c=" + Text);
-  return false;
-}
-
 int cmdBounds(const OptionParser &Opts) {
   BoundParams P;
   P.M = Opts.getUInt("M", pow2(28));
   P.N = Opts.getUInt("n", pow2(20));
-  if (!getQuota(Opts, 50.0, P.C))
-    return 1;
+  P.C = getQuota(Opts, 50.0);
   if (!P.valid() || std::isinf(P.C)) {
     std::cerr << "error: need power-of-two M >= n >= 2 and finite c > 1\n";
     return 1;
@@ -320,9 +297,7 @@ int cmdSimulate(const OptionParser &Opts) {
   unsigned LogM, LogN;
   if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
     return 1;
-  double C;
-  if (!getQuota(Opts, 50.0, C))
-    return 1;
+  double C = getQuota(Opts, 50.0);
   bool Verbose = Opts.getBool("verbose", false);
   bool Profile = Opts.getBool("profile", false);
   uint64_t M = pow2(LogM);
@@ -477,12 +452,7 @@ int cmdSweep(const OptionParser &Opts) {
     return 1;
   uint64_t M = pow2(LogM);
 
-  std::string CsText = Opts.getString("cs", "10,25,50,75,100");
-  std::vector<double> Cs = parseNumberList(CsText, "cs");
-  if (Cs.empty() || !std::all_of(Cs.begin(), Cs.end(), isQuotaDenominator)) {
-    quotaError("cs=" + CsText);
-    return 1;
-  }
+  std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
   // Validate every name once, serially, before fanning out.
   std::vector<std::string> Policies;
   if (!parsePolicyList(Opts, /*LiveBound=*/M, Policies))
@@ -568,9 +538,7 @@ int cmdFuzz(const OptionParser &Opts) {
   uint64_t NumOps = Opts.getUInt("ops", 384);
   unsigned LogM = unsigned(Opts.getUInt("logm", 12));
   unsigned MaxLog = unsigned(Opts.getUInt("maxlog", 8));
-  double C;
-  if (!getQuota(Opts, 50.0, C))
-    return 1;
+  double C = getQuota(Opts, 50.0);
   uint64_t Deep = Opts.getUInt("deep", 64);
   std::string ReproDir = Opts.getString("repro-dir", ".");
   std::string TimelinePrefix = Opts.getString("timeline", "");
@@ -750,9 +718,7 @@ int cmdTraceRecord(const OptionParser &Opts) {
     unsigned LogM, LogN;
     if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
       return 1;
-    double C;
-    if (!getQuota(Opts, 50.0, C))
-      return 1;
+    double C = getQuota(Opts, 50.0);
     uint64_t M = pow2(LogM);
     Heap H;
     std::string Error;
@@ -831,8 +797,8 @@ int replayPcbtrace(const OptionParser &Opts, const std::string &TracePath,
                    std::istream &IS) {
   TraceRunOptions RO;
   RO.Policy = Opts.getString("policy", "first-fit");
-  if (!getQuota(Opts, 50.0, RO.C) ||
-      !parseControllerSpec(Opts, RO.Controller))
+  RO.C = getQuota(Opts, 50.0);
+  if (!parseControllerSpec(Opts, RO.Controller))
     return 1;
   RO.LiveBound = Opts.getUInt("live", 0);
   RO.DeepCheckEvery = Opts.getUInt("deep", 0);
@@ -942,8 +908,7 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
   }
   double C;
   if (Opts.has("c") || HeaderC.empty()) {
-    if (!getQuota(Opts, 50.0, C))
-      return 1;
+    C = getQuota(Opts, 50.0);
   } else {
     // The header's c= is the quota the recording policy's ledger
     // enforced: a quota denominator, or the policy's own fixed quota
@@ -1037,8 +1002,7 @@ int cmdServe(const OptionParser &Opts) {
   FO.Threads = unsigned(Opts.getUInt("threads", 0));
   FO.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   FO.Shard.Policy = Opts.getString("policy", "evacuating");
-  if (!getQuota(Opts, 50.0, FO.Shard.C))
-    return 1;
+  FO.Shard.C = getQuota(Opts, 50.0);
   FO.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
   FO.Shard.MaxResident = std::max<uint64_t>(1, Opts.getUInt("resident", 8));
   FO.Shard.SampleEverySessions = Opts.getUInt("sample", 64);
