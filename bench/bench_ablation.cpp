@@ -47,8 +47,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 9));
+  unsigned LogM = Opts.getUnsigned("logm", 15);
+  unsigned LogN = Opts.getUnsigned("logn", 9);
   std::vector<double> Cs = getQuotaList(Opts, "20,50,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

@@ -29,8 +29,8 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   uint64_t M = Opts.getUInt("M", pow2(28));
   uint64_t N = Opts.getUInt("n", pow2(20));
-  unsigned CMin = unsigned(Opts.getUInt("cmin", 10));
-  unsigned CMax = unsigned(Opts.getUInt("cmax", 100));
+  unsigned CMin = Opts.getUnsigned("cmin", 10);
+  unsigned CMax = Opts.getUnsigned("cmax", 100);
 
   std::cout << "# Figure 1: lower bound on the waste factor h"
             << " (M=" << formatWords(M) << ", n=" << formatWords(N)

@@ -29,8 +29,8 @@ using namespace pcb;
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   double C = getQuota(Opts, 100.0);
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 10));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 30));
+  unsigned LogNMin = Opts.getUnsigned("lognmin", 10);
+  unsigned LogNMax = Opts.getUnsigned("lognmax", 30);
   uint64_t Ratio = Opts.getUInt("ratio", 256);
 
   std::cout << "# Figure 2: lower bound on the waste factor h as a"

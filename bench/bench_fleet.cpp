@@ -43,7 +43,7 @@ int main(int argc, char **argv) {
 
   FleetOptions Base;
   Base.NumSessions = Sessions;
-  Base.Threads = unsigned(Opts.getUInt("threads", 0));
+  Base.Threads = Opts.getUnsigned("threads", 0);
   Base.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   Base.Shard.Policy = Opts.getString("policy", "evacuating");
   Base.Shard.C = getQuota(Opts, 50.0);
@@ -53,7 +53,7 @@ int main(int argc, char **argv) {
   Base.Shard.SampleEverySessions = 0; // throughput run: no timelines
   Base.Shard.Session.FleetSeed = Opts.getUInt("seed", 1);
   Base.Shard.Session.TargetOps = Opts.getUInt("ops", 48);
-  Base.Shard.Session.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
+  Base.Shard.Session.MaxLogSize = Opts.getUnsigned("maxlog", 6);
 
   std::cout << "# E14: fleet service mode: " << ArenaCounts.size()
             << " arena counts x " << Sessions << " sessions (policy="

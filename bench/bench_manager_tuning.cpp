@@ -43,8 +43,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 15);
+  unsigned LogN = Opts.getUnsigned("logn", 8);
   double C = getQuota(Opts, 50.0);
   std::vector<double> Thresholds = parseNumberList(
       Opts.getString("thresholds", "0.05,0.1,0.25,0.5,0.9"), "thresholds");

@@ -48,8 +48,8 @@ struct SweepPoint {
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   double C = getQuota(Opts, 50.0);
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 6));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 10));
+  unsigned LogNMin = Opts.getUnsigned("lognmin", 6);
+  unsigned LogNMax = Opts.getUnsigned("lognmax", 10);
   uint64_t Ratio = Opts.getUInt("ratio", 64);
   std::string Policy = Opts.getString("policy", "evacuating");
 

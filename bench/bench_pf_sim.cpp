@@ -80,8 +80,8 @@ int runOverheadCheck() {
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 16));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 9));
+  unsigned LogM = Opts.getUnsigned("logm", 16);
+  unsigned LogN = Opts.getUnsigned("logn", 9);
   std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

@@ -79,8 +79,8 @@ int main(int argc, char **argv) {
                   "update-size-profile,update-mix,cohen-petrank"));
   std::vector<std::string> Policies = parseNameList(
       Opts.getString("policies", "realloc-never,realloc-bucket,realloc-jin"));
-  unsigned LogM = unsigned(Opts.getUInt("logm", 12));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 6));
+  unsigned LogM = Opts.getUnsigned("logm", 12);
+  unsigned LogN = Opts.getUnsigned("logn", 6);
   double C = getQuota(Opts, 50.0);
   uint64_t M = pow2(LogM);
   std::string BenchJsonPath = Opts.getString("bench-json", "");

@@ -31,9 +31,9 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 4));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 14);
+  unsigned LogNMin = Opts.getUnsigned("lognmin", 4);
+  unsigned LogNMax = Opts.getUnsigned("lognmax", 8);
   uint64_t M = pow2(LogM);
 
   std::cout << "# E4: Robson's matching bound, simulated (PR vs"

@@ -75,7 +75,7 @@ int main(int argc, char **argv) {
   WorkloadFuzzer::Options FO;
   FO.NumOps = NumOps;
   FO.LiveBound = std::max<uint64_t>(1, Opts.getUInt("livegen", 1 << 12));
-  FO.MaxLogSize = unsigned(Opts.getUInt("maxlog", 8));
+  FO.MaxLogSize = Opts.getUnsigned("maxlog", 8);
   std::map<std::string, std::string> Serialized;
   for (size_t T = 0; T != Traces.size(); ++T) {
     FO.Seed = splitSeed(Seed, T);

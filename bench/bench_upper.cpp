@@ -44,8 +44,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 15);
+  unsigned LogN = Opts.getUnsigned("logn", 8);
   double C = getQuota(Opts, 50.0);
   uint64_t NumSeeds = Opts.getUInt("seeds", 3);
   uint64_t M = pow2(LogM);

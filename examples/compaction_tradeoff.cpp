@@ -28,8 +28,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 15);
+  unsigned LogN = Opts.getUnsigned("logn", 8);
   std::string Policy = Opts.getString("policy", "evacuating");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

@@ -33,8 +33,8 @@ int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   std::string ProgramName = Opts.getString("program", "robson");
   std::string Policy = Opts.getString("policy", "first-fit");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 10));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 5));
+  unsigned LogM = Opts.getUnsigned("logm", 10);
+  unsigned LogN = Opts.getUnsigned("logn", 5);
   double C = Opts.getDouble("c", 20.0);
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

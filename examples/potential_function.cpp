@@ -29,8 +29,8 @@ using namespace pcb;
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   std::string Policy = Opts.getString("policy", "evacuating");
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 14);
+  unsigned LogN = Opts.getUnsigned("logn", 8);
   double C = Opts.getDouble("c", 30.0);
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

@@ -31,12 +31,6 @@ using namespace pcb;
 
 FreeSpaceIndex::FreeSpaceIndex() = default;
 
-unsigned FreeSpaceIndex::classOf(uint64_t Size) {
-  assert(Size != 0 && "zero-size block");
-  unsigned K = log2Floor(Size);
-  return K < NumClasses ? K : NumClasses - 1;
-}
-
 //===----------------------------------------------------------------------===//
 // Digests
 //===----------------------------------------------------------------------===//

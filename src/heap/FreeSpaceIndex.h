@@ -57,7 +57,9 @@
 
 #include "heap/HeapTypes.h"
 #include "heap/PagedBoard.h"
+#include "support/MathUtils.h"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -231,8 +233,13 @@ private:
   using Board = PagedBoard<OccPage, PageSums>;
 
   /// Size class of a block: floor(log2(size)). Class K holds sizes in
-  /// [2^K, 2^(K+1)).
-  static unsigned classOf(uint64_t Size);
+  /// [2^K, 2^(K+1)). Inline: the run close of the fused sweep and the
+  /// descent tests of the fit walks call it per run and per super.
+  static unsigned classOf(uint64_t Size) {
+    assert(Size != 0 && "zero-size block");
+    unsigned K = log2Floor(Size);
+    return K < NumClasses ? K : NumClasses - 1;
+  }
 
   /// Walks the complete maximal free runs in address order, the tail run
   /// to AddrLimit included. \p Fn(S, E) returns true to stop; so does

@@ -7,7 +7,9 @@
 
 #include "heap/Metrics.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 
 using namespace pcb;
 
@@ -25,9 +27,55 @@ FragmentationMetrics pcb::measureFragmentation(const Heap &H) {
   M.FreeWords = M.FootprintWords - M.LiveWords;
   M.FreeBlocks = H.freeSpace().numBlocksBelow(M.FootprintWords);
   M.LargestFreeBlock = H.freeSpace().largestBlockBelow(M.FootprintWords);
-  M.Utilization = double(M.LiveWords) / double(M.FootprintWords);
-  if (M.FreeWords != 0)
-    M.ExternalFragmentation =
-        1.0 - double(M.LargestFreeBlock) / double(M.FreeWords);
+  M.Utilization = utilization(M.LiveWords, M.FootprintWords);
+  M.ExternalFragmentation =
+      externalFragmentation(M.LargestFreeBlock, M.FreeWords);
   return M;
+}
+
+namespace {
+
+/// The smallest block length L in [1, \p Free] whose fragmentation is <=
+/// \p Peak. externalFragmentation is non-increasing in L and is 0 at L =
+/// Free, so those L form a suffix of [1, Free]. The estimate
+/// ceil((1 - Peak) * Free) misses its start only by the rounding of
+/// doubles near Free — a step or two where they resolve single words, at
+/// most a few hundred words at AddrLimit — so the walks from it are short.
+uint64_t smallestBlockWithin(double Peak, uint64_t Free) {
+  auto Within = [&](uint64_t L) {
+    return externalFragmentation(L, Free) <= Peak;
+  };
+  double Estimate = std::ceil((1.0 - Peak) * double(Free));
+  uint64_t T = Estimate >= double(Free)
+                   ? Free
+                   : std::max<uint64_t>(uint64_t(Estimate), 1);
+  while (!Within(T))
+    ++T;
+  while (T > 1 && Within(T - 1))
+    --T;
+  return T;
+}
+
+} // namespace
+
+double pcb::maxExternalFragmentation(const Heap &H, double Peak) {
+  assert(Peak >= 0.0 && Peak <= 1.0 && "peak fragmentation out of range");
+  const uint64_t Hwm = H.stats().HighWaterMark;
+  const uint64_t Live = H.stats().LiveWords;
+  assert(Live <= Hwm && "live words exceed footprint");
+  const uint64_t Free = Hwm - Live;
+  // Nothing free below the mark measures 0, which cannot raise the peak.
+  if (Free == 0)
+    return Peak;
+  // A block of T words or more below the mark caps this sample at Peak.
+  // The lowest-address fit of T words is the start of the first such
+  // block, so it ends at or below the mark exactly when one exists. The
+  // query needs room for T words above the mark, where the fit that
+  // settles "none below" lies; a heap within T words of AddrLimit is
+  // walked instead.
+  const uint64_t T = smallestBlockWithin(Peak, Free);
+  if (T <= AddrLimit - Hwm && H.freeSpace().firstFit(T) <= Hwm - T)
+    return Peak;
+  return std::max(Peak, externalFragmentation(
+                            H.freeSpace().largestBlockBelow(Hwm), Free));
 }

@@ -38,11 +38,40 @@ struct FragmentationMetrics {
   double ExternalFragmentation = 0; ///< 1 - largest / free
 };
 
-/// Measures \p H now. O(log free blocks): the free words below the mark
-/// are the complement of the live words, and the block count / largest
-/// block come from FreeSpaceIndex aggregate queries, so sampling a
-/// timeline every step does not re-scan the heap.
+/// Live / footprint, 0 for an empty footprint. Every utilization figure
+/// goes through this one expression.
+inline double utilization(uint64_t LiveWords, uint64_t FootprintWords) {
+  return FootprintWords == 0 ? 0.0
+                             : double(LiveWords) / double(FootprintWords);
+}
+
+/// 1 - largest / free, 0 when nothing is free. Every fragmentation
+/// figure goes through this one expression, so a figure derived without
+/// measuring (maxExternalFragmentation) cannot drift from a measured one.
+/// Non-increasing in \p LargestFreeBlock: rounding the quotient and the
+/// subtraction is monotone.
+inline double externalFragmentation(uint64_t LargestFreeBlock,
+                                    uint64_t FreeWords) {
+  return FreeWords == 0
+             ? 0.0
+             : 1.0 - double(LargestFreeBlock) / double(FreeWords);
+}
+
+/// Measures \p H now. The free words are the complement of the live
+/// words (O(1)); the block count and the largest block are walks over the
+/// board's present pages that judge most supers by their digests and
+/// sweep each dirty super they descend into — O(present pages) plus the
+/// words of the supers swept.
 FragmentationMetrics measureFragmentation(const Heap &H);
+
+/// max(\p Peak, measureFragmentation(H).ExternalFragmentation), bit for
+/// bit, usually without measuring: the blocks of at least T words, T the
+/// smallest block length whose fragmentation is <= Peak, cannot raise the
+/// peak, and one firstFit(T) query tells whether one lies below the mark.
+/// Only when none does, or when the mark lies within T words of
+/// AddrLimit, is the largest block walked for. \p Peak must lie in
+/// [0, 1].
+double maxExternalFragmentation(const Heap &H, double Peak);
 
 } // namespace pcb
 

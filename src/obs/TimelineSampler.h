@@ -7,10 +7,10 @@
 ///
 /// \file
 /// Records a Timeline of heap state during an Execution. The sampler
-/// registers itself as a step observer; each sample is O(log free
-/// blocks) thanks to the FreeSpaceIndex aggregate queries behind
-/// measureFragmentation — no per-sample re-scan of the heap — so
-/// per-step sampling of a multi-million-step run stays cheap.
+/// registers itself as a step observer; each sample is a
+/// measureFragmentation, whose FreeSpaceIndex aggregate queries walk the
+/// present pages by their digests and sweep only the dirty supers they
+/// descend into — no word-by-word re-scan of the heap.
 ///
 /// Memory is bounded: when a run outgrows MaxPoints, the sampler drops
 /// every other recorded point and doubles its stride. The thinning

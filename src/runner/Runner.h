@@ -115,7 +115,7 @@ private:
 /// i.e. report to stderr only when it is a terminal).
 inline Runner makeRunner(const OptionParser &Opts) {
   RunnerOptions RO;
-  RO.Threads = unsigned(Opts.getUInt("threads", 0));
+  RO.Threads = Opts.getUnsigned("threads", 0);
   if (Opts.has("progress"))
     RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
   return Runner(RO);

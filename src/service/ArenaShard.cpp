@@ -127,12 +127,12 @@ void ArenaShard::flush() {
   // The controller observes at flush granularity: a pure function of the
   // shard's fixed schedule, never of slicing or stealing.
   Ctrl->observe(sampleFromHeap(H, NumFlushes));
-  // Flush-boundary fragmentation telemetry (O(log free blocks), so it
-  // stays cheap at batch granularity). The drained endpoint has no live
-  // words, so percentile reporting uses these peaks/means instead.
-  FragmentationMetrics FM = measureFragmentation(H);
-  PeakFrag = std::max(PeakFrag, FM.ExternalFragmentation);
-  UtilSum += FM.Utilization;
+  // Flush-boundary fragmentation telemetry. The drained endpoint has no
+  // live words, so percentile reporting uses these peaks/means instead.
+  // Utilization is O(1); the peak costs one firstFit query, and a walk
+  // for the largest block only when this flush could raise it.
+  PeakFrag = maxExternalFragmentation(H, PeakFrag);
+  UtilSum += utilization(H.stats().LiveWords, H.stats().HighWaterMark);
   if (Oracle && Violations.size() < MaxViolationsPerRun) {
     Oracle->checkStep(NumFlushes, Violations);
     if (Violations.size() > MaxViolationsPerRun)

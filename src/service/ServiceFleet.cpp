@@ -241,13 +241,9 @@ FleetReport ServiceFleet::report() const {
       P.MovedWords += Q.MovedWords;
       P.BudgetWords += Q.BudgetWords;
     }
-    P.Utilization = P.FootprintWords != 0
-                        ? double(P.LiveWords) / double(P.FootprintWords)
-                        : 0.0;
+    P.Utilization = utilization(P.LiveWords, P.FootprintWords);
     P.ExternalFragmentation =
-        P.FreeWords != 0
-            ? 1.0 - double(P.LargestFreeBlock) / double(P.FreeWords)
-            : 0.0;
+        externalFragmentation(P.LargestFreeBlock, P.FreeWords);
     R.FleetTimeline.addPoint(P);
   }
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 using namespace pcb;
@@ -100,6 +101,14 @@ uint64_t OptionParser::getUInt(const std::string &Name,
   if (!parseWordCount(It->second, Out))
     invalidValue("count", It->second, Name);
   return Out;
+}
+
+unsigned OptionParser::getUnsigned(const std::string &Name,
+                                   unsigned Default) const {
+  uint64_t Value = getUInt(Name, Default);
+  if (Value > std::numeric_limits<unsigned>::max())
+    invalidValue("count", Options.at(Name), Name);
+  return unsigned(Value);
 }
 
 double OptionParser::getDouble(const std::string &Name, double Default) const {

@@ -44,6 +44,11 @@ public:
   /// absent; exits with an error when malformed.
   uint64_t getUInt(const std::string &Name, uint64_t Default) const;
 
+  /// Count option that must fit an unsigned, or \p Default when absent:
+  /// a value above UINT_MAX, which a narrowing cast would wrap, exits with
+  /// the same error as a malformed one.
+  unsigned getUnsigned(const std::string &Name, unsigned Default) const;
+
   /// Double option, or \p Default when absent; exits with an error when
   /// malformed.
   double getDouble(const std::string &Name, double Default) const;

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -686,8 +687,8 @@ TEST(FreeSpaceIndex, AggregateQueriesBelowLimit) {
 }
 
 TEST(Metrics, FastPathMatchesRescan) {
-  // Property test: the O(log) measureFragmentation (complement identity
-  // plus FreeSpaceIndex aggregates) agrees with a brute-force walk of
+  // Property test: measureFragmentation (complement identity plus the
+  // FreeSpaceIndex aggregate walks) agrees with a brute-force walk of
   // the free list over a random churn workload.
   Rng R(2013);
   Heap H;
@@ -717,6 +718,109 @@ TEST(Metrics, FastPathMatchesRescan) {
     ASSERT_EQ(M.FreeBlocks, FreeBlocks);
     ASSERT_EQ(M.LargestFreeBlock, Largest);
   }
+}
+
+/// The smallest block length in [1, Free] whose fragmentation is <=
+/// Peak, found by walking every length.
+uint64_t bruteThreshold(double Peak, uint64_t Free) {
+  for (uint64_t L = 1; L != Free; ++L)
+    if (externalFragmentation(L, Free) <= Peak)
+      return L;
+  return Free;
+}
+
+/// Fills \p H with free blocks of the lengths \p Gaps, in address order,
+/// each after one used word. With \p LastAtTop the last block is the
+/// freed top of the footprint (clipped by the high-water mark); else one
+/// used word closes the footprint.
+void layoutGaps(Heap &H, const std::vector<uint64_t> &Gaps, bool LastAtTop) {
+  std::vector<ObjectId> Holes;
+  Addr A = 0;
+  for (uint64_t G : Gaps) {
+    H.place(A, 1);
+    Holes.push_back(H.place(A + 1, G));
+    A += 1 + G;
+  }
+  if (!LastAtTop)
+    H.place(A, 1);
+  for (ObjectId Id : Holes)
+    H.free(Id);
+}
+
+/// maxExternalFragmentation against max(Peak, measured), bit for bit.
+void expectPeakMatchesMeasure(const Heap &H, double Peak) {
+  double Want =
+      std::max(Peak, measureFragmentation(H).ExternalFragmentation);
+  double Got = maxExternalFragmentation(H, Peak);
+  EXPECT_EQ(std::memcmp(&Want, &Got, sizeof(double)), 0)
+      << "peak " << Peak << ": want " << Want << ", got " << Got;
+}
+
+TEST(Metrics, PeakSkipRuleAtTheThreshold) {
+  // Heaps whose largest block is T - 1, T and T + 1 words, T the
+  // smallest length whose fragmentation does not exceed the peak: the
+  // helper may answer "the peak" without measuring only from T on.
+  const double Peaks[] = {0.0, 0.1, 0.25, 1.0 / 3, 0.5, 0.7,
+                          1.0 - 1.0 / 97, 0.999, 1.0};
+  for (uint64_t Free : {1u, 2u, 7u, 100u, 1000u, 4097u})
+    for (double Peak : Peaks) {
+      const uint64_t T = bruteThreshold(Peak, Free);
+      for (uint64_t L : {T - 1, T, T + 1}) {
+        if (L == 0 || L > Free)
+          continue;
+        for (bool AtTop : {false, true}) {
+          // The rest of the free words in blocks no longer than L, with
+          // the L-block last so AtTop puts it under the mark.
+          std::vector<uint64_t> Gaps;
+          for (uint64_t Rest = Free - L; Rest != 0;) {
+            Gaps.push_back(std::min(Rest, L));
+            Rest -= Gaps.back();
+          }
+          Gaps.push_back(L);
+          Heap H;
+          layoutGaps(H, Gaps, AtTop);
+          FragmentationMetrics M = measureFragmentation(H);
+          ASSERT_EQ(M.FreeWords, Free);
+          ASSERT_EQ(M.LargestFreeBlock, L);
+          SCOPED_TRACE("free " + std::to_string(Free) + " largest " +
+                       std::to_string(L) + (AtTop ? " at top" : ""));
+          expectPeakMatchesMeasure(H, Peak);
+        }
+      }
+    }
+}
+
+TEST(Metrics, PeakSkipRuleDegenerateHeaps) {
+  for (double Peak : {0.0, 0.5, 1.0}) {
+    Heap Empty; // HWM = 0
+    expectPeakMatchesMeasure(Empty, Peak);
+    Heap Packed; // nothing free below the mark
+    Packed.place(0, 5);
+    Packed.place(5, 3);
+    expectPeakMatchesMeasure(Packed, Peak);
+    Heap Drained; // everything freed: one block, the whole footprint
+    Drained.free(Drained.place(0, 9));
+    expectPeakMatchesMeasure(Drained, Peak);
+  }
+}
+
+TEST(Metrics, PeakSkipRuleAtAddrLimit) {
+  // A footprint that ends at AddrLimit leaves no room above the mark, so
+  // no fit of the threshold length need exist anywhere: two used words
+  // split the free space into halves, and only peaks at or above the
+  // halves' fragmentation may be answered without measuring.
+  Heap H;
+  H.place(AddrLimit / 2, 1);
+  H.place(AddrLimit - 1, 1);
+  ASSERT_EQ(H.stats().HighWaterMark, AddrLimit);
+  for (double Peak : {0.0, 0.25, 0.4999, 0.5, 0.75, 1.0})
+    expectPeakMatchesMeasure(H, Peak);
+  // A block of nearly the whole free space below a mark at AddrLimit.
+  Heap Top;
+  Top.place(0, 1);
+  Top.place(AddrLimit - 1, 1);
+  for (double Peak : {0.0, 0.5, 1.0})
+    expectPeakMatchesMeasure(Top, Peak);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -181,6 +182,39 @@ TEST(ServiceFleet, ShardExecutionIndependentOfSliceSchedule) {
   }
   EXPECT_TRUE(Coarse.runSlice(1 << 20));
   EXPECT_EQ(shardFingerprint(Fine), shardFingerprint(Coarse));
+}
+
+TEST(ArenaShard, FlushTelemetryMatchesMeasuredFragmentation) {
+  // The flush settles most samples with one fit query and measures the
+  // largest block only when the peak could rise; driven one flush at a
+  // time, its peak and mean must equal those of a full measurement after
+  // every flush.
+  uint64_t LaterRises = 0; // rises of a peak that was already nonzero
+  for (const char *Policy : {"evacuating", "first-fit", "sliding"})
+    for (uint64_t Batch : {1u, 16u}) {
+      ShardConfig Cfg = smallFleet().Shard;
+      Cfg.Policy = Policy;
+      Cfg.BatchSize = Batch;
+      Cfg.Audit = false;
+      ArenaShard S(0, 24, 0, 1, Cfg);
+      double Peak = 0.0, UtilSum = 0.0;
+      for (bool Drained = false; !Drained;) {
+        uint64_t Before = S.flushes();
+        Drained = S.runSlice(1);
+        if (S.flushes() == Before)
+          continue;
+        FragmentationMetrics FM = measureFragmentation(S.heap());
+        LaterRises += uint64_t(Peak != 0.0 && FM.ExternalFragmentation > Peak);
+        Peak = std::max(Peak, FM.ExternalFragmentation);
+        UtilSum += FM.Utilization;
+        ASSERT_EQ(S.peakFragmentation(), Peak)
+            << Policy << " batch " << Batch << " flush " << S.flushes();
+      }
+      ASSERT_NE(S.flushes(), 0u);
+      EXPECT_EQ(S.meanUtilization(), UtilSum / double(S.flushes()))
+          << Policy << " batch " << Batch;
+    }
+  EXPECT_NE(LaterRises, 0u) << "no flush raised a nonzero peak";
 }
 
 // --- Edge configurations -------------------------------------------------

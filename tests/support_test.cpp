@@ -429,6 +429,21 @@ TEST(OptionParserDeathTest, MalformedTypedValuesExitWithDiagnosis) {
   EXPECT_DOUBLE_EQ(P.getDouble("neg", 0.0), -5.0);
 }
 
+TEST(OptionParserDeathTest, CountsWiderThanUnsignedExitWithDiagnosis) {
+  // A narrowing cast would wrap wide= to 1 and kilo= (2^32) to 0.
+  const char *Argv[] = {"tool", "wide=4294967297", "top=4294967295",
+                        "kilo=4194304K", "bad=abc"};
+  OptionParser P(5, Argv);
+  auto Exits = testing::ExitedWithCode(1);
+  EXPECT_EQ(P.getUnsigned("top", 3), 4294967295u);
+  EXPECT_EQ(P.getUnsigned("absent", 3), 3u);
+  EXPECT_EXIT(P.getUnsigned("wide", 3), Exits,
+              "invalid count '4294967297' in wide=");
+  EXPECT_EXIT(P.getUnsigned("kilo", 3), Exits,
+              "invalid count '4194304K' in kilo=");
+  EXPECT_EXIT(P.getUnsigned("bad", 3), Exits, "invalid count 'abc' in bad=");
+}
+
 TEST(OptionParserDeathTest, MalformedNumberListExitsWithDiagnosis) {
   EXPECT_EXIT(parseNumberList("10,x5", "cs"), testing::ExitedWithCode(1),
               "invalid number 'x5' in cs=");

@@ -536,8 +536,8 @@ int cmdFuzz(const OptionParser &Opts) {
   uint64_t BaseSeed = Opts.getUInt("seed", 1);
   uint64_t Iterations = Opts.getUInt("iterations", 50);
   uint64_t NumOps = Opts.getUInt("ops", 384);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 12));
-  unsigned MaxLog = unsigned(Opts.getUInt("maxlog", 8));
+  unsigned LogM = Opts.getUnsigned("logm", 12);
+  unsigned MaxLog = Opts.getUnsigned("maxlog", 8);
   double C = getQuota(Opts, 50.0);
   uint64_t Deep = Opts.getUInt("deep", 64);
   std::string ReproDir = Opts.getString("repro-dir", ".");
@@ -997,9 +997,9 @@ int cmdReplay(const OptionParser &Opts) {
 
 int cmdServe(const OptionParser &Opts) {
   FleetOptions FO;
-  FO.NumArenas = unsigned(Opts.getUInt("arenas", 4));
+  FO.NumArenas = Opts.getUnsigned("arenas", 4);
   FO.NumSessions = Opts.getUInt("sessions", 4096);
-  FO.Threads = unsigned(Opts.getUInt("threads", 0));
+  FO.Threads = Opts.getUnsigned("threads", 0);
   FO.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   FO.Shard.Policy = Opts.getString("policy", "evacuating");
   FO.Shard.C = getQuota(Opts, 50.0);
@@ -1009,10 +1009,10 @@ int cmdServe(const OptionParser &Opts) {
   FO.Shard.Audit = Opts.getBool("audit", false);
   FO.Shard.Session.FleetSeed = Opts.getUInt("seed", 1);
   FO.Shard.Session.TargetOps = Opts.getUInt("ops", 48);
-  FO.Shard.Session.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
+  FO.Shard.Session.MaxLogSize = Opts.getUnsigned("maxlog", 6);
   FO.Shard.Session.LiveBound =
       std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
-  FO.ArenaRowLimit = unsigned(Opts.getUInt("arena-rows", 32));
+  FO.ArenaRowLimit = Opts.getUnsigned("arena-rows", 32);
   if (FO.NumArenas == 0) {
     std::cerr << "error: arenas= must be positive\n";
     return 1;
@@ -1102,7 +1102,7 @@ int cmdExact(const OptionParser &Opts) {
   ExactParams Limits;
   Limits.BudgetCap = Opts.getUInt("budget-cap", 0);
   Limits.NodeLimit = Opts.getUInt("node-limit", 0);
-  Limits.MaxArena = unsigned(Opts.getUInt("max-arena", 0));
+  Limits.MaxArena = Opts.getUnsigned("max-arena", 0);
   std::vector<ExactCell> Cells;
   unsigned Skipped = 0;
   std::string Error;
