@@ -25,6 +25,7 @@
 #include "support/MathUtils.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace pcb;
@@ -61,19 +62,6 @@ uint64_t findSetIn(const uint64_t *W, uint64_t From, uint64_t To,
       return To;
     U = W[++WI];
   }
-}
-
-/// Bits i where \p F has ones at every position i .. i + L - 1 (runs of
-/// length >= \p L wholly inside the word; the shift chain feeds zeros in
-/// from the top, so runs are never counted past bit 63). O(log L).
-uint64_t runsGE(uint64_t F, uint64_t L) {
-  uint64_t Have = 1;
-  while (Have < L && F != 0) {
-    uint64_t S = std::min(Have, L - Have);
-    F &= F >> unsigned(S);
-    Have += S;
-  }
-  return F;
 }
 
 /// Last set bit of the page words \p W in page-local [From, To), or
@@ -179,9 +167,13 @@ namespace {
 /// Number of all-ones words directly after word \p WI, stopping at word
 /// \p W1. The fit scans call it on reaching a full word: PF keeps the
 /// heap below its fits nearly full, so a descent otherwise spends most
-/// of its time stepping through used words one at a time.
+/// of its time stepping through used words one at a time. The next word
+/// is tested inline, so a lone full word costs no kernel call; the
+/// kernel runs only for a stretch of two or more.
 size_t skipFullWords(const uint64_t *W, size_t WI, size_t W1) {
-  return findNotOnesWord(W + WI + 1, W1 - WI - 1);
+  if (WI + 1 == W1 || W[WI + 1] != ~uint64_t(0))
+    return 0;
+  return 1 + findNotOnesWord(W + WI + 2, W1 - WI - 2);
 }
 
 /// Enumerates complete maximal free runs over the \p NumWords occupancy
@@ -232,17 +224,48 @@ bool scanWords(const uint64_t *W, size_t NumWords, Addr At, uint64_t &Run,
   return false;
 }
 
+/// The in-word window test of first fit for one window length \p L
+/// (1..64): runsGE(F) keeps the bits i where \p F has ones at every
+/// position i .. i + L - 1, i.e. the starts of runs of length >= L wholly
+/// inside the word (the shifts feed zeros in from the top, so no run is
+/// counted past bit 63). The shift-AND chain doubles the covered length
+/// 1, 2, 4, ... up to Half, the largest power of two below L (1 for L =
+/// 1), and tops it up to exactly L with a last shift of L - Half. The
+/// schedule depends on L alone, so every word of a query runs the same
+/// ceil(log2 L) steps: no exit on the data, whose trip count would
+/// change from word to word.
+class WindowSchedule {
+public:
+  explicit WindowSchedule(uint64_t L)
+      : Half(std::bit_floor((L - 1) | 1)), Last(unsigned(L - Half)) {
+    assert(L != 0 && L <= WordBits && "window longer than a word");
+  }
+
+  uint64_t runsGE(uint64_t F) const {
+    for (uint64_t S = 1; S < Half; S <<= 1)
+      F &= F >> S;
+    return F & (F >> Last);
+  }
+
+private:
+  uint64_t Half;
+  unsigned Last;
+};
+
 /// First-fit specialization of the word scan over the \p NumWords words
 /// \p W of addresses from \p At on, starting at bit \p FromBit (bits
 /// below it treated as used): the lowest block start where \p Size bits
 /// fit, or InvalidAddr when the range ends without one (\p Run then
 /// carries the trailing open run). Exits as soon as the open run reaches
 /// \p Size — the block's start is already determined, its end is
-/// irrelevant — and rejects whole words with one shift-AND chain instead
-/// of chopping out their runs.
+/// irrelevant — and rejects whole words with \p Windows, the schedule
+/// for \p Size (null when Size exceeds a word), instead of chopping out
+/// their runs. Only a \p Counted scan adds the runs it rejects to
+/// \p Probes.
+template <bool Counted>
 Addr scanFirstFit(const uint64_t *W, size_t NumWords, Addr At,
                   uint64_t FromBit, uint64_t &Run, uint64_t Size,
-                  uint64_t &Probes) {
+                  const WindowSchedule *Windows, uint64_t &Probes) {
   size_t W0 = size_t(FromBit / WordBits);
   for (size_t WI = W0; WI != NumWords; ++WI) {
     uint64_t U = W[WI];
@@ -261,24 +284,26 @@ Addr scanFirstFit(const uint64_t *W, size_t NumWords, Addr At,
     if (U == ~uint64_t(0)) {
       // A full word rejects the carried run and starts none; neither do
       // the full words after it.
-      Probes += uint64_t(Run != 0);
+      if constexpr (Counted)
+        Probes += uint64_t(Run != 0);
       Run = 0;
       WI += skipFullWords(W, WI, NumWords);
       continue;
     }
     uint64_t F = ~U;
-    if (Size <= WordBits) {
+    if (Windows) {
       // Lowest in-word window of Size free bits; its predecessor bit is
       // necessarily used (else a lower window existed), so it is a block
       // start.
-      uint64_t M = runsGE(F, Size);
+      uint64_t M = Windows->runsGE(F);
       if (M != 0)
         return Addr(Base + countTrailingZeros(M));
     }
     // No fit starts in this word: count its completed runs (ends with a
     // free predecessor, plus a carried run cut at bit 0) and carry the
     // free suffix.
-    Probes += popcount64(U & (F << 1)) + uint64_t(Run != 0 && T == 0);
+    if constexpr (Counted)
+      Probes += popcount64(U & (F << 1)) + uint64_t(Run != 0 && T == 0);
     Run = WordBits - 1 - topBitIndex(U);
   }
   return InvalidAddr;
@@ -289,7 +314,7 @@ Addr scanFirstFit(const uint64_t *W, size_t NumWords, Addr At,
 template <typename FnT>
 bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
                                     uint64_t &Run, FnT &&Fn) {
-  unsigned Free = 0, MaxRun = 0, Pre = 0, Trans = 0;
+  unsigned MaxRun = 0, Pre = 0, Trans = 0;
   uint64_t CMask = 0;
   // LRun is the window-local open run (resets at the window base); Run is
   // the global carry. They differ only until the first used bit, where
@@ -298,7 +323,6 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
   bool SeenUsed = false, Stopped = false;
   for (unsigned WI = 0; WI != SuperWords; ++WI) {
     const uint64_t U = W[WI];
-    Free += WordBits - popcount64(U);
     if (U == 0) {
       Run += WordBits;
       LRun += WordBits;
@@ -364,7 +388,6 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
   Sp.Suf = uint16_t(LRun);
   Sp.Max = uint16_t(MaxRun);
   Sp.Trans = uint16_t(Trans);
-  Sp.FreeCount = uint16_t(Free);
   Sp.ClassMask = CMask;
   Sp.Dirty = false;
   return Stopped;
@@ -438,8 +461,34 @@ Addr FreeSpaceIndex::firstFit(uint64_t Size) const {
 }
 
 Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
+  return countedFirstFit(From, Size, Profiler::CtrFitQueries,
+                         Profiler::CtrFitProbes);
+}
+
+Addr FreeSpaceIndex::telemetryFirstFit(uint64_t Size) const {
+  return countedFirstFit(0, Size, Profiler::CtrTelemetryFitQueries,
+                         Profiler::CtrTelemetryFitProbes);
+}
+
+Addr FreeSpaceIndex::countedFirstFit(Addr From, uint64_t Size,
+                                     Profiler::Counter Queries,
+                                     Profiler::Counter Probes) const {
   assert(Size != 0 && "zero-size fit query");
-  Profiler::bump(Profiler::CtrFitQueries);
+  // One branch per query picks the walk: with no profiler installed the
+  // scans do no probe arithmetic at all.
+  Profiler *P = Profiler::current();
+  uint64_t N = 0;
+  if (!P)
+    return firstFitWalk<false>(From, Size, N);
+  P->count(Queries);
+  Addr Found = firstFitWalk<true>(From, Size, N);
+  P->count(Probes, N);
+  return Found;
+}
+
+template <bool Counted>
+Addr FreeSpaceIndex::firstFitWalk(Addr From, uint64_t Size,
+                                  uint64_t &Probes) const {
   // A block containing From may serve the request from From onward.
   if (From != 0 && isFree(From, Size))
     return From;
@@ -448,7 +497,10 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
   // Size (the run's start is already the answer; scanning to its end
   // would be wasted work) and judges whole supers from the always-exact
   // Pre digest before considering a descent.
-  uint64_t Run = 0, Probes = 0; // Run: the free run open at Pos
+  // No window longer than a word lies inside one.
+  const WindowSchedule Windows(std::min<uint64_t>(Size, WordBits));
+  const WindowSchedule *InWord = Size <= WordBits ? &Windows : nullptr;
+  uint64_t Run = 0; // the free run open at Pos
   Addr Pos = From, Found = InvalidAddr; // the walk has covered [From, Pos)
   for (size_t K = Occ.lowerBound(From / PageBits);
        Found == InvalidAddr && K != Occ.size(); ++K) {
@@ -464,7 +516,8 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
     }
     const OccPage *Pg = Occ.page(K);
     if (!Pg) { // a run of full pages rejects the open run
-      Probes += uint64_t(Run != 0);
+      if constexpr (Counted)
+        Probes += uint64_t(Run != 0);
       Run = 0;
       Pos = Occ.end(K);
       continue;
@@ -473,9 +526,9 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
     const unsigned Top = topSuper(K);
     unsigned J = unsigned((Pos - PBase) / SuperBits);
     if (J < Top && Pos % SuperBits != 0) {
-      Found = scanFirstFit(Pg->W + J * SuperWords, SuperWords,
-                           PBase + J * SuperBits, Pos % SuperBits, Run, Size,
-                           Probes);
+      Found = scanFirstFit<Counted>(Pg->W + J * SuperWords, SuperWords,
+                                    PBase + J * SuperBits, Pos % SuperBits,
+                                    Run, Size, InWord, Probes);
       ++J;
     }
     for (; Found == InvalidAddr && J < Top; ++J) {
@@ -502,12 +555,14 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
         // scan with no digest bookkeeping; only the no-fit minority pays
         // the second, digest-banking pass over the same 64 words.
         const uint64_t *W = Pg->W + J * SuperWords;
-        Found = scanFirstFit(W, SuperWords, Base, 0, Run, Size, Probes);
+        Found = scanFirstFit<Counted>(W, SuperWords, Base, 0, Run, Size,
+                                      InWord, Probes);
         if (Found == InvalidAddr && S.Dirty)
           recomputeSuper(W, S);
         continue;
       }
-      Probes += uint64_t(Run + S.Pre != 0);
+      if constexpr (Counted)
+        Probes += uint64_t(Run + S.Pre != 0);
       Run = S.Suf;
     }
     // The supers above Top are free: they join the open run.
@@ -517,7 +572,6 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
   // address space is crowded.
   if (Found == InvalidAddr && AddrLimit - (Pos - Run) >= Size)
     Found = Addr(Pos - Run);
-  Profiler::bump(Profiler::CtrFitProbes, Probes);
   assert(Found != InvalidAddr && "infinite tail should always fit");
   return Found;
 }

@@ -35,6 +35,19 @@
 /// and the rest change nothing. Under PF the space below a fit is almost
 /// all used, so most of a descent is such a stretch.
 ///
+/// What a word step costs. First fit reads a word, tests it for all free,
+/// and takes one trailing-zero count to see whether the run it carries in
+/// completes. A partial word then costs the ceil(log2 Size) shift-ANDs
+/// of the query's window schedule, fixed per query with no exit on the
+/// data (a Size above 64 skips the test), and one leading-zero count for
+/// the free suffix it carries on. A full word costs an inline test of
+/// the next word; only a stretch of two or more calls the kernel. With a
+/// profiler installed the scan also counts the runs it rejects, one
+/// popcount per partial word; without one it does no probe arithmetic.
+/// The run walks (scanWords and the fused sweep) pay two trailing-zero
+/// counts per used run of a word, not per bit, and count no bits: every
+/// mutation keeps FreeCount exact.
+///
 /// The board is a PagedBoard over the whole 2^60-word address space: a
 /// page (eight supers) is allocated when a reservation first touches it,
 /// and an absent page reads as all free. Each page carries its supers'
@@ -57,6 +70,7 @@
 
 #include "heap/HeapTypes.h"
 #include "heap/PagedBoard.h"
+#include "obs/Profiler.h"
 #include "support/MathUtils.h"
 
 #include <cassert>
@@ -93,6 +107,11 @@ public:
   /// Lowest address >= \p From where \p Size words fit (a block
   /// containing \p From counts from \p From onward).
   Addr firstFitFrom(Addr From, uint64_t Size) const;
+
+  /// firstFit(\p Size) for the telemetry layer: the same answer, its
+  /// query and probes counted under telemetry.fit_queries/fit_probes, so
+  /// fit.queries/fit.probes count placement searches alone.
+  Addr telemetryFirstFit(uint64_t Size) const;
 
   /// Address of the smallest free block that fits \p Size (ties broken by
   /// lowest address).
@@ -271,10 +290,11 @@ private:
   /// One fused pass over the super of words \p W at address \p Base:
   /// reports complete free runs to \p Fn (threading \p Run as the
   /// open-run carry, exactly like the plain word scan) while rebuilding
-  /// the digest \p Sp as a side effect, so a descent into a dirty super
-  /// costs a single sweep instead of recompute-then-rescan. The sweep
-  /// always runs to the super's end (the digest needs it); once Fn stops,
-  /// remaining runs feed only the digest. Returns true when Fn stopped.
+  /// the digest \p Sp as a side effect (all of it but FreeCount, which is
+  /// never stale), so a descent into a dirty super costs a single sweep
+  /// instead of recompute-then-rescan. The sweep always runs to the
+  /// super's end (the digest needs it); once Fn stops, remaining runs feed
+  /// only the digest. Returns true when Fn stopped.
   template <typename FnT>
   static bool scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
                              uint64_t &Run, FnT &&Fn);
@@ -282,6 +302,16 @@ private:
   /// Rebuilds \p Sp from its words \p W (the fused sweep with no
   /// callback).
   static void recomputeSuper(const uint64_t *W, Super &Sp);
+
+  /// firstFitFrom, its query counted under \p Queries and the runs it
+  /// rejected under \p Probes when a profiler is installed.
+  Addr countedFirstFit(Addr From, uint64_t Size, Profiler::Counter Queries,
+                       Profiler::Counter Probes) const;
+
+  /// The first-fit walk. A \p Counted walk adds the runs it rejects to
+  /// \p Probes; the other does no probe arithmetic.
+  template <bool Counted>
+  Addr firstFitWalk(Addr From, uint64_t Size, uint64_t &Probes) const;
 
   /// The supers of entry \p K from this one on are all free (the
   /// board's top word rounded up), so the walks treat them like absent

@@ -74,7 +74,7 @@ double pcb::maxExternalFragmentation(const Heap &H, double Peak) {
   // settles "none below" lies; a heap within T words of AddrLimit is
   // walked instead.
   const uint64_t T = smallestBlockWithin(Peak, Free);
-  if (T <= AddrLimit - Hwm && H.freeSpace().firstFit(T) <= Hwm - T)
+  if (T <= AddrLimit - Hwm && H.freeSpace().telemetryFirstFit(T) <= Hwm - T)
     return Peak;
   return std::max(Peak, externalFragmentation(
                             H.freeSpace().largestBlockBelow(Hwm), Free));

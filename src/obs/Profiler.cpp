@@ -73,6 +73,10 @@ const char *Profiler::counterName(Counter C) {
     return "controller.denials";
   case CtrFitQueries:
     return "fit.queries";
+  case CtrTelemetryFitQueries:
+    return "telemetry.fit_queries";
+  case CtrTelemetryFitProbes:
+    return "telemetry.fit_probes";
   case NumCounters:
     break;
   }

@@ -64,7 +64,16 @@ public:
 
   /// Counters without a duration.
   enum Counter : unsigned {
-    CtrFitProbes,         ///< boundary-class blocks probed by fit searches
+    /// Free runs the placement fit queries judged one by one. First fit
+    /// (firstFit, firstFitFrom) counts each run it closes below its
+    /// answer, with the bits below its cursor read as used: a run cut by
+    /// a used bit of a word it reads, or by a full word or a full page,
+    /// and the run ending at the prefix of a super it judges by digest.
+    /// The interior runs of a super whose Max rules out a fit are not
+    /// counted, nor is the run holding the answer. firstFitAligned counts
+    /// each run of at least Size words it tries, the answer's included.
+    /// bestFit and worstFitBelow count none.
+    CtrFitProbes,
     CtrCompactionPasses,  ///< compaction routine invocations
     CtrMeshProbes,        ///< chunk pairs probed for occupancy disjointness
     CtrMeshMerges,        ///< chunk pairs merged by the meshing compactor
@@ -76,7 +85,9 @@ public:
     CtrServeSessions,     ///< sessions retired by fleet shards
     CtrTraceOps,          ///< malloc-trace operations streamed
     CtrControllerDenials, ///< moves denied by a budget controller's gate
-    CtrFitQueries,        ///< public FreeSpaceIndex fit queries answered
+    CtrFitQueries,        ///< placement fit queries answered
+    CtrTelemetryFitQueries, ///< first-fit queries of the flush telemetry
+    CtrTelemetryFitProbes,  ///< runs those queries rejected (as fit.probes)
     NumCounters
   };
 
@@ -96,10 +107,13 @@ public:
     Sections[S].Nanos += Nanos;
   }
 
+  /// Adds \p N to \p C.
+  void count(Counter C, uint64_t N = 1) { Counters[C] += N; }
+
   /// Bumps \p C on the current thread's profiler, if one is installed.
   static void bump(Counter C, uint64_t N = 1) {
     if (Profiler *P = Current)
-      P->Counters[C] += N;
+      P->count(C, N);
   }
 
   const SectionStats &section(Section S) const { return Sections[S]; }

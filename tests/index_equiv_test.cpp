@@ -14,6 +14,7 @@
 
 #include "heap/FreeSpaceIndex.h"
 #include "heap/PagedBoard.h"
+#include "obs/Profiler.h"
 #include "support/BitOps.h"
 #include "support/Random.h"
 #include "testsupport/ReferenceFreeSpaceIndex.h"
@@ -571,6 +572,137 @@ INSTANTIATE_TEST_SUITE_P(Boards, ReleaseExtent,
                          [](const auto &Info) {
                            return std::string(Info.param.Name);
                          });
+
+// --- In-word windows ----------------------------------------------------------
+//
+// First fit tests each partial word it reads for a window of Size free bits
+// with a shift-AND chain whose shifts are fixed by Size. The boards below
+// hold one free window with used flanks in an otherwise used stretch: every
+// length 1..64 at every bit offset of a word, and windows across a word
+// boundary and across a super boundary split every way, which a fit takes
+// through the run carried from the word below. firstFit and firstFitFrom
+// run at every Size 1..65 — a window one bit too short, exactly long
+// enough and longer, and a Size no word holds — with and without a
+// profiler installed, which picks the counted walk.
+
+/// Frees [S, E) in a used stretch [0, 3 * SB), checks the fits of every
+/// Size 1..65 against the reference, and reserves the window again.
+void expectWindowFits(FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref,
+                      Addr S, Addr E) {
+  Fast.release(S, E - S);
+  Ref.release(S, E - S);
+  const Addr Froms[] = {S - 1, S, S + (E - S) / 2, E - 1, E};
+  for (uint64_t Size = 1; Size <= 65; ++Size) {
+    SCOPED_TRACE(::testing::Message() << "window [" << S << ", " << E
+                                      << ") size " << Size);
+    Addr Want = Ref.firstFit(Size);
+    ASSERT_EQ(Fast.firstFit(Size), Want);
+    for (Addr From : Froms)
+      ASSERT_EQ(Fast.firstFitFrom(From, Size), Ref.firstFitFrom(From, Size))
+          << "from " << From;
+    Profiler Prof;
+    ProfilerScope Scope(Prof);
+    ASSERT_EQ(Fast.firstFit(Size), Want) << "profiled";
+    ASSERT_EQ(Fast.firstFitFrom(S + 1, Size), Ref.firstFitFrom(S + 1, Size))
+        << "profiled, from " << S + 1;
+  }
+  Fast.reserve(S, E - S);
+  Ref.reserve(S, E - S);
+}
+
+/// The used stretch the window boards free their window in.
+void reserveStretch(FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+  Fast.reserve(0, 3 * SB);
+  Ref.reserve(0, 3 * SB);
+}
+
+TEST(InWordWindows, EveryLengthAtEveryOffset) {
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  reserveStretch(Fast, Ref);
+  const Addr Word = SB + 5 * 64; // a word inside super 1
+  for (Addr L = 1; L <= 64; ++L)
+    for (Addr Off = 0; Off + L <= 64; ++Off)
+      expectWindowFits(Fast, Ref, Word + Off, Word + Off + L);
+}
+
+TEST(InWordWindows, AcrossAWordBoundary) {
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  reserveStretch(Fast, Ref);
+  const Addr Edge = SB + 7 * 64; // between two words of super 1
+  for (Addr Below = 1; Below <= 64; ++Below)
+    for (Addr Above = 1; Above <= 64; ++Above)
+      expectWindowFits(Fast, Ref, Edge - Below, Edge + Above);
+}
+
+TEST(InWordWindows, AcrossASuperBoundary) {
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  reserveStretch(Fast, Ref);
+  for (Addr Below = 1; Below <= 64; ++Below)
+    for (Addr Above = 1; Above <= 64; ++Above)
+      expectWindowFits(Fast, Ref, W1 - Below, W1 + Above);
+}
+
+// --- Fits with and without a profiler -----------------------------------------
+//
+// An installed profiler only picks the walk that counts probes; every fit
+// query must return the same address either way, and the telemetry's first
+// fit must return firstFit's answer while counting apart from it.
+
+class ProfiledFits : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ProfiledFits, SameAddressWithAndWithoutAProfiler) {
+  const uint64_t Seed = GetParam();
+  Rng R(Seed);
+  FreeSpaceIndex Idx;
+  std::vector<std::pair<Addr, uint64_t>> Reserved;
+  constexpr Addr Region = Addr(1) << 16;
+  for (int Op = 0; Op != 3000; ++Op) {
+    SCOPED_TRACE(::testing::Message() << "seed " << Seed << " op " << Op);
+    // Mostly small first-fit placements, as under PF and the fleet: the
+    // stretch below the fits fills up with full and nearly full words.
+    if (Reserved.empty() || R.nextBool(0.6)) {
+      uint64_t Size = 1 + R.nextBelow(R.nextBool(0.8) ? 64 : 700);
+      Addr A = R.nextBool(0.5) ? Idx.firstFit(Size)
+                               : Idx.firstFitFrom(R.nextBelow(Region), Size);
+      Idx.reserve(A, Size);
+      Reserved.emplace_back(A, Size);
+    } else {
+      size_t I = R.nextBelow(Reserved.size());
+      Idx.release(Reserved[I].first, Reserved[I].second);
+      Reserved[I] = Reserved.back();
+      Reserved.pop_back();
+    }
+    uint64_t Size = 1 + R.nextBelow(R.nextBool(0.7) ? 65 : 2000);
+    Addr From = R.nextBelow(Region);
+    uint64_t Align = uint64_t(1) << R.nextBelow(8);
+    Addr Limit = 1 + R.nextBelow(Region);
+    auto Ask = [&] {
+      return std::array<Addr, 6>{Idx.firstFit(Size),
+                                 Idx.firstFitFrom(From, Size),
+                                 Idx.telemetryFirstFit(Size),
+                                 Idx.bestFit(Size),
+                                 Idx.firstFitAligned(Size, Align),
+                                 Idx.worstFitBelow(Size, Limit)};
+    };
+    const std::array<Addr, 6> Plain = Ask();
+    Profiler Prof;
+    std::array<Addr, 6> Profiled;
+    {
+      ProfilerScope Scope(Prof);
+      Profiled = Ask();
+    }
+    ASSERT_EQ(Plain, Profiled) << "size " << Size << " from " << From;
+    EXPECT_EQ(Plain[2], Plain[0]);
+    // Five placement queries, one telemetry query.
+    EXPECT_EQ(Prof.counter(Profiler::CtrFitQueries), 5u);
+    EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitQueries), 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProfiledFits, ::testing::Values(1, 2, 3));
 
 // --- Above the former dense board -------------------------------------------
 //

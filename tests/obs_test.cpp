@@ -4,7 +4,7 @@
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
 // Covers the observability layer end to end: Profiler install/merge and
-// the disabled null sink, Timeline emitters (including the committed
+// the disabled null sink, the exact fit work counts, Timeline emitters (including the committed
 // golden CSV/JSON), TimelineSampler striding and point-budget thinning,
 // and the determinism contract — the timeline a sweep produces must be
 // byte-identical whether the Runner uses one thread or four.
@@ -21,6 +21,7 @@
 #include "obs/TimelineSampler.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/Runner.h"
+#include "service/ServiceFleet.h"
 #include "support/MathUtils.h"
 
 #include <gtest/gtest.h>
@@ -126,6 +127,73 @@ TEST(Profiler, InstrumentationSitesRecordDuringARun) {
   Prof.printReport(OS, /*WallSeconds=*/1.0);
   EXPECT_NE(OS.str().find("exec.step"), std::string::npos);
   EXPECT_NE(OS.str().find("timeline.samples"), std::string::npos);
+}
+
+// --- Fit work counts --------------------------------------------------------
+//
+// The fit counters are work, not time: they are the same on every machine
+// and at every speed of the scans, so they are pinned exactly. A change
+// that only makes the fit search faster must leave them alone; one that
+// changes what a query looks at must update them here, on purpose.
+
+struct FitWork {
+  uint64_t Queries, Probes;
+};
+
+FitWork fitWork(const Profiler &Prof) {
+  return {Prof.counter(Profiler::CtrFitQueries),
+          Prof.counter(Profiler::CtrFitProbes)};
+}
+
+/// The fit work of PF (M = 2^12, n = 2^7, c = 10) against \p Policy.
+FitWork pfFitWork(const std::string &Policy) {
+  Profiler Prof;
+  ProfilerScope Scope(Prof);
+  Heap H;
+  const uint64_t M = pow2(12);
+  auto MM = createManager(Policy, H, 10.0, /*LiveBound=*/M);
+  CohenPetrankProgram PF(M, pow2(7), 10.0);
+  Execution(*MM, PF, M).run();
+  return fitWork(Prof);
+}
+
+TEST(FitWorkCounts, PfFirstFit) {
+  FitWork W = pfFitWork("first-fit");
+  EXPECT_EQ(W.Queries, 5173u);
+  EXPECT_EQ(W.Probes, 29279u);
+}
+
+TEST(FitWorkCounts, PfBestFit) {
+  FitWork W = pfFitWork("best-fit");
+  EXPECT_EQ(W.Queries, 5173u);
+  EXPECT_EQ(W.Probes, 0u);
+}
+
+TEST(FitWorkCounts, PfEvacuating) {
+  FitWork W = pfFitWork("evacuating");
+  EXPECT_EQ(W.Queries, 6207u);
+  EXPECT_EQ(W.Probes, 133538u);
+}
+
+// A two-arena serve (evacuating, c = 50): the placements' fit work and,
+// counted apart, the flush telemetry's first-fit queries.
+TEST(FitWorkCounts, TwoArenaServe) {
+  Profiler Prof;
+  FleetOptions FO;
+  FO.NumArenas = 2;
+  FO.NumSessions = 400;
+  FO.Threads = 1;
+  FO.Prof = &Prof;
+  ServiceFleet Fleet(FO);
+  Fleet.run();
+  ASSERT_TRUE(Fleet.report().clean());
+  // Each pair sums to what fit.queries/fit.probes read while the
+  // telemetry's queries counted there: 14561 and 228990.
+  FitWork W = fitWork(Prof);
+  EXPECT_EQ(W.Queries, 12948u);
+  EXPECT_EQ(W.Probes, 181455u);
+  EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitQueries), 1613u);
+  EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitProbes), 47535u);
 }
 
 // --- Timeline emitters ---------------------------------------------------
