@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `bench-json=` regression baseline shared by the table benches: a
-/// BenchReport holds the bench's own grid fields, the common throughput
-/// block and a Profiler, and writes them with the per-phase profile as
-/// one JSON object that tools/compare_bench.py reads. Table emission
-/// (`csv=` / `json=` / `out=`) lives in runner/ResultSink.h.
+/// The `bench-json=` work golden shared by the table benches: a
+/// BenchReport holds the bench's grid and result fields and the Profiler
+/// its grid ran under, and writes them with the section call counts and
+/// the work counters as one JSON object. It holds no timing, so the
+/// committed BENCH_<name>.json is reproduced byte for byte on any
+/// machine, and ctest (`bench_<name>_baseline_golden`) checks that it is.
+/// Wall-clock numbers go to stderr only. Table emission (`csv=` / `json=`
+/// / `out=`) lives in runner/ResultSink.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +65,6 @@ public:
                   const std::vector<JsonObject> &Objects) {
     return array(Key, Objects, [](const JsonObject &O) { return O.str(); });
   }
-  /// Appends every member of \p Other, in its order.
-  JsonObject &append(const JsonObject &Other) {
-    Members.insert(Members.end(), Other.Members.begin(), Other.Members.end());
-    return *this;
-  }
 
   /// One line: `{"key": value, ...}`.
   std::string str() const { return join("{", ", ", "}"); }
@@ -97,9 +95,11 @@ private:
   std::vector<std::string> Members; ///< rendered `"key": value` pairs
 };
 
-/// One `bench-json=` baseline. A bench adds its grid fields, then the
-/// throughput block, then whatever describes its profiled run; write()
-/// appends the per-phase profile. tools/compare_bench.py reads the keys.
+/// One `bench-json=` work golden. A bench adds its grid and result
+/// fields and runs its grid under profiler(); write() appends what the
+/// profiler counted. Every value is the same on every machine, at any
+/// thread count and in either bit-scan build, so ctest compares the file
+/// with the committed one byte for byte.
 class BenchReport {
 public:
   explicit BenchReport(const std::string &Bench) { Fields.add("bench", Bench); }
@@ -111,47 +111,40 @@ public:
     return *this;
   }
 
-  /// The block every baseline shares: `threads`, `wall_seconds`,
-  /// `total_steps`, then \p Extra's members, then `steps_per_second`.
-  BenchReport &throughput(unsigned Threads, double WallSeconds,
-                          uint64_t Steps, const JsonObject &Extra = {}) {
-    Fields.add("threads", uint64_t(Threads))
-        .add("wall_seconds", WallSeconds, 3)
-        .add("total_steps", Steps)
-        .append(Extra)
-        .add("steps_per_second", perSecond(Steps, WallSeconds), 1);
-    return *this;
-  }
-
-  /// The profiler whose sections become `per_phase`; time a run under it
-  /// with timeRun(&Report.profiler(), ...).
+  /// The profiler whose sections become `per_phase` and whose counters
+  /// become `work`.
   Profiler &profiler() { return Prof; }
 
-  /// Writes the report to \p Path with `per_phase` last: one object per
-  /// profiler section that ran, in section order. Prints the outcome to
-  /// stderr; returns false when the file cannot be written.
+  /// Writes the fields to \p Path, followed by `per_phase` (the call count
+  /// of each profiler section that ran, in section order) and `work`
+  /// (every nonzero counter but serve.steals, which follows the schedule).
+  /// Prints the outcome to stderr; returns false when the file cannot be
+  /// written.
   bool write(const std::string &Path) const {
     std::vector<JsonObject> Phases;
     for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats = Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      Phases.push_back(
-          JsonObject()
-              .add("section", Profiler::sectionName(Profiler::Section(S)))
-              .add("calls", Stats.Calls)
-              .add("total_ms", double(Stats.Nanos) * 1e-6, 3)
-              .add("ns_per_call", double(Stats.Nanos) / double(Stats.Calls),
-                   1));
+      uint64_t Calls = Prof.section(Profiler::Section(S)).Calls;
+      if (Calls != 0)
+        Phases.push_back(
+            JsonObject()
+                .add("section", Profiler::sectionName(Profiler::Section(S)))
+                .add("calls", Calls));
     }
-    std::string Json = JsonObject(Fields).add("per_phase", Phases).block();
+    JsonObject Work;
+    for (unsigned C = 0; C != Profiler::NumCounters; ++C) {
+      uint64_t N = Prof.counter(Profiler::Counter(C));
+      if (N != 0 && C != Profiler::CtrServeSteals)
+        Work.add(Profiler::counterName(Profiler::Counter(C)), N);
+    }
+    std::string Json =
+        JsonObject(Fields).add("per_phase", Phases).add("work", Work).block();
     std::string Error;
     if (!writeReportFile(Path, [&](std::ostream &OS, bool) { OS << Json; },
                          &Error)) {
       std::cerr << "error: " << Error << "\n";
       return false;
     }
-    std::cerr << "# bench baseline written to " << Path << "\n";
+    std::cerr << "# bench work golden written to " << Path << "\n";
     return true;
   }
 

@@ -17,9 +17,10 @@
 //                    [bench-json=FILE]
 //
 // The results table on stdout is byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr, and
-// the machine-readable regression baseline (ops/sec plus the profiled
-// per-phase breakdown, serve.flush included) goes to bench-json=FILE.
+// (the determinism test diffs it); wall-clock perf goes to stderr.
+// bench-json=FILE writes the fleets' work golden: the applied-op total,
+// the section call counts (serve.flush included) and the work counters
+// but the schedule-dependent serve.steals (bench/BenchUtils.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -69,8 +70,8 @@ int main(int argc, char **argv) {
                    "burn_%", "flushes"});
 
   // The fleets run profiled (serve.flush plus the substrate sections) so
-  // the regression baseline reflects the real scheduler path; the
-  // ScopedTimer overhead at flush granularity is noise.
+  // the work golden counts the real scheduler path; the ScopedTimer
+  // overhead at flush granularity is noise.
   BenchReport Report("fleet");
   double Wall = 0.0;
   uint64_t TotalOps = 0;
@@ -125,7 +126,7 @@ int main(int argc, char **argv) {
            .add("batch", Base.Shard.BatchSize)
            .add("resident", Base.Shard.MaxResident)
            .add("ops", Base.Shard.Session.TargetOps)
-           .throughput(Threads, Wall, TotalOps)
+           .add("total_steps", TotalOps)
            .write(BenchJsonPath))
     return 1;
   return 0;

@@ -17,9 +17,9 @@
 //
 // The results table on stdout stays byte-identical across thread counts
 // (the determinism test diffs it); everything wall-clock — the perf
-// summary, slowest cells — goes to stderr, and the machine-readable
-// regression baseline (ops/sec plus a per-phase breakdown from a
-// profiled re-run of one representative cell) goes to bench-json=FILE.
+// summary, slowest cells — goes to stderr. bench-json=FILE runs the grid
+// profiled and writes its work golden: the step and allocation totals,
+// the section call counts and the work counters (bench/BenchUtils.h).
 // overhead-check=1 asserts the disabled-profiler ScopedTimer fast path
 // costs nanoseconds, failing the run when instrumentation regresses.
 //
@@ -113,7 +113,9 @@ int main(int argc, char **argv) {
                    "sigma", "moved_words", "budget_used_%"});
   std::atomic<uint64_t> TotalSteps{0};
   std::atomic<uint64_t> TotalAllocatedWords{0};
-  Runner Run = makeRunner(Opts);
+  BenchReport Report("pf_sim");
+  Runner Run =
+      makeRunner(Opts, BenchJsonPath.empty() ? nullptr : &Report.profiler());
   Run.runRows(
       Grid,
       [&](const GridCell &Cell) {
@@ -169,44 +171,20 @@ int main(int argc, char **argv) {
   std::sort(ByTime.begin(), ByTime.end(), [&](size_t A, size_t B) {
     return Run.cellSeconds()[A] > Run.cellSeconds()[B];
   });
-  std::vector<JsonObject> Slowest;
   for (size_t I = 0; I != std::min<size_t>(3, ByTime.size()); ++I) {
     GridCell Cell = Grid.cell(ByTime[I]);
-    double Seconds = Run.cellSeconds()[ByTime[I]];
     std::cerr << "# slowest[" << I << "]: c=" << formatDouble(Cell.num("c"), 0)
               << " policy=" << Cell.str("policy") << " "
-              << formatDouble(Seconds, 3) << "s\n";
-    Slowest.push_back(JsonObject()
-                          .add("c", Cell.num("c"), 0)
-                          .add("policy", Cell.str("policy"))
-                          .add("seconds", Seconds, 3));
+              << formatDouble(Run.cellSeconds()[ByTime[I]], 3) << "s\n";
   }
 
-  if (!BenchJsonPath.empty()) {
-    // Per-phase breakdown from a profiled serial re-run of one
-    // representative cell (the evacuating manager at the first quota).
-    BenchReport Report("pf_sim");
-    uint64_t CellSteps = 0;
-    Heap H;
-    auto MM = createManager("evacuating", H, Cs.front(), /*LiveBound=*/M);
-    CohenPetrankProgram PF(M, N, Cs.front());
-    Execution E(*MM, PF, M);
-    double CellWall =
-        timeRun(&Report.profiler(), [&] { CellSteps = E.run().Steps; });
-    Report.add("logm", LogM)
-        .add("logn", LogN)
-        .add("cs", Cs, 0)
-        .throughput(Run.threads(), Wall, TotalSteps.load(),
-                    JsonObject().add("total_allocated_words",
-                                     TotalAllocatedWords.load()))
-        .add("slowest_cells", Slowest)
-        .add("profiled_cell", JsonObject()
-                                  .add("policy", "evacuating")
-                                  .add("c", Cs.front(), 0)
-                                  .add("steps", CellSteps)
-                                  .add("wall_seconds", CellWall, 3));
-    if (!Report.write(BenchJsonPath))
-      return 1;
-  }
+  if (!BenchJsonPath.empty() &&
+      !Report.add("logm", LogM)
+           .add("logn", LogN)
+           .add("cs", Cs, 0)
+           .add("total_steps", TotalSteps.load())
+           .add("total_allocated_words", TotalAllocatedWords.load())
+           .write(BenchJsonPath))
+    return 1;
   return 0;
 }

@@ -17,10 +17,10 @@
 //                      [csv=0] [json=0] [out=] [bench-json=FILE]
 //
 // The results table on stdout stays byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr, and
-// the regression baseline (steps/sec, the per-phase breakdown with
-// mm.realloc, and the per-cell overhead ratios compare_bench.py gates)
-// goes to bench-json=FILE.
+// (the determinism test diffs it); wall-clock perf goes to stderr.
+// bench-json=FILE runs the grid profiled and writes its work golden: the
+// step total, the per-cell overhead ratios, the section call counts
+// (mm.realloc included) and the work counters (bench/BenchUtils.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -117,11 +117,13 @@ int main(int argc, char **argv) {
   ResultSink Sink({"program", "policy", "steps", "HS", "waste", "moved_words",
                    "alloc_words", "overhead", "worst_prefix", "bound"});
   std::atomic<uint64_t> TotalSteps{0};
-  // The gated overhead cells for the JSON baseline, keyed for stable
-  // emission order; filled under a mutex because runRows is parallel.
+  // The work golden's overhead cells, keyed for stable emission order;
+  // filled under a mutex because runRows is parallel.
   std::vector<std::pair<std::string, double>> OverheadCells;
   std::mutex CellsMutex;
-  Runner Run = makeRunner(Opts);
+  BenchReport Report("realloc");
+  Runner Run =
+      makeRunner(Opts, BenchJsonPath.empty() ? nullptr : &Report.profiler());
   try {
     Run.runRows(
         Grid,
@@ -165,35 +167,19 @@ int main(int argc, char **argv) {
             << uint64_t(perSecond(TotalSteps, Wall)) << " steps/s\n";
 
   if (!BenchJsonPath.empty()) {
-    // Per-phase breakdown from a profiled serial re-run of the whole
-    // grid: one cell would be over in a millisecond, far too few calls
-    // for the per-phase ns/call gate to be stable across CI runs.
-    BenchReport Report("realloc");
-    uint64_t CellSteps = 0;
-    double CellWall = timeRun(&Report.profiler(), [&] {
-      for (const std::string &ProgName : Programs)
-        for (const std::string &Policy : Policies)
-          CellSteps += runCell(ProgName, Policy, M, LogN, C).Exec.Steps;
-    });
-
-    // Deterministic emission order for the committed baseline.
+    // Deterministic emission order for the committed golden.
     std::sort(OverheadCells.begin(), OverheadCells.end());
     std::vector<JsonObject> Overheads;
     for (const auto &[Cell, Overhead] : OverheadCells)
       Overheads.push_back(
           JsonObject().add("cell", Cell).add("overhead", Overhead, 4));
-
-    Report.add("programs", Programs)
-        .add("policies", Policies)
-        .add("logm", LogM)
-        .add("logn", LogN)
-        .throughput(Run.threads(), Wall, TotalSteps.load())
-        .add("profiled_grid", JsonObject()
-                                  .add("cells", Grid.numCells())
-                                  .add("steps", CellSteps)
-                                  .add("wall_seconds", CellWall, 3))
-        .add("overhead_cells", Overheads);
-    if (!Report.write(BenchJsonPath))
+    if (!Report.add("programs", Programs)
+             .add("policies", Policies)
+             .add("logm", LogM)
+             .add("logn", LogN)
+             .add("total_steps", TotalSteps.load())
+             .add("overhead_cells", Overheads)
+             .write(BenchJsonPath))
       return 1;
   }
   return 0;

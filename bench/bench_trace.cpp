@@ -20,9 +20,10 @@
 //                    [csv=0] [json=0] [out=] [bench-json=FILE]
 //
 // The results table on stdout stays byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr, and
-// the machine-readable regression baseline (ops/sec plus the per-phase
-// breakdown, trace.read included) goes to bench-json=FILE.
+// (the determinism test diffs it); wall-clock perf goes to stderr.
+// bench-json=FILE runs the grid profiled and writes its work golden: the
+// streamed-op total, the section call counts (trace.read included) and
+// the work counters (bench/BenchUtils.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -106,7 +107,9 @@ int main(int argc, char **argv) {
   ResultSink Sink({"trace", "policy", "controller", "ops", "HS", "waste",
                    "moved_words", "burn_%", "grants", "denials"});
   std::atomic<uint64_t> TotalOps{0};
-  Runner Run = makeRunner(Opts);
+  BenchReport Report("trace");
+  Runner Run =
+      makeRunner(Opts, BenchJsonPath.empty() ? nullptr : &Report.profiler());
   try {
     Run.runRows(
         Grid,
@@ -147,36 +150,13 @@ int main(int argc, char **argv) {
             << "); " << TotalOps.load() << " ops streamed, "
             << uint64_t(perSecond(TotalOps, Wall)) << " ops/s\n";
 
-  if (!BenchJsonPath.empty()) {
-    // Per-phase breakdown from a profiled serial re-run of one
-    // representative cell: the first trace through the evacuating
-    // manager under the MemBalancer gate, so trace.read, the substrate
-    // sections and the gate's denial counter all fire.
-    BenchReport Report("trace");
-    TraceRunOptions RO = Base;
-    RO.Policy = "evacuating";
-    RO.Controller = Spec;
-    RO.Controller.Name = "membalancer";
-    std::istringstream IS(Serialized.at(Traces.front()));
-    TraceReader R(IS);
-    uint64_t CellOps = 0;
-    double CellWall = timeRun(&Report.profiler(), [&] {
-      CellOps = runTrace(R, RO, Traces.front()).OpsStreamed;
-    });
-
-    Report.add("traces", Traces)
-        .add("policies", Policies)
-        .add("controllers", Controllers)
-        .add("ops", NumOps)
-        .throughput(Run.threads(), Wall, TotalOps.load())
-        .add("profiled_cell", JsonObject()
-                                  .add("trace", Traces.front())
-                                  .add("policy", RO.Policy)
-                                  .add("controller", RO.Controller.Name)
-                                  .add("ops", CellOps)
-                                  .add("wall_seconds", CellWall, 3));
-    if (!Report.write(BenchJsonPath))
-      return 1;
-  }
+  if (!BenchJsonPath.empty() &&
+      !Report.add("traces", Traces)
+           .add("policies", Policies)
+           .add("controllers", Controllers)
+           .add("ops", NumOps)
+           .add("total_steps", TotalOps.load())
+           .write(BenchJsonPath))
+    return 1;
   return 0;
 }

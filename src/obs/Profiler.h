@@ -73,6 +73,15 @@ public:
     /// counted, nor is the run holding the answer. firstFitAligned counts
     /// each run of at least Size words it tries, the answer's included.
     /// bestFit and worstFitBelow count none.
+    ///
+    /// The count is exact per run: the same run counts the same probes
+    /// at any thread count and in either bit-scan build, which is why the
+    /// committed BENCH_*.json work goldens pin it. It is not query-local:
+    /// a super whose stale digest admits the request is descended and its
+    /// interior runs counted, while the same super cleaned by an earlier
+    /// query (of any kind) is skipped. So a change to when digests are
+    /// cleaned changes the count, and the goldens, without moving any
+    /// placement; such a change re-records the goldens and says so.
     CtrFitProbes,
     CtrCompactionPasses,  ///< compaction routine invocations
     CtrMeshProbes,        ///< chunk pairs probed for occupancy disjointness

@@ -112,12 +112,14 @@ private:
 
 /// Builds a Runner from the common command-line options: `threads=N` (0
 /// or absent = all hardware threads) and `progress=0/1` (default: auto,
-/// i.e. report to stderr only when it is a terminal).
-inline Runner makeRunner(const OptionParser &Opts) {
+/// i.e. report to stderr only when it is a terminal). A non-null \p Prof
+/// collects the merged profile of every cell (RunnerOptions::Prof).
+inline Runner makeRunner(const OptionParser &Opts, Profiler *Prof = nullptr) {
   RunnerOptions RO;
   RO.Threads = Opts.getUnsigned("threads", 0);
   if (Opts.has("progress"))
     RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
+  RO.Prof = Prof;
   return Runner(RO);
 }
 

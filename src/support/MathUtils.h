@@ -16,6 +16,7 @@
 #ifndef PCBOUND_SUPPORT_MATHUTILS_H
 #define PCBOUND_SUPPORT_MATHUTILS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -33,10 +34,7 @@ constexpr uint64_t pow2(unsigned Exp) {
 /// Floor of log2(\p X). \p X must be nonzero.
 constexpr unsigned log2Floor(uint64_t X) {
   assert(X != 0 && "log2Floor of zero");
-  unsigned R = 0;
-  while (X >>= 1)
-    ++R;
-  return R;
+  return unsigned(std::bit_width(X)) - 1;
 }
 
 /// Ceiling of log2(\p X). \p X must be nonzero.

@@ -50,6 +50,9 @@ TEST(MathUtils, Log2Floor) {
   EXPECT_EQ(log2Floor(4), 2u);
   EXPECT_EQ(log2Floor(1023), 9u);
   EXPECT_EQ(log2Floor(1024), 10u);
+  EXPECT_EQ(log2Floor(uint64_t(1) << 63), 63u);
+  EXPECT_EQ(log2Floor(UINT64_MAX), 63u);
+  static_assert(log2Floor(UINT64_MAX) == 63, "log2Floor is constexpr");
 }
 
 TEST(MathUtils, Log2Ceil) {
