@@ -6,14 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `bench-json=` work golden shared by the table benches: a
+/// Shared bench plumbing: the parameter check a bench makes before its
+/// grid runs, and the `bench-json=` work golden of the table benches. A
 /// BenchReport holds the bench's grid and result fields and the Profiler
 /// its grid ran under, and writes them with the section call counts and
 /// the work counters as one JSON object. It holds no timing, so the
 /// committed BENCH_<name>.json is reproduced byte for byte on any
 /// machine, and ctest (`bench_<name>_baseline_golden`) checks that it is.
-/// Wall-clock numbers go to stderr only. Table emission (`csv=` / `json=`
-/// / `out=`) lives in runner/ResultSink.h.
+/// Table emission (`csv=` / `json=` / `out=`) lives in
+/// runner/ResultSink.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +33,18 @@
 #include <vector>
 
 namespace pcb {
+
+/// The parameter check a bench makes before its grid runs: when \p Why
+/// (a paramsError or optionsError) is set, prints "error: WHY (CONTEXT)",
+/// \p Context streamed in order, and returns false.
+template <typename... Ts>
+bool paramsOk(const char *Why, const Ts &...Context) {
+  if (Why) {
+    std::cerr << "error: " << Why << " (";
+    (std::cerr << ... << Context) << ")\n";
+  }
+  return !Why;
+}
 
 /// A JSON object built member by member, in order; each value is
 /// rendered (and each string escaped) as it is added.

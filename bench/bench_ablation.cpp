@@ -29,6 +29,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "adversary/CohenPetrankProgram.h"
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
@@ -47,11 +48,15 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = Opts.getUnsigned("logm", 15);
-  unsigned LogN = Opts.getUnsigned("logn", 9);
+  unsigned LogM = getLog2(Opts, "logm", 15);
+  unsigned LogN = getLog2(Opts, "logn", 9);
   std::vector<double> Cs = getQuotaList(Opts, "20,50,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
+  for (double C : Cs)
+    if (!paramsOk(CohenPetrankProgram::paramsError(M, N, C), "logm=", LogM,
+                  ", logn=", LogN, ", c=", C))
+      return 1;
 
   std::cout << "# E7: ablation of PF's design choices vs the evacuating"
             << " manager (M=" << formatWords(M) << ", n=" << formatWords(N)

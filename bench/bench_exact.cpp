@@ -8,7 +8,7 @@
 // truth: Theorem 1's forced heap <= exact <= the best upper bound on
 // every cell, with exact == Robson's matching formula at c = infinity.
 // The stdout table is deterministic (the determinism test diffs it across
-// thread counts); solver wall-clock and state-space sizes go to stderr.
+// thread counts).
 //
 // Usage: bench_exact [Ms=2,4,8] [ns=2,4] [cs=1,2,4,inf] [csv=0]
 //                    [threads=0] [out=]
@@ -49,11 +49,9 @@ int main(int argc, char **argv) {
   });
 
   ResultSink Sink(certificateHeader(/*WithNodes=*/false));
-  uint64_t NumFailed = 0, TotalNodes = 0;
+  uint64_t NumFailed = 0;
   for (size_t I = 0; I != Cells.size(); ++I) {
     const ExactCertificate &Cert = Certs[I];
-    for (const ArenaOutcome &A : Cert.Result.Arenas)
-      TotalNodes += A.Nodes;
     if (!Cert.ok()) {
       ++NumFailed;
       std::cerr << "certificate FAILED: " << Cert.describe() << "\n";
@@ -62,9 +60,5 @@ int main(int argc, char **argv) {
   }
   if (!Sink.emit(Opts))
     return 1;
-
-  std::cerr << "# perf: " << Cells.size() << " cells, " << TotalNodes
-            << " game states in " << formatDouble(Run.wallSeconds(), 2)
-            << "s wall (threads=" << Run.threads() << ")\n";
   return NumFailed == 0 ? 0 : 1;
 }

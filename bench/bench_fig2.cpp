@@ -29,9 +29,17 @@ using namespace pcb;
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   double C = getQuota(Opts, 100.0);
-  unsigned LogNMin = Opts.getUnsigned("lognmin", 10);
-  unsigned LogNMax = Opts.getUnsigned("lognmax", 30);
+  unsigned LogNMin = getLog2(Opts, "lognmin", 10);
+  unsigned LogNMax = getLog2(Opts, "lognmax", 30);
   uint64_t Ratio = Opts.getUInt("ratio", 256);
+  for (unsigned LogN : {LogNMin, LogNMax})
+    if (LogN >= Fig2LogNLimit ||
+        !BoundParams{Ratio * pow2(LogN), pow2(LogN), C}.valid()) {
+      std::cerr << "error: need c > 1, a power-of-two ratio and 1 <= "
+                << "log2(n) < " << Fig2LogNLimit << " (c=" << C
+                << ", ratio=" << Ratio << ", log2(n)=" << LogN << ")\n";
+      return 1;
+    }
 
   std::cout << "# Figure 2: lower bound on the waste factor h as a"
             << " function of n (c=" << C << ", M=" << Ratio << "n)\n";

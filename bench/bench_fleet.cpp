@@ -17,7 +17,7 @@
 //                    [bench-json=FILE]
 //
 // The results table on stdout is byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr.
+// (the determinism test diffs it).
 // bench-json=FILE writes the fleets' work golden: the applied-op total,
 // the section call counts (serve.flush included) and the work counters
 // but the schedule-dependent serve.steals (bench/BenchUtils.h).
@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtils.h"
+#include "fuzz/WorkloadFuzzer.h"
 #include "mm/CompactionLedger.h"
 #include "runner/ResultSink.h"
 #include "service/ServiceFleet.h"
@@ -54,7 +55,13 @@ int main(int argc, char **argv) {
   Base.Shard.SampleEverySessions = 0; // throughput run: no timelines
   Base.Shard.Session.FleetSeed = Opts.getUInt("seed", 1);
   Base.Shard.Session.TargetOps = Opts.getUInt("ops", 48);
-  Base.Shard.Session.MaxLogSize = Opts.getUnsigned("maxlog", 6);
+  Base.Shard.Session.MaxLogSize = getLog2(Opts, "maxlog", 6);
+  WorkloadFuzzer::Options Generated;
+  Generated.LiveBound = Base.Shard.Session.LiveBound;
+  Generated.MaxLogSize = Base.Shard.Session.MaxLogSize;
+  if (!paramsOk(WorkloadFuzzer::optionsError(Generated), "maxlog=",
+                Generated.MaxLogSize, ", live=", Generated.LiveBound))
+    return 1;
 
   std::cout << "# E14: fleet service mode: " << ArenaCounts.size()
             << " arena counts x " << Sessions << " sessions (policy="
@@ -73,10 +80,7 @@ int main(int argc, char **argv) {
   // the work golden counts the real scheduler path; the ScopedTimer
   // overhead at flush granularity is noise.
   BenchReport Report("fleet");
-  double Wall = 0.0;
   uint64_t TotalOps = 0;
-  uint64_t TotalSessions = 0;
-  unsigned Threads = 0;
 
   for (double ArenasD : ArenaCounts) {
     FleetOptions FO = Base;
@@ -89,11 +93,8 @@ int main(int argc, char **argv) {
     try {
       ServiceFleet Fleet(FO);
       Fleet.run();
-      Wall += Fleet.wallSeconds();
-      Threads = Fleet.threads();
       FleetReport R = Fleet.report();
       TotalOps += R.TotalOpsApplied;
-      TotalSessions += R.TotalSessions;
       Sink.append(Row()
                       .addCell(uint64_t(FO.NumArenas))
                       .addCell(R.TotalSessions)
@@ -112,12 +113,6 @@ int main(int argc, char **argv) {
   }
   if (!Sink.emit(Opts))
     return 1;
-
-  std::cerr << "# perf: " << ArenaCounts.size() << " fleets in "
-            << formatDouble(Wall, 2) << "s wall (threads=" << Threads
-            << "); " << TotalSessions << " sessions, " << TotalOps
-            << " ops, " << uint64_t(perSecond(TotalOps, Wall))
-            << " ops/s\n";
 
   if (!BenchJsonPath.empty() &&
       !Report.add("arenas", ArenaCounts, 0)

@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "adversary/CohenPetrankProgram.h"
 #include "adversary/SyntheticWorkloads.h"
 #include "driver/Execution.h"
@@ -43,13 +44,16 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = Opts.getUnsigned("logm", 15);
-  unsigned LogN = Opts.getUnsigned("logn", 8);
+  unsigned LogM = getLog2(Opts, "logm", 15);
+  unsigned LogN = getLog2(Opts, "logn", 8);
   double C = getQuota(Opts, 50.0);
   std::vector<double> Thresholds = parseNumberList(
       Opts.getString("thresholds", "0.05,0.1,0.25,0.5,0.9"), "thresholds");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
+  if (!paramsOk(CohenPetrankProgram::paramsError(M, N, C), "logm=", LogM,
+                ", logn=", LogN, ", c=", C))
+    return 1;
 
   std::cout << "# Manager tuning: evacuation density threshold vs PF and"
             << " vs churn (M=" << formatWords(M) << ", n=" << formatWords(N)

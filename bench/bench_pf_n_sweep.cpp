@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "adversary/CohenPetrankProgram.h"
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
@@ -48,9 +49,14 @@ struct SweepPoint {
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
   double C = getQuota(Opts, 50.0);
-  unsigned LogNMin = Opts.getUnsigned("lognmin", 6);
-  unsigned LogNMax = Opts.getUnsigned("lognmax", 10);
+  unsigned LogNMin = getLog2(Opts, "lognmin", 6);
+  unsigned LogNMax = getLog2(Opts, "lognmax", 10);
   uint64_t Ratio = Opts.getUInt("ratio", 64);
+  for (unsigned LogN : {LogNMin, LogNMax})
+    if (!paramsOk(CohenPetrankProgram::paramsError(Ratio * pow2(LogN),
+                                                   pow2(LogN), C),
+                  "c=", C, ", ratio=", Ratio, ", log2(n)=", LogN))
+      return 1;
   std::string Policy = Opts.getString("policy", "evacuating");
 
   {

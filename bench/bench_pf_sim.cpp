@@ -16,8 +16,7 @@
 //                     [overhead-check=0]
 //
 // The results table on stdout stays byte-identical across thread counts
-// (the determinism test diffs it); everything wall-clock — the perf
-// summary, slowest cells — goes to stderr. bench-json=FILE runs the grid
+// (the determinism test diffs it). bench-json=FILE runs the grid
 // profiled and writes its work golden: the step and allocation totals,
 // the section call counts and the work counters (bench/BenchUtils.h).
 // overhead-check=1 asserts the disabled-profiler ScopedTimer fast path
@@ -38,11 +37,9 @@
 #include "support/OptionParser.h"
 #include "support/Table.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iostream>
-#include <numeric>
 
 using namespace pcb;
 
@@ -80,11 +77,15 @@ int runOverheadCheck() {
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = Opts.getUnsigned("logm", 16);
-  unsigned LogN = Opts.getUnsigned("logn", 9);
+  unsigned LogM = getLog2(Opts, "logm", 16);
+  unsigned LogN = getLog2(Opts, "logn", 9);
   std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
+  for (double C : Cs)
+    if (!paramsOk(CohenPetrankProgram::paramsError(M, N, C), "logm=", LogM,
+                  ", logn=", LogN, ", c=", C))
+      return 1;
   std::string BenchJsonPath = Opts.getString("bench-json", "");
   if (Opts.getBool("overhead-check", false) && runOverheadCheck() != 0)
     return 1;
@@ -157,26 +158,6 @@ int main(int argc, char **argv) {
 
   std::cout << "\n# (*) not a c-partial manager: unlimited compaction"
             << " budget, shown as the overhead-1 reference.\n";
-
-  // Wall-clock reporting is stderr-only: the determinism test diffs
-  // stdout across thread counts.
-  double Wall = Run.wallSeconds();
-  std::cerr << "# perf: " << Grid.numCells() << " cells in "
-            << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
-            << "); " << TotalSteps.load() << " steps, "
-            << uint64_t(perSecond(TotalSteps, Wall)) << " steps/s\n";
-  // The slowest cells, for eyeballing where the time goes.
-  std::vector<size_t> ByTime(Run.cellSeconds().size());
-  std::iota(ByTime.begin(), ByTime.end(), size_t(0));
-  std::sort(ByTime.begin(), ByTime.end(), [&](size_t A, size_t B) {
-    return Run.cellSeconds()[A] > Run.cellSeconds()[B];
-  });
-  for (size_t I = 0; I != std::min<size_t>(3, ByTime.size()); ++I) {
-    GridCell Cell = Grid.cell(ByTime[I]);
-    std::cerr << "# slowest[" << I << "]: c=" << formatDouble(Cell.num("c"), 0)
-              << " policy=" << Cell.str("policy") << " "
-              << formatDouble(Run.cellSeconds()[ByTime[I]], 3) << "s\n";
-  }
 
   if (!BenchJsonPath.empty() &&
       !Report.add("logm", LogM)

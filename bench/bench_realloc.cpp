@@ -17,7 +17,7 @@
 //                      [csv=0] [json=0] [out=] [bench-json=FILE]
 //
 // The results table on stdout stays byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr.
+// (the determinism test diffs it).
 // bench-json=FILE runs the grid profiled and writes its work golden: the
 // step total, the per-cell overhead ratios, the section call counts
 // (mm.realloc included) and the work counters (bench/BenchUtils.h).
@@ -79,8 +79,8 @@ int main(int argc, char **argv) {
                   "update-size-profile,update-mix,cohen-petrank"));
   std::vector<std::string> Policies = parseNameList(
       Opts.getString("policies", "realloc-never,realloc-bucket,realloc-jin"));
-  unsigned LogM = Opts.getUnsigned("logm", 12);
-  unsigned LogN = Opts.getUnsigned("logn", 6);
+  unsigned LogM = getLog2(Opts, "logm", 12);
+  unsigned LogN = getLog2(Opts, "logn", 6);
   double C = getQuota(Opts, 50.0);
   uint64_t M = pow2(LogM);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
@@ -157,14 +157,6 @@ int main(int argc, char **argv) {
   }
   if (!Sink.emit(Opts))
     return 1;
-
-  // Wall-clock reporting is stderr-only: the determinism test diffs
-  // stdout across thread counts.
-  double Wall = Run.wallSeconds();
-  std::cerr << "# perf: " << Grid.numCells() << " cells in "
-            << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
-            << "); " << TotalSteps.load() << " steps, "
-            << uint64_t(perSecond(TotalSteps, Wall)) << " steps/s\n";
 
   if (!BenchJsonPath.empty()) {
     // Deterministic emission order for the committed golden.

@@ -18,6 +18,7 @@
 #include "adversary/RobsonProgram.h"
 #include "bounds/RobsonBounds.h"
 #include "driver/Execution.h"
+#include "mm/CompactionLedger.h"
 #include "mm/ManagerFactory.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -31,10 +32,16 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = Opts.getUnsigned("logm", 14);
-  unsigned LogNMin = Opts.getUnsigned("lognmin", 4);
-  unsigned LogNMax = Opts.getUnsigned("lognmax", 8);
+  unsigned LogM = getLog2(Opts, "logm", 14);
+  unsigned LogNMin = getLog2(Opts, "lognmin", 4);
+  unsigned LogNMax = getLog2(Opts, "lognmax", 8);
   uint64_t M = pow2(LogM);
+  for (unsigned LogN : {LogNMin, LogNMax})
+    if (!BoundParams{M, pow2(LogN), 10.0}.valid()) {
+      std::cerr << "error: need 2 <= n <= M (logm=" << LogM
+                << ", log2(n)=" << LogN << ")\n";
+      return 1;
+    }
 
   std::cout << "# E4: Robson's matching bound, simulated (PR vs"
             << " non-moving managers), M=" << formatWords(M) << "\n"

@@ -20,7 +20,7 @@
 //                    [csv=0] [json=0] [out=] [bench-json=FILE]
 //
 // The results table on stdout stays byte-identical across thread counts
-// (the determinism test diffs it); wall-clock perf goes to stderr.
+// (the determinism test diffs it).
 // bench-json=FILE runs the grid profiled and writes its work golden: the
 // streamed-op total, the section call counts (trace.read included) and
 // the work counters (bench/BenchUtils.h).
@@ -76,7 +76,10 @@ int main(int argc, char **argv) {
   WorkloadFuzzer::Options FO;
   FO.NumOps = NumOps;
   FO.LiveBound = std::max<uint64_t>(1, Opts.getUInt("livegen", 1 << 12));
-  FO.MaxLogSize = Opts.getUnsigned("maxlog", 8);
+  FO.MaxLogSize = getLog2(Opts, "maxlog", 8);
+  if (!paramsOk(WorkloadFuzzer::optionsError(FO), "maxlog=", FO.MaxLogSize,
+                ", livegen=", FO.LiveBound))
+    return 1;
   std::map<std::string, std::string> Serialized;
   for (size_t T = 0; T != Traces.size(); ++T) {
     FO.Seed = splitSeed(Seed, T);
@@ -141,14 +144,6 @@ int main(int argc, char **argv) {
   }
   if (!Sink.emit(Opts))
     return 1;
-
-  // Wall-clock reporting is stderr-only: the determinism test diffs
-  // stdout across thread counts.
-  double Wall = Run.wallSeconds();
-  std::cerr << "# perf: " << Grid.numCells() << " cells in "
-            << formatDouble(Wall, 2) << "s wall (threads=" << Run.threads()
-            << "); " << TotalOps.load() << " ops streamed, "
-            << uint64_t(perSecond(TotalOps, Wall)) << " ops/s\n";
 
   if (!BenchJsonPath.empty() &&
       !Report.add("traces", Traces)

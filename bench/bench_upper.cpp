@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "adversary/CohenPetrankProgram.h"
 #include "adversary/PatternWorkloads.h"
 #include "adversary/RobsonProgram.h"
@@ -44,12 +45,16 @@ using namespace pcb;
 
 int main(int argc, char **argv) {
   OptionParser Opts(argc, argv);
-  unsigned LogM = Opts.getUnsigned("logm", 15);
-  unsigned LogN = Opts.getUnsigned("logn", 8);
+  unsigned LogM = getLog2(Opts, "logm", 15);
+  unsigned LogN = getLog2(Opts, "logn", 8);
   double C = getQuota(Opts, 50.0);
   uint64_t NumSeeds = Opts.getUInt("seeds", 3);
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
+  // PF's domain holds Robson's (n <= M) and the bound formulas' (c > 1).
+  if (!paramsOk(CohenPetrankProgram::paramsError(M, N, C), "logm=", LogM,
+                ", logn=", LogN, ", c=", C))
+    return 1;
   BoundParams P{M, N, C};
 
   std::cout << "# E6: upper-bound manager behaviour (M=" << formatWords(M)

@@ -55,6 +55,8 @@ const char *CohenPetrankProgram::paramsError(uint64_t M, uint64_t N,
     return "n must be a power of two >= 16 for a two-stage construction";
   if (M < N)
     return "live bound M below the largest object n";
+  if (!isPowerOfTwo(M))
+    return "live bound M must be a power of two";
   if (cohenPetrankMaxSigma(C) < 1)
     return "c too small for any admissible density (need 3c/4 >= 2)";
   return nullptr;

@@ -74,8 +74,8 @@ public:
 
   /// Why the construction cannot run at (\p M, \p N, \p C), or nullptr
   /// when it can: N a power of two of at least 16 words (stage two needs
-  /// log2(n) >= 4), M >= N, and c large enough for sigma = 1
-  /// (2 <= 3c/4).
+  /// log2(n) >= 4), M >= N a power of two (the bound formulas' domain),
+  /// and c large enough for sigma = 1 (2 <= 3c/4).
   static const char *paramsError(uint64_t M, uint64_t N, double C);
 
   bool step(MutatorContext &Ctx) override;

@@ -37,7 +37,8 @@ std::vector<Fig1Point> pcb::sweepFig1(uint64_t M, uint64_t N, unsigned CMin,
 std::vector<Fig2Point> pcb::sweepFig2(double C, unsigned LogNMin,
                                       unsigned LogNMax,
                                       uint64_t LiveToMaxRatio) {
-  assert(LogNMin >= 1 && LogNMin <= LogNMax && LogNMax < 34 && "bad n range");
+  assert(LogNMin >= 1 && LogNMin <= LogNMax && LogNMax < Fig2LogNLimit &&
+         "bad n range");
   assert(isPowerOfTwo(LiveToMaxRatio) && "ratio must be a power of two");
   std::vector<Fig2Point> Series;
   Series.reserve(LogNMax - LogNMin + 1);

@@ -51,6 +51,9 @@ struct Fig2Point {
   double PriorLower;
 };
 
+/// sweepFig2's bound on log2(n), exclusive.
+constexpr unsigned Fig2LogNLimit = 34;
+
 /// Figure 2: n = 2^LogNMin .. 2^LogNMax, M = LiveToMaxRatio * n, fixed c
 /// (paper: c = 100, M = 256 n, n = 1KB..1GB i.e. logN = 10..30).
 std::vector<Fig2Point> sweepFig2(double C, unsigned LogNMin, unsigned LogNMax,

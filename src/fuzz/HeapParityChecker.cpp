@@ -83,8 +83,6 @@ void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
   if (Hwm != 0) {
     Expect("worstFitBelow(1,hwm)", Hwm, Live.worstFitBelow(1, Hwm),
            RefFree.worstFitBelow(1, Hwm));
-    Expect("numBlocksBelow", Hwm, Live.numBlocksBelow(Hwm),
-           RefFree.numBlocksBelow(Hwm));
     Expect("largestBlockBelow", Hwm, Live.largestBlockBelow(Hwm),
            RefFree.largestBlockBelow(Hwm));
     Expect("freeWordsBelow", Hwm, Live.freeWordsBelow(Hwm),

@@ -314,7 +314,7 @@ Addr scanFirstFit(const uint64_t *W, size_t NumWords, Addr At,
 template <typename FnT>
 bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
                                     uint64_t &Run, FnT &&Fn) {
-  unsigned MaxRun = 0, Pre = 0, Trans = 0;
+  unsigned MaxRun = 0, Pre = 0;
   uint64_t CMask = 0;
   // LRun is the window-local open run (resets at the window base); Run is
   // the global carry. They differ only until the first used bit, where
@@ -335,12 +335,10 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
       if (Run != 0) {
         if (!Stopped && Fn(Addr(WBase + B - Run), Addr(WBase + B)))
           Stopped = true;
-        if (!SeenUsed) {
+        if (!SeenUsed)
           Pre = unsigned(LRun);
-        } else {
+        else
           CMask |= uint64_t(1) << classOf(LRun);
-          ++Trans;
-        }
         if (LRun > MaxRun)
           MaxRun = unsigned(LRun);
       }
@@ -377,17 +375,13 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
     Sp = Super();
     return Stopped;
   }
-  if (LRun != 0) {
-    // Suffix run: starts after a used bit (counts as an interior start),
-    // but completes in a later super, so it stays out of ClassMask.
-    ++Trans;
-    if (LRun > MaxRun)
-      MaxRun = unsigned(LRun);
-  }
+  // The suffix run completes in a later super, so it stays out of
+  // ClassMask.
+  if (LRun > MaxRun)
+    MaxRun = unsigned(LRun);
   Sp.Pre = uint16_t(Pre);
   Sp.Suf = uint16_t(LRun);
   Sp.Max = uint16_t(MaxRun);
-  Sp.Trans = uint16_t(Trans);
   Sp.ClassMask = CMask;
   Sp.Dirty = false;
   return Stopped;
@@ -665,54 +659,6 @@ Addr FreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
 
 uint64_t FreeSpaceIndex::freeWordsBelow(Addr Limit) const {
   return Limit == 0 ? 0 : freeWordsIn(0, Limit);
-}
-
-size_t FreeSpaceIndex::numBlocksBelow(Addr Limit) const {
-  size_t N = 0;
-  bool PrevUsed = true; // virtual used bit before address 0
-  Addr Pos = 0;         // the walk has covered [0, Pos)
-  for (size_t K = 0; K != Occ.size() && Occ.base(K) < Limit; ++K) {
-    const Addr PBase = Occ.base(K);
-    if (PBase > Pos) { // free supers and absent pages: one free run
-      N += size_t(PrevUsed);
-      PrevUsed = false;
-    }
-    const OccPage *Pg = Occ.page(K);
-    if (!Pg) { // a run of full pages
-      PrevUsed = true;
-      Pos = Occ.end(K);
-      continue;
-    }
-    PageSums &D = Occ.side(K);
-    const unsigned Top = topSuper(K);
-    Pos = PBase + Top * SuperBits;
-    for (unsigned J = 0; J != Top; ++J) {
-      const Addr Base = PBase + J * SuperBits;
-      const uint64_t *W = Pg->W + J * SuperWords;
-      if (Base + SuperBits > Limit) {
-        // Straddling super: count run starts at word level up to the
-        // limit.
-        for (size_t WI = 0; Base + WI * WordBits < Limit; ++WI) {
-          uint64_t F = ~W[WI];
-          uint64_t Left = Limit - (Base + WI * WordBits);
-          if (Left < WordBits)
-            F &= lowMask(unsigned(Left));
-          N += popcount64(F & ~((F << 1) | uint64_t(!PrevUsed)));
-          PrevUsed = W[WI] >> 63;
-        }
-        return N;
-      }
-      Super &S = D.Sum[J];
-      if (S.Dirty)
-        recomputeSuper(W, S);
-      bool AllFree = S.FreeCount == SuperBits;
-      bool Bit0Free = AllFree || S.Pre > 0;
-      N += S.Trans + size_t(Bit0Free && PrevUsed);
-      PrevUsed = !AllFree && S.Suf == 0;
-    }
-  }
-  // [Pos, Limit) is free: absent pages or the tail.
-  return N + size_t(Pos < Limit && PrevUsed);
 }
 
 uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {

@@ -60,8 +60,8 @@
 /// specification (one sorted block map, each query its definition walked
 /// in address order), cross-checked continuously by the equivalence
 /// property test and the differential fuzzer's heap-parity oracle. All
-/// tie-breaks resolve to the lowest address, and numBlocksBelow /
-/// largestBlockBelow stay exact for the telemetry layer.
+/// tie-breaks resolve to the lowest address, and largestBlockBelow stays
+/// exact for the telemetry layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -142,11 +142,6 @@ public:
     return (End - Start) - Occ.popcountRange(Start, End);
   }
 
-  /// Number of free blocks that begin below \p Limit. O(supers): whole
-  /// supers answer from their run-start digests, only the super
-  /// straddling \p Limit is scanned at word level.
-  size_t numBlocksBelow(Addr Limit) const;
-
   /// Largest free run clipped to [0, Limit): the maximum over blocks
   /// starting below \p Limit of min(end, Limit) - start. O(supers):
   /// supers that cannot beat the incumbent are skipped via their max-run
@@ -226,14 +221,13 @@ private:
   /// anything. Max degrades to a sound *upper bound* while Dirty (a
   /// reserve can only shrink runs; a release folds its merged run in), so
   /// it still filters descents — a stale pass costs one recompute, a
-  /// stale skip cannot happen. Trans and ClassMask are only valid when
-  /// clean; the queries that need them (numBlocksBelow, bestFit)
-  /// recompute on the way. The defaults are the fully free super.
+  /// stale skip cannot happen. ClassMask is only valid when clean; the
+  /// query that needs it (bestFit) recomputes on the way. The defaults
+  /// are the fully free super.
   struct Super {
     uint16_t Pre = SuperBits;  ///< leading free bits (always exact)
     uint16_t Suf = SuperBits;  ///< trailing free bits (always exact)
     uint16_t Max = SuperBits;  ///< longest free run (bound while Dirty)
-    uint16_t Trans = 0;        ///< free runs starting at an interior position
     uint16_t FreeCount = SuperBits; ///< free bits in the window (exact)
     bool Dirty = false;
     uint64_t ClassMask = 0;        ///< classes of runs interior to the window

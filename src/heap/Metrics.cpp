@@ -25,7 +25,11 @@ FragmentationMetrics pcb::measureFragmentation(const Heap &H) {
   // free total is the complement of the live words — no scan needed.
   assert(M.LiveWords <= M.FootprintWords && "live words exceed footprint");
   M.FreeWords = M.FootprintWords - M.LiveWords;
-  M.FreeBlocks = H.freeSpace().numBlocksBelow(M.FootprintWords);
+  // Every word at or above the mark is free, so one block at most starts
+  // there: the tail, when the word below the mark is used.
+  M.FreeBlocks = H.freeSpace().numBlocks() -
+                 size_t(M.FootprintWords < AddrLimit &&
+                        !H.isFree(M.FootprintWords - 1, 1));
   M.LargestFreeBlock = H.freeSpace().largestBlockBelow(M.FootprintWords);
   M.Utilization = utilization(M.LiveWords, M.FootprintWords);
   M.ExternalFragmentation =

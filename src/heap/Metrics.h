@@ -58,10 +58,11 @@ inline double externalFragmentation(uint64_t LargestFreeBlock,
 }
 
 /// Measures \p H now. The free words are the complement of the live
-/// words (O(1)); the block count and the largest block are walks over the
-/// board's present pages that judge most supers by their digests and
-/// sweep each dirty super they descend into — O(present pages) plus the
-/// words of the supers swept.
+/// words and the block count follows from the index's maintained count
+/// (both O(1)); the largest block is a walk over the board's present
+/// pages that judges most supers by their digests and sweeps each dirty
+/// super it descends into — O(present pages) plus the words of the
+/// supers swept.
 FragmentationMetrics measureFragmentation(const Heap &H);
 
 /// max(\p Peak, measureFragmentation(H).ExternalFragmentation), bit for

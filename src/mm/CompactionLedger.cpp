@@ -33,6 +33,18 @@ double pcb::getQuota(const OptionParser &Opts, double Default) {
   return C;
 }
 
+unsigned pcb::getLog2(const OptionParser &Opts, const std::string &Key,
+                      unsigned Default) {
+  constexpr unsigned Limit = log2Exact(AddrLimit);
+  uint64_t V = Opts.getUInt(Key, Default);
+  if (V >= Limit) {
+    std::cerr << "error: " << Key << "=" << V << " is out of range (need "
+              << Key << " < " << Limit << ")\n";
+    std::exit(1);
+  }
+  return unsigned(V);
+}
+
 std::vector<double> pcb::getQuotaList(const OptionParser &Opts,
                                       const std::string &Default) {
   std::string Text = Opts.getString("cs", Default);

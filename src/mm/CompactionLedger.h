@@ -74,6 +74,12 @@ double getQuota(const OptionParser &Opts, double Default);
 std::vector<double> getQuotaList(const OptionParser &Opts,
                                  const std::string &Default);
 
+/// The exponent option \p Key= (default \p Default): logm=, logn=,
+/// maxlog= and the like. A value whose power of two does not fit the
+/// 2^60-word address space prints one error and exits with status 1.
+unsigned getLog2(const OptionParser &Opts, const std::string &Key,
+                 unsigned Default);
+
 /// Evaluates the c-partial compaction constraint against a heap.
 class CompactionLedger {
 public:

@@ -8,9 +8,9 @@
 /// \file
 /// Records a Timeline of heap state during an Execution. The sampler
 /// registers itself as a step observer; each sample is a
-/// measureFragmentation, whose FreeSpaceIndex aggregate queries walk the
-/// present pages by their digests and sweep only the dirty supers they
-/// descend into — no word-by-word re-scan of the heap.
+/// measureFragmentation, whose largest-block query walks the present
+/// pages by their digests and sweeps only the dirty supers it descends
+/// into — no word-by-word re-scan of the heap.
 ///
 /// Memory is bounded: when a run outgrows MaxPoints, the sampler drops
 /// every other recorded point and doubles its stride. The thinning

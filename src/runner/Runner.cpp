@@ -96,20 +96,9 @@ bool Runner::progressEnabled() const {
 
 void Runner::forEachCell(uint64_t NumCells,
                          const std::function<void(uint64_t)> &Fn) const {
-  CellSeconds.assign(size_t(NumCells), 0.0);
-  WallSeconds = 0.0;
   if (NumCells == 0)
     return;
   ProgressReporter Prog(NumCells, progressEnabled());
-  auto WallStart = std::chrono::steady_clock::now();
-  auto RunCell = [&](uint64_t I) {
-    auto Start = std::chrono::steady_clock::now();
-    Fn(I);
-    CellSeconds[size_t(I)] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-  };
 
   if (NumThreads <= 1 || NumCells == 1) {
     // Inline cells see the calling thread's profiler; merge into the
@@ -119,14 +108,11 @@ void Runner::forEachCell(uint64_t NumCells,
     ProfilerScope Scope(Prof && Prof != Profiler::current() ? &Local
                                                             : nullptr);
     for (uint64_t I = 0; I != NumCells; ++I) {
-      RunCell(I);
+      Fn(I);
       Prog.tick();
     }
     if (Prof && Prof != Profiler::current())
       Prof->merge(Local);
-    WallSeconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - WallStart)
-                      .count();
     return;
   }
 
@@ -143,7 +129,7 @@ void Runner::forEachCell(uint64_t NumCells,
       if (I >= NumCells)
         break;
       try {
-        RunCell(I);
+        Fn(I);
       } catch (...) {
         std::lock_guard<std::mutex> Lock(ErrorMu);
         if (!FirstError)
@@ -168,9 +154,6 @@ void Runner::forEachCell(uint64_t NumCells,
     Pool.emplace_back(Work);
   for (std::thread &Th : Pool)
     Th.join();
-  WallSeconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - WallStart)
-                    .count();
   if (FirstError)
     std::rethrow_exception(FirstError);
 }

@@ -90,24 +90,12 @@ public:
                const std::function<Row(const GridCell &)> &Fn,
                ResultSink &Sink) const;
 
-  /// Wall-clock seconds each cell of the last forEachCell() took, keyed
-  /// by cell index. Timing is observability only — it never feeds into
-  /// results, so the determinism contract is unaffected.
-  const std::vector<double> &cellSeconds() const { return CellSeconds; }
-
-  /// Wall-clock seconds the last forEachCell() took end to end.
-  double wallSeconds() const { return WallSeconds; }
-
 private:
   bool progressEnabled() const;
 
   unsigned NumThreads;
   int Progress;
   Profiler *Prof;
-  /// Per-cell and total wall-clock of the last sweep (observability;
-  /// distinct cells write distinct slots, so no synchronization needed).
-  mutable std::vector<double> CellSeconds;
-  mutable double WallSeconds = 0.0;
 };
 
 /// Builds a Runner from the common command-line options: `threads=N` (0

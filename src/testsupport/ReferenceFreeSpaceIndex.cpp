@@ -151,11 +151,6 @@ uint64_t ReferenceFreeSpaceIndex::freeWordsIn(Addr Start, Addr End) const {
   return Free;
 }
 
-size_t ReferenceFreeSpaceIndex::numBlocksBelow(Addr Limit) const {
-  // The blocks before the first one starting at or past Limit.
-  return lowerBound(Limit);
-}
-
 uint64_t ReferenceFreeSpaceIndex::largestBlockBelow(Addr Limit) const {
   uint64_t Best = 0;
   for (auto It = ByAddr.begin(); It != ByAddr.end() && It->first < Limit;

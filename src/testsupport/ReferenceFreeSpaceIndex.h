@@ -82,9 +82,6 @@ public:
   /// Free words within [Start, End).
   uint64_t freeWordsIn(Addr Start, Addr End) const;
 
-  /// Number of free blocks that begin below \p Limit.
-  size_t numBlocksBelow(Addr Limit) const;
-
   /// Largest free run clipped to [0, Limit): the maximum over blocks
   /// starting below \p Limit of min(end, Limit) - start.
   uint64_t largestBlockBelow(Addr Limit) const;

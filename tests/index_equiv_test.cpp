@@ -50,7 +50,6 @@ void expectQueriesMatch(const FreeSpaceIndex &Fast,
   EXPECT_EQ(Fast.worstFitBelow(Size, Limit), Ref.worstFitBelow(Size, Limit));
   EXPECT_EQ(Fast.isFree(From, Size), Ref.isFree(From, Size));
   EXPECT_EQ(Fast.numBlocks(), Ref.numBlocks());
-  EXPECT_EQ(Fast.numBlocksBelow(Limit), Ref.numBlocksBelow(Limit));
   EXPECT_EQ(Fast.largestBlockBelow(Limit), Ref.largestBlockBelow(Limit));
   EXPECT_EQ(Fast.freeWordsBelow(Limit), Ref.freeWordsBelow(Limit));
 }
@@ -287,7 +286,6 @@ void expectFullWordParity(const std::vector<uint64_t> &Words,
       for (Addr L : Points) {
         if (L == 0)
           continue;
-        EXPECT_EQ(Fast.numBlocksBelow(L), Ref.numBlocksBelow(L)) << L;
         EXPECT_EQ(Fast.largestBlockBelow(L), Ref.largestBlockBelow(L)) << L;
       }
     }
@@ -544,9 +542,6 @@ TEST_P(ReleaseExtent, QueriesMatchAfterRelease) {
   for (Addr L : Points) {
     Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
       EXPECT_EQ(Fast.largestBlockBelow(L), Ref.largestBlockBelow(L)) << L;
-    });
-    Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
-      EXPECT_EQ(Fast.numBlocksBelow(L), Ref.numBlocksBelow(L)) << L;
     });
     for (uint64_t Size : Sizes)
       Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
@@ -912,7 +907,6 @@ TEST_P(PageBoundaries, QueriesMatchReference) {
     }
     int Op = 0;
     for (Addr P : Points) {
-      EXPECT_EQ(Fast.numBlocksBelow(P), Ref.numBlocksBelow(P)) << P;
       EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
       for (uint64_t Size : Sizes) {
         if (!fitExistsFrom(Ref, P, Size))

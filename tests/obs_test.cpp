@@ -398,18 +398,6 @@ TEST(TimelineDeterminism, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(sweepTimelines(1), sweepTimelines(4));
 }
 
-TEST(Runner, RecordsPerCellAndTotalWallClock) {
-  RunnerOptions RO;
-  RO.Threads = 2;
-  RO.Progress = 0;
-  Runner Run(RO);
-  Run.forEachCell(6, [](uint64_t) {});
-  ASSERT_EQ(Run.cellSeconds().size(), 6u);
-  for (double S : Run.cellSeconds())
-    EXPECT_GE(S, 0.0);
-  EXPECT_GE(Run.wallSeconds(), 0.0);
-}
-
 TEST(Runner, MergesWorkerProfilersIntoAggregate) {
   Profiler Prof;
   RunnerOptions RO;

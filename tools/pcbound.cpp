@@ -156,22 +156,6 @@ int cmdPlan(const OptionParser &Opts) {
   return 0;
 }
 
-/// Reads the exponent option \p Key (default \p Default) into \p Out.
-/// Prints an error and returns false unless 2^value fits the 2^60-word
-/// address space.
-bool getLog2(const OptionParser &Opts, const std::string &Key,
-             unsigned Default, unsigned &Out) {
-  constexpr unsigned Limit = log2Exact(AddrLimit);
-  uint64_t V = Opts.getUInt(Key, Default);
-  if (V >= Limit) {
-    std::cerr << "error: " << Key << "=" << V << " is out of range (need "
-              << Key << " < " << Limit << ")\n";
-    return false;
-  }
-  Out = unsigned(V);
-  return true;
-}
-
 /// Checks that a generated workload under \p LiveBound can hold its
 /// largest object, 2^\p MaxLogSize words. Prints an error and returns
 /// false otherwise.
@@ -294,9 +278,8 @@ int cmdSimulate(const OptionParser &Opts) {
       Opts.getString("program", Realloc ? "update-mix" : "cohen-petrank");
   std::string Policy =
       Opts.getString("policy", Realloc ? "realloc-jin" : "evacuating");
-  unsigned LogM, LogN;
-  if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
-    return 1;
+  unsigned LogM = getLog2(Opts, "logm", 14);
+  unsigned LogN = getLog2(Opts, "logn", 8);
   double C = getQuota(Opts, 50.0);
   bool Verbose = Opts.getBool("verbose", false);
   bool Profile = Opts.getBool("profile", false);
@@ -447,9 +430,8 @@ bool parsePolicyList(const OptionParser &Opts, uint64_t LiveBound,
 
 int cmdSweep(const OptionParser &Opts) {
   std::string ProgName = Opts.getString("program", "cohen-petrank");
-  unsigned LogM, LogN;
-  if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
-    return 1;
+  unsigned LogM = getLog2(Opts, "logm", 14);
+  unsigned LogN = getLog2(Opts, "logn", 8);
   uint64_t M = pow2(LogM);
 
   std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
@@ -469,8 +451,8 @@ int cmdSweep(const OptionParser &Opts) {
 
   std::cout << "# sweep: " << ProgName << " vs " << Policies.size()
             << " policies x " << Cs.size() << " quotas (M=" << formatWords(M)
-            << ", n=" << formatWords(pow2(LogN)) << ", threads="
-            << R.threads() << ")\n";
+            << ", n=" << formatWords(pow2(LogN)) << ")\n";
+  std::cerr << "# sweep: threads=" << R.threads() << "\n";
 
   ExperimentGrid Grid;
   Grid.addAxis("c", Cs);
@@ -588,8 +570,8 @@ int cmdFuzz(const OptionParser &Opts) {
   std::cout << "# fuzz: " << Iterations << " schedules x "
             << Policies.size() << " policies (seed=" << BaseSeed
             << ", ops=" << NumOps << ", M=" << formatWords(pow2(LogM))
-            << ", c=" << C << ", threads=" << R.threads()
-            << (FuzzTrace ? ", trace-backed" : "") << ")\n";
+            << ", c=" << C << (FuzzTrace ? ", trace-backed" : "") << ")\n";
+  std::cerr << "# fuzz: threads=" << R.threads() << "\n";
 
   const std::vector<WorkloadFuzzer::Pattern> &Patterns =
       WorkloadFuzzer::allPatterns();
@@ -715,9 +697,8 @@ int cmdTraceRecord(const OptionParser &Opts) {
     // policy only shapes placement, which the trace does not record, but
     // stays selectable so budget-starved fallback paths (which can change
     // the *schedule* of a c-aware adversary) are reachable too.
-    unsigned LogM, LogN;
-    if (!getLog2(Opts, "logm", 14, LogM) || !getLog2(Opts, "logn", 8, LogN))
-      return 1;
+    unsigned LogM = getLog2(Opts, "logm", 14);
+    unsigned LogN = getLog2(Opts, "logn", 8);
     double C = getQuota(Opts, 50.0);
     uint64_t M = pow2(LogM);
     Heap H;
@@ -740,8 +721,7 @@ int cmdTraceRecord(const OptionParser &Opts) {
     SessionParams SP;
     SP.FleetSeed = Opts.getUInt("seed", 1);
     SP.TargetOps = Opts.getUInt("ops", 48);
-    if (!getLog2(Opts, "maxlog", 6, SP.MaxLogSize))
-      return 1;
+    SP.MaxLogSize = getLog2(Opts, "maxlog", 6);
     SP.LiveBound =
         std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
     if (!checkWorkload(SP.LiveBound, SP.MaxLogSize))
@@ -761,8 +741,8 @@ int cmdTraceRecord(const OptionParser &Opts) {
     FO.NumOps = Opts.getUInt("ops", 4096);
     FO.LiveBound =
         std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 12));
-    if (!getLog2(Opts, "maxlog", 8, FO.MaxLogSize) ||
-        !checkWorkload(FO.LiveBound, FO.MaxLogSize))
+    FO.MaxLogSize = getLog2(Opts, "maxlog", 8);
+    if (!checkWorkload(FO.LiveBound, FO.MaxLogSize))
       return 1;
     Rec.record(WorkloadFuzzer(FO).generate().materialize());
     Source = PatName;
@@ -1114,8 +1094,8 @@ int cmdExact(const OptionParser &Opts) {
   Runner R = makeRunner(Opts);
 
   std::cout << "# exact: solving " << Cells.size() << " cells ("
-            << Skipped << " out-of-domain skipped, threads=" << R.threads()
-            << ")\n";
+            << Skipped << " out-of-domain skipped)\n";
+  std::cerr << "# exact: threads=" << R.threads() << "\n";
 
   std::vector<ExactCertificate> Certs{Cells.size()};
   R.forEachCell(Cells.size(), [&](uint64_t I) {
