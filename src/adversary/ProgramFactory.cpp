@@ -16,9 +16,26 @@
 
 using namespace pcb;
 
+namespace {
+
+/// A workload of type \p T built from its default options, with the
+/// maximum object size and the knobs that apply to every generated
+/// workload.
+template <typename T>
+std::unique_ptr<Program> makeWorkload(uint64_t M, unsigned LogN,
+                                      const WorkloadKnobs &Knobs,
+                                      typename T::Options O = {}) {
+  O.MaxLogSize = LogN;
+  O.Seed = Knobs.Seed.value_or(O.Seed);
+  return std::make_unique<T>(M, O);
+}
+
+} // namespace
+
 std::unique_ptr<Program> pcb::createProgram(const std::string &Name,
                                             uint64_t M, unsigned LogN,
-                                            double C) {
+                                            double C,
+                                            const WorkloadKnobs &Knobs) {
   if (Name == "robson")
     return std::make_unique<RobsonProgram>(M, LogN);
   // "pf" is the paper's name for the adversarial program of Section 4.
@@ -26,29 +43,17 @@ std::unique_ptr<Program> pcb::createProgram(const std::string &Name,
     return std::make_unique<CohenPetrankProgram>(M, pow2(LogN), C);
   if (Name == "random-churn") {
     RandomChurnProgram::Options O;
-    O.MaxLogSize = LogN;
-    return std::make_unique<RandomChurnProgram>(M, O);
+    O.Steps = Knobs.ChurnSteps.value_or(O.Steps);
+    return makeWorkload<RandomChurnProgram>(M, LogN, Knobs, O);
   }
-  if (Name == "markov-phase") {
-    MarkovPhaseProgram::Options O;
-    O.MaxLogSize = LogN;
-    return std::make_unique<MarkovPhaseProgram>(M, O);
-  }
-  if (Name == "stack-lifo") {
-    StackProgram::Options O;
-    O.MaxLogSize = LogN;
-    return std::make_unique<StackProgram>(M, O);
-  }
-  if (Name == "queue-fifo") {
-    QueueProgram::Options O;
-    O.MaxLogSize = LogN;
-    return std::make_unique<QueueProgram>(M, O);
-  }
-  if (Name == "sawtooth") {
-    SawtoothProgram::Options O;
-    O.MaxLogSize = LogN;
-    return std::make_unique<SawtoothProgram>(M, O);
-  }
+  if (Name == "markov-phase")
+    return makeWorkload<MarkovPhaseProgram>(M, LogN, Knobs);
+  if (Name == "stack-lifo")
+    return makeWorkload<StackProgram>(M, LogN, Knobs);
+  if (Name == "queue-fifo")
+    return makeWorkload<QueueProgram>(M, LogN, Knobs);
+  if (Name == "sawtooth")
+    return makeWorkload<SawtoothProgram>(M, LogN, Knobs);
   // The reallocation family's insert/delete adversaries (realloc/).
   for (UpdateProgram::Shape S :
        {UpdateProgram::Shape::FillDrain, UpdateProgram::Shape::Alternating,
@@ -56,9 +61,8 @@ std::unique_ptr<Program> pcb::createProgram(const std::string &Name,
         UpdateProgram::Shape::Mix}) {
     if (Name == std::string("update-") + UpdateProgram::shapeName(S)) {
       UpdateProgram::Options O;
-      O.MaxLogSize = LogN;
       O.S = S;
-      return std::make_unique<UpdateProgram>(M, O);
+      return makeWorkload<UpdateProgram>(M, LogN, Knobs, O);
     }
   }
   return nullptr;

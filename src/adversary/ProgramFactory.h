@@ -17,21 +17,34 @@
 #include "adversary/Program.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace pcb {
 
+/// What a generated workload may be told besides (M, n, c). An unset
+/// field keeps the program's own default; the paper's two constructions
+/// (robson, cohen-petrank) are deterministic and ignore both.
+struct WorkloadKnobs {
+  /// The seed of a stochastic workload's random stream.
+  std::optional<uint64_t> Seed = {};
+  /// random-churn's step count.
+  std::optional<uint64_t> ChurnSteps = {};
+};
+
 /// Creates the program named \p Name. \p M is the live bound, \p LogN the
 /// log2 of the maximum object size, \p C the manager's compaction quota
-/// (used by the PF adversary to tune sigma and x). Returns nullptr for
+/// (used by the PF adversary to tune sigma and x), \p Knobs the seed and
+/// length overrides of the generated workloads. Returns nullptr for
 /// unknown names. Known names: "robson", "cohen-petrank",
 /// "random-churn", "markov-phase", "stack-lifo", "queue-fifo",
 /// "sawtooth", and the reallocation family's insert/delete adversaries
 /// "update-fill-drain", "update-alternating", "update-comb",
 /// "update-size-profile", "update-mix".
 std::unique_ptr<Program> createProgram(const std::string &Name, uint64_t M,
-                                       unsigned LogN, double C);
+                                       unsigned LogN, double C,
+                                       const WorkloadKnobs &Knobs = {});
 
 /// createProgram with a diagnosable failure: on an unknown name, or on
 /// parameters the named program's constructor would assert on, returns

@@ -1,4 +1,4 @@
-//===- bounds/BoundSweep.cpp - Figure series generators ------------------===//
+//===- bounds/BoundSweep.cpp - Figure points ------------------------------===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
@@ -16,61 +16,27 @@
 
 using namespace pcb;
 
-std::vector<Fig1Point> pcb::sweepFig1(uint64_t M, uint64_t N, unsigned CMin,
-                                      unsigned CMax) {
-  assert(CMin >= 2 && CMin <= CMax && "bad c range");
-  std::vector<Fig1Point> Series;
-  Series.reserve(CMax - CMin + 1);
-  for (unsigned C = CMin; C <= CMax; ++C) {
-    BoundParams P{M, N, double(C)};
-    Fig1Point Point;
-    Point.C = double(C);
-    Point.NewLower = cohenPetrankLowerWasteFactor(P);
-    Point.Sigma = cohenPetrankOptimalSigma(P);
-    Point.PriorLower = benderskyPetrankLowerWasteFactor(P);
-    Point.RobsonLower = robsonWasteFactor(P);
-    Series.push_back(Point);
-  }
-  return Series;
+Fig1Point pcb::fig1Point(uint64_t M, uint64_t N, unsigned C) {
+  BoundParams P{M, N, double(C)};
+  return {double(C), cohenPetrankLowerWasteFactor(P),
+          cohenPetrankOptimalSigma(P), benderskyPetrankLowerWasteFactor(P),
+          robsonWasteFactor(P)};
 }
 
-std::vector<Fig2Point> pcb::sweepFig2(double C, unsigned LogNMin,
-                                      unsigned LogNMax,
-                                      uint64_t LiveToMaxRatio) {
-  assert(LogNMin >= 1 && LogNMin <= LogNMax && LogNMax < Fig2LogNLimit &&
-         "bad n range");
+Fig2Point pcb::fig2Point(double C, unsigned LogN, uint64_t LiveToMaxRatio) {
+  assert(LogN >= 1 && LogN < Fig2LogNLimit && "bad n");
   assert(isPowerOfTwo(LiveToMaxRatio) && "ratio must be a power of two");
-  std::vector<Fig2Point> Series;
-  Series.reserve(LogNMax - LogNMin + 1);
-  for (unsigned LogN = LogNMin; LogN <= LogNMax; ++LogN) {
-    uint64_t N = pow2(LogN);
-    BoundParams P{LiveToMaxRatio * N, N, C};
-    Fig2Point Point;
-    Point.N = N;
-    Point.LogN = LogN;
-    Point.NewLower = cohenPetrankLowerWasteFactor(P);
-    Point.Sigma = cohenPetrankOptimalSigma(P);
-    Point.PriorLower = benderskyPetrankLowerWasteFactor(P);
-    Series.push_back(Point);
-  }
-  return Series;
+  uint64_t N = pow2(LogN);
+  BoundParams P{LiveToMaxRatio * N, N, C};
+  return {N, LogN, cohenPetrankLowerWasteFactor(P),
+          cohenPetrankOptimalSigma(P), benderskyPetrankLowerWasteFactor(P)};
 }
 
-std::vector<Fig3Point> pcb::sweepFig3(uint64_t M, uint64_t N, unsigned CMin,
-                                      unsigned CMax) {
-  assert(CMin >= 2 && CMin <= CMax && "bad c range");
-  std::vector<Fig3Point> Series;
-  Series.reserve(CMax - CMin + 1);
-  for (unsigned C = CMin; C <= CMax; ++C) {
-    BoundParams P{M, N, double(C)};
-    Fig3Point Point;
-    Point.C = double(C);
-    Point.NewUpper = P.C > 0.5 * double(P.logN())
-                         ? cohenPetrankUpperWasteFactor(P)
-                         : std::numeric_limits<double>::quiet_NaN();
-    Point.PriorUpper = priorBestUpperWasteFactor(P);
-    Point.BestUpper = newBestUpperWasteFactor(P);
-    Series.push_back(Point);
-  }
-  return Series;
+Fig3Point pcb::fig3Point(uint64_t M, uint64_t N, unsigned C) {
+  BoundParams P{M, N, double(C)};
+  return {double(C),
+          P.C > 0.5 * double(P.logN())
+              ? cohenPetrankUpperWasteFactor(P)
+              : std::numeric_limits<double>::quiet_NaN(),
+          priorBestUpperWasteFactor(P), newBestUpperWasteFactor(P)};
 }

@@ -1,4 +1,4 @@
-//===- bounds/BoundSweep.h - Figure series generators -----------*- C++ -*-===//
+//===- bounds/BoundSweep.h - Figure points ----------------------*- C++ -*-===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parameter sweeps producing exactly the series plotted in the paper's
-/// evaluation figures. Each sweep returns one row per x-axis point with
-/// every curve of that figure, so the benches and tests share one source
-/// of truth.
+/// The points of the paper's evaluation figures: each function returns
+/// one x-axis point with every curve of its figure, so the sweep tables
+/// and the tests share one source of truth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +16,6 @@
 #define PCBOUND_BOUNDS_BOUNDSWEEP_H
 
 #include "bounds/Params.h"
-
-#include <vector>
 
 namespace pcb {
 
@@ -36,10 +33,8 @@ struct Fig1Point {
   double RobsonLower;
 };
 
-/// Figure 1: c = CMin..CMax (step 1) at fixed M, n (paper: M = 2^28,
-/// n = 2^20, c = 10..100).
-std::vector<Fig1Point> sweepFig1(uint64_t M, uint64_t N, unsigned CMin,
-                                 unsigned CMax);
+/// Figure 1 at one c (paper: M = 2^28, n = 2^20, c = 10..100).
+Fig1Point fig1Point(uint64_t M, uint64_t N, unsigned C);
 
 /// One point of Figure 2: lower bound versus the maximum object size n,
 /// with M = LiveToMaxRatio * n and c fixed.
@@ -51,13 +46,12 @@ struct Fig2Point {
   double PriorLower;
 };
 
-/// sweepFig2's bound on log2(n), exclusive.
+/// fig2Point's bound on log2(n), exclusive.
 constexpr unsigned Fig2LogNLimit = 34;
 
-/// Figure 2: n = 2^LogNMin .. 2^LogNMax, M = LiveToMaxRatio * n, fixed c
-/// (paper: c = 100, M = 256 n, n = 1KB..1GB i.e. logN = 10..30).
-std::vector<Fig2Point> sweepFig2(double C, unsigned LogNMin, unsigned LogNMax,
-                                 uint64_t LiveToMaxRatio);
+/// Figure 2 at n = 2^LogN, M = LiveToMaxRatio * n (paper: c = 100,
+/// M = 256 n, n = 1KB..1GB i.e. LogN = 10..30).
+Fig2Point fig2Point(double C, unsigned LogN, uint64_t LiveToMaxRatio);
 
 /// One point of Figure 3: upper bounds on the waste factor versus c.
 struct Fig3Point {
@@ -70,10 +64,8 @@ struct Fig3Point {
   double BestUpper;
 };
 
-/// Figure 3: c = CMin..CMax at fixed M, n (paper: M = 2^28, n = 2^20,
-/// c = 10..100).
-std::vector<Fig3Point> sweepFig3(uint64_t M, uint64_t N, unsigned CMin,
-                                 unsigned CMax);
+/// Figure 3 at one c (paper: M = 2^28, n = 2^20, c = 10..100).
+Fig3Point fig3Point(uint64_t M, uint64_t N, unsigned C);
 
 } // namespace pcb
 

@@ -101,13 +101,9 @@ bool pcb::parseExactGrid(const OptionParser &Opts, const ExactParams &Base,
   return true;
 }
 
-std::vector<std::string> pcb::certificateHeader(bool WithNodes) {
-  std::vector<std::string> Header = {"M",     "n",      "c",    "exact",
-                                     "lower", "robson", "thm2", "upper"};
-  if (WithNodes)
-    Header.push_back("nodes");
-  Header.push_back("status");
-  return Header;
+std::vector<std::string> pcb::certificateHeader() {
+  return {"M",      "n",    "c",     "exact", "lower",
+          "robson", "thm2", "upper", "nodes", "status"};
 }
 
 /// A bound column: "-" when the closed form does not apply at the cell's
@@ -116,10 +112,12 @@ static std::string formatBound(double Words) {
   return std::isnan(Words) ? std::string("-") : formatDouble(Words, 1);
 }
 
-Row pcb::certificateRow(const ExactCell &Cell, const ExactCertificate &Cert,
-                        bool WithNodes) {
-  Row R;
-  R.addCell(Cell.P.M)
+Row pcb::certificateRow(const ExactCell &Cell, const ExactCertificate &Cert) {
+  uint64_t Nodes = 0;
+  for (const ArenaOutcome &A : Cert.Result.Arenas)
+    Nodes += A.Nodes;
+  return Row()
+      .addCell(Cell.P.M)
       .addCell(Cell.P.N)
       .addCell(Cell.CLabel)
       .addCell(Cert.Result.Solved ? std::to_string(Cert.Result.ExactWords)
@@ -127,15 +125,10 @@ Row pcb::certificateRow(const ExactCell &Cell, const ExactCertificate &Cert,
       .addCell(formatBound(Cert.LowerWords))
       .addCell(formatBound(Cert.RobsonWords))
       .addCell(formatBound(Cert.Theorem2Words))
-      .addCell(formatBound(Cert.UpperWords));
-  if (WithNodes) {
-    uint64_t Nodes = 0;
-    for (const ArenaOutcome &A : Cert.Result.Arenas)
-      Nodes += A.Nodes;
-    R.addCell(Nodes);
-  }
-  return R.addCell(!Cert.Result.Solved ? "unsolved"
-                   : !Cert.ok()        ? "FAIL"
-                   : Cert.Strict       ? "ok-strict"
-                                       : "ok");
+      .addCell(formatBound(Cert.UpperWords))
+      .addCell(Nodes)
+      .addCell(!Cert.Result.Solved ? "unsolved"
+               : !Cert.ok()        ? "FAIL"
+               : Cert.Strict       ? "ok-strict"
+                                   : "ok");
 }

@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The grid `pcbound exact` and bench_exact both certify: its axes as
-/// given on the command line, the cells they cross into, and the
-/// certificate table's row, so both tools reject a malformed list and
-/// render a certificate the same way.
+/// The grid `pcbound exact` certifies (experiment E12): its axes as given
+/// on the command line, the cells they cross into, and the certificate
+/// table's row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +41,14 @@ bool parseExactGrid(const OptionParser &Opts, const ExactParams &Base,
                     std::vector<ExactCell> &Cells, unsigned &Skipped,
                     std::string &Error);
 
-/// The certificate table's columns; \p WithNodes adds the solver's state
-/// count before the status.
-std::vector<std::string> certificateHeader(bool WithNodes);
+/// The certificate table's columns, the solver's state count before the
+/// status.
+std::vector<std::string> certificateHeader();
 
-/// \p Cert's row under certificateHeader(\p WithNodes): the exact value,
-/// or "-" when unsolved; each bound to one decimal, or "-" where its
-/// closed form does not apply; then the status ladder.
-Row certificateRow(const ExactCell &Cell, const ExactCertificate &Cert,
-                   bool WithNodes);
+/// \p Cert's row under certificateHeader(): the exact value, or "-" when
+/// unsolved; each bound to one decimal, or "-" where its closed form does
+/// not apply; the state count; then the status ladder.
+Row certificateRow(const ExactCell &Cell, const ExactCertificate &Cert);
 
 } // namespace pcb
 

@@ -90,7 +90,3 @@ const std::string &GridCell::str(const std::string &Axis) const {
   assert(V.ValueKind == AxisValue::Label && "axis is not string-valued");
   return V.Str;
 }
-
-size_t GridCell::axisIndex(const std::string &Axis) const {
-  return Coord[G->axisNumbered(Axis)];
-}

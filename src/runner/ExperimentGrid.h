@@ -66,9 +66,6 @@ public:
   /// and hold labels.
   const std::string &str(const std::string &Axis) const;
 
-  /// The position of this cell's value along axis \p Axis.
-  size_t axisIndex(const std::string &Axis) const;
-
 private:
   const ExperimentGrid *G;
   uint64_t Idx;
@@ -91,9 +88,6 @@ public:
   /// Adds the integer range [\p Lo, \p Hi] (inclusive, step 1) as a
   /// numeric axis; an empty axis when Lo > Hi.
   ExperimentGrid &addRangeAxis(std::string Name, uint64_t Lo, uint64_t Hi);
-
-  size_t numAxes() const { return Axes.size(); }
-  const GridAxis &axis(size_t I) const { return Axes[I]; }
 
   /// Index of the axis named \p Name; asserts that it exists.
   size_t axisNumbered(const std::string &Name) const;

@@ -35,14 +35,6 @@ void ResultSink::append(Row R) {
   Appended.push_back(std::move(R));
 }
 
-uint64_t ResultSink::numRows() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t N = Appended.size();
-  for (const std::vector<Row> &Rows : CellRows)
-    N += Rows.size();
-  return N;
-}
-
 Table ResultSink::toTable() const {
   std::lock_guard<std::mutex> Lock(Mu);
   Table T(Header);

@@ -70,9 +70,6 @@ public:
   /// or benches that build rows from mapped results).
   void append(Row R);
 
-  /// Total number of rows collected so far.
-  uint64_t numRows() const;
-
   /// Flattens cell rows (in cell order) then appended rows into a Table.
   Table toTable() const;
 

@@ -165,14 +165,3 @@ void Runner::run(const ExperimentGrid &G,
   forEachCell(G.numCells(),
               [&](uint64_t I) { Sink.store(I, Fn(G.cell(I))); });
 }
-
-void Runner::runRows(const ExperimentGrid &G,
-                     const std::function<Row(const GridCell &)> &Fn,
-                     ResultSink &Sink) const {
-  run(
-      G,
-      [&Fn](const GridCell &Cell) {
-        return std::vector<Row>{Fn(Cell)};
-      },
-      Sink);
-}

@@ -67,28 +67,11 @@ public:
   void forEachCell(uint64_t NumCells,
                    const std::function<void(uint64_t)> &Fn) const;
 
-  /// Parallel map: runs \p Fn on every cell of \p G and returns the
-  /// results in cell order. For benches that post-process typed results
-  /// (charts, summary statistics) before building their table.
-  template <typename T>
-  std::vector<T> map(const ExperimentGrid &G,
-                     const std::function<T(const GridCell &)> &Fn) const {
-    std::vector<T> Out(size_t(G.numCells()));
-    forEachCell(G.numCells(),
-                [&](uint64_t I) { Out[size_t(I)] = Fn(G.cell(I)); });
-    return Out;
-  }
-
   /// Runs \p Fn on every cell and stores its rows in \p Sink under the
   /// cell's index. Cells may return zero rows (out-of-domain points).
   void run(const ExperimentGrid &G,
            const std::function<std::vector<Row>(const GridCell &)> &Fn,
            ResultSink &Sink) const;
-
-  /// Single-row convenience wrapper around run().
-  void runRows(const ExperimentGrid &G,
-               const std::function<Row(const GridCell &)> &Fn,
-               ResultSink &Sink) const;
 
 private:
   bool progressEnabled() const;

@@ -282,12 +282,10 @@ TEST(Planning, MonotoneInTarget) {
 
 // --- Sweeps (the figures) -----------------------------------------------
 
-TEST(BoundSweep, Fig1SeriesMatchesPointQueries) {
-  auto Series = sweepFig1(pow2(28), pow2(20), 10, 100);
-  ASSERT_EQ(Series.size(), 91u);
-  EXPECT_DOUBLE_EQ(Series.front().C, 10.0);
-  EXPECT_DOUBLE_EQ(Series.back().C, 100.0);
-  for (const Fig1Point &Pt : Series) {
+TEST(BoundSweep, Fig1PointsMatchPointQueries) {
+  for (unsigned C = 10; C <= 100; ++C) {
+    Fig1Point Pt = fig1Point(pow2(28), pow2(20), C);
+    EXPECT_DOUBLE_EQ(Pt.C, double(C));
     BoundParams P = paperParams(Pt.C);
     EXPECT_DOUBLE_EQ(Pt.NewLower, cohenPetrankLowerWasteFactor(P));
     EXPECT_DOUBLE_EQ(Pt.PriorLower, benderskyPetrankLowerWasteFactor(P));
@@ -295,21 +293,20 @@ TEST(BoundSweep, Fig1SeriesMatchesPointQueries) {
   }
 }
 
-TEST(BoundSweep, Fig2SeriesGrowsWithN) {
+TEST(BoundSweep, Fig2GrowsWithN) {
   // Figure 2: c = 100, M = 256 n, n = 1KB .. 1GB. The bound grows with
   // the maximum object size.
-  auto Series = sweepFig2(100.0, 10, 30, 256);
-  ASSERT_EQ(Series.size(), 21u);
-  EXPECT_LT(Series.front().NewLower, Series.back().NewLower);
-  for (size_t I = 1; I != Series.size(); ++I)
-    EXPECT_GE(Series[I].NewLower + 1e-9, Series[I - 1].NewLower)
-        << "logn=" << Series[I].LogN;
+  EXPECT_LT(fig2Point(100.0, 10, 256).NewLower,
+            fig2Point(100.0, 30, 256).NewLower);
+  for (unsigned LogN = 11; LogN <= 30; ++LogN)
+    EXPECT_GE(fig2Point(100.0, LogN, 256).NewLower + 1e-9,
+              fig2Point(100.0, LogN - 1, 256).NewLower)
+        << "logn=" << LogN;
 }
 
-TEST(BoundSweep, Fig2SeriesMatchesPointQueries) {
-  auto Series = sweepFig2(100.0, 12, 16, 256);
-  ASSERT_EQ(Series.size(), 5u);
-  for (const Fig2Point &Pt : Series) {
+TEST(BoundSweep, Fig2PointsMatchPointQueries) {
+  for (unsigned LogN = 12; LogN <= 16; ++LogN) {
+    Fig2Point Pt = fig2Point(100.0, LogN, 256);
     BoundParams P{256 * Pt.N, Pt.N, 100.0};
     EXPECT_DOUBLE_EQ(Pt.NewLower, cohenPetrankLowerWasteFactor(P));
     EXPECT_EQ(Pt.Sigma, cohenPetrankOptimalSigma(P));
@@ -342,10 +339,9 @@ TEST(RobsonBounds, GeneralDoublesP2) {
   }
 }
 
-TEST(BoundSweep, Fig3SeriesConsistent) {
-  auto Series = sweepFig3(pow2(28), pow2(20), 10, 100);
-  ASSERT_EQ(Series.size(), 91u);
-  for (const Fig3Point &Pt : Series) {
+TEST(BoundSweep, Fig3PointsConsistent) {
+  for (unsigned C = 10; C <= 100; ++C) {
+    Fig3Point Pt = fig3Point(pow2(28), pow2(20), C);
     EXPECT_LE(Pt.BestUpper, Pt.PriorUpper + 1e-12);
     if (!std::isnan(Pt.NewUpper)) {
       EXPECT_LE(Pt.BestUpper, Pt.NewUpper + 1e-12);

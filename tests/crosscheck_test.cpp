@@ -3,9 +3,9 @@
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
-// Ties the committed bench baseline to the bounds layer: for every cell
+// Ties the committed work golden to the bounds layer: for every cell
 // of the grid recorded in BENCH_pf_sim.json (the logm/logn/cs the E5
-// bench last ran with), the simulated PF adversary must force at least
+// table last ran with), the simulated PF adversary must force at least
 // the closed-form Theorem 1 heap size M * h(M, n, c) out of every
 // c-partial manager. A failure convicts either the adversary
 // implementation (too weak), the bounds layer (too strong), or a manager
@@ -44,8 +44,8 @@ struct BaselineGrid {
 };
 
 /// Extracts the integer after "\"<key>\":". The baseline is written by
-/// bench_pf_sim.cpp with one key per line, so a string scan is enough —
-/// no JSON library in the test tree.
+/// `pcbound sweep table=pf-sim` with one key per line, so a string scan
+/// is enough — no JSON library in the test tree.
 bool parseUIntField(const std::string &Text, const std::string &Key,
                     unsigned &Out) {
   size_t At = Text.find("\"" + Key + "\":");
@@ -100,9 +100,9 @@ TEST(CrossCheck, SimulatedPfClearsTheoremOneOnTheBaselineGrid) {
   const uint64_t M = pow2(Grid.LogM);
   const uint64_t N = pow2(Grid.LogN);
 
-  // The bench's manager family minus its "sliding-unlimited" reference
+  // The E5 table's manager family minus its "sliding-unlimited" reference
   // row: that one is deliberately not c-partial and is the only row the
-  // bench allows below h.
+  // table allows below h.
   const std::vector<std::string> Policies = {
       "first-fit", "best-fit",    "segregated-fit",
       "chunked",   "meshing",     "evacuating",

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CliOptions.h"
+#include "SweepTables.h"
 #include "adversary/ProgramFactory.h"
 #include "adversary/SyntheticWorkloads.h"
 #include "adversary/WorkloadSpec.h"
@@ -33,7 +35,6 @@
 #include "obs/Timeline.h"
 #include "obs/TimelineSampler.h"
 #include "realloc/ReallocationLedger.h"
-#include "runner/ExperimentGrid.h"
 #include "service/ServiceFleet.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -72,6 +73,7 @@ int usage() {
       << "  sweep     [program=cohen-petrank policies=all family=all\n"
       << "             cs=10,25,50,75,100 logm=14 logn=8 --threads=<ncores>\n"
       << "             csv=0 json=0 out= timeline=PREFIX stride=1]\n"
+      << "  sweep     table=NAME [its options; --threads= csv= json= out=]\n"
       << "  fuzz      [seed=1 iterations=50 ops=384 policies=all family=all\n"
       << "             c=50 logm=12 maxlog=8 deep=64 repro-dir=.\n"
       << "             --threads=N timeline=PREFIX trace=FILE\n"
@@ -95,7 +97,9 @@ int usage() {
       << "families: all, compaction, realloc (default policy/program set\n"
       << "          for simulate/sweep/fuzz)\n"
       << "controllers: fixed, periodic (period=), membalancer (c1=\n"
-      << "          smoothing=)\n";
+      << "          smoothing=)\n"
+      << "sweep tables (table=NAME, then its options and defaults):\n"
+      << sweepTableUsage();
   return 2;
 }
 
@@ -132,10 +136,8 @@ int cmdPlan(const OptionParser &Opts) {
   BoundParams P; // the plan searches c itself; C keeps its valid default
   P.M = Opts.getUInt("M", pow2(28));
   P.N = Opts.getUInt("n", pow2(20));
-  if (!P.valid()) {
-    std::cerr << "error: need power-of-two M >= n >= 2\n";
+  if (!checkBounds(P))
     return 1;
-  }
   uint64_t M = P.M, N = P.N;
   double Target = Opts.getDouble("target", 2.5);
   CompactionPlan Plan = planCompactionBudget(M, N, Target);
@@ -154,20 +156,6 @@ int cmdPlan(const OptionParser &Opts) {
             << "  Theorem 1 then forces at most "
             << formatDouble(Plan.AchievedLowerBound, 3) << " x\n";
   return 0;
-}
-
-/// Checks that a generated workload under \p LiveBound can hold its
-/// largest object, 2^\p MaxLogSize words. Prints an error and returns
-/// false otherwise.
-bool checkWorkload(uint64_t LiveBound, unsigned MaxLogSize) {
-  WorkloadFuzzer::Options O;
-  O.LiveBound = LiveBound;
-  O.MaxLogSize = MaxLogSize;
-  const char *Why = WorkloadFuzzer::optionsError(O);
-  if (Why)
-    std::cerr << "error: " << Why << " (maxlog=" << MaxLogSize
-              << ", live=" << LiveBound << ")\n";
-  return !Why;
 }
 
 /// Builds the program named program= — any factory name, or "spec" with
@@ -191,58 +179,9 @@ std::unique_ptr<Program> buildProgram(const OptionParser &Opts,
     }
     return std::make_unique<SpecProgram>(M, Spec);
   }
-  std::string Error;
-  auto Prog = createProgramChecked(ProgName, M, LogN, C, &Error);
-  if (!Prog)
-    std::cerr << "error: " << Error << "\n";
-  return Prog;
-}
-
-/// Builds a sampler from the common stride= option; attached only when
-/// the caller asked for a timeline.
-TimelineSampler::Options samplerOptions(const OptionParser &Opts) {
-  TimelineSampler::Options SO;
-  SO.Stride = std::max<uint64_t>(1, Opts.getUInt("stride", 1));
-  return SO;
-}
-
-/// Parses the shared budget-controller options (controller= period= c1=
-/// smoothing=) and validates the name against the factory. Prints an
-/// error and returns false on an unknown controller.
-bool parseControllerSpec(const OptionParser &Opts, ControllerSpec &Spec) {
-  Spec.Name = Opts.getString("controller", "fixed");
-  Spec.Period = std::max<uint64_t>(1, Opts.getUInt("period", 16));
-  Spec.C1 = Opts.getDouble("c1", 1.0);
-  Spec.Smoothing = Opts.getDouble("smoothing", 0.25);
-  std::string Error;
-  if (!createControllerChecked(Spec, &Error)) {
-    std::cerr << "error: " << Error << "\n";
-    return false;
-  }
-  return true;
-}
-
-/// Loads and materializes the malloc trace at \p Path into the
-/// ordinal-free TraceOp convention, for the consumers that hold a trace
-/// whole (fuzz corpora, fleet session classes). Sets \p PeakLiveWords to
-/// the trace's peak live volume. Prints an error and returns null on any
-/// validation failure.
-std::shared_ptr<const std::vector<TraceOp>>
-loadMallocTrace(const std::string &Path, uint64_t &PeakLiveWords) {
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS) {
-    std::cerr << "error: cannot read '" << Path << "'\n";
+  if (!checkProgram(ProgName, M, LogN, C))
     return nullptr;
-  }
-  TraceReader R(IS);
-  std::string Error;
-  std::vector<TraceOp> Ops = materializeTrace(R, &Error);
-  if (!Error.empty()) {
-    std::cerr << "error: " << Path << ": " << Error << "\n";
-    return nullptr;
-  }
-  PeakLiveWords = R.peakLiveWords();
-  return std::make_shared<const std::vector<TraceOp>>(std::move(Ops));
+  return createProgram(ProgName, M, LogN, C);
 }
 
 /// Writes \p Artifact (a Timeline or a report) to \p Path with its
@@ -253,17 +192,6 @@ bool writeArtifact(const T &Artifact, const std::string &Path) {
   if (Artifact.writeFile(Path, &Error))
     return true;
   std::cerr << "error: " << Error << "\n";
-  return false;
-}
-
-/// Reads the family= axis ("all", "compaction", "realloc"). Prints an
-/// error and returns false on an unknown family.
-bool parseFamily(const OptionParser &Opts, std::string &Family) {
-  Family = Opts.getString("family", "all");
-  if (Family == "all" || Family == "compaction" || Family == "realloc")
-    return true;
-  std::cerr << "error: unknown family '" << Family
-            << "'; valid families: all, compaction, realloc\n";
   return false;
 }
 
@@ -285,13 +213,10 @@ int cmdSimulate(const OptionParser &Opts) {
   bool Profile = Opts.getBool("profile", false);
   uint64_t M = pow2(LogM);
 
-  Heap H;
-  std::string FactoryError;
-  auto MM = createManagerChecked(Policy, H, C, /*LiveBound=*/M, &FactoryError);
-  if (!MM) {
-    std::cerr << "error: " << FactoryError << "\n";
+  if (!checkPolicy(Policy, /*LiveBound=*/M))
     return 1;
-  }
+  Heap H;
+  auto MM = createManager(Policy, H, C, /*LiveBound=*/M);
   std::unique_ptr<Program> Prog = buildProgram(Opts, ProgName, M, LogN, C);
   if (!Prog)
     return 1;
@@ -392,115 +317,6 @@ int cmdSimulate(const OptionParser &Opts) {
     Prof.printReport(std::cerr, Wall);
   }
   return 0;
-}
-
-/// Resolves the family= axis ("all", "compaction", "realloc") to the
-/// policy list it denotes — the default when policies= is absent or
-/// "all". Prints an error and returns false on an unknown family.
-bool familyPolicies(const OptionParser &Opts,
-                    std::vector<std::string> &Policies) {
-  std::string Family;
-  if (!parseFamily(Opts, Family))
-    return false;
-  Policies = Family == "compaction" ? compactionFamilyPolicies()
-             : Family == "realloc"  ? reallocManagerPolicies()
-                                    : allManagerPolicies();
-  return true;
-}
-
-/// Parses the policies= option ("all" — meaning the family= axis — or a
-/// comma-separated list), validating every name against the factory.
-bool parsePolicyList(const OptionParser &Opts, uint64_t LiveBound,
-                     std::vector<std::string> &Policies) {
-  std::string PolicyList = Opts.getString("policies", "all");
-  if (PolicyList != "all")
-    Policies = parseNameList(PolicyList);
-  else if (!familyPolicies(Opts, Policies))
-    return false;
-  for (const std::string &Policy : Policies) {
-    Heap Probe;
-    std::string Error;
-    if (!createManagerChecked(Policy, Probe, 50.0, LiveBound, &Error)) {
-      std::cerr << "error: " << Error << "\n";
-      return false;
-    }
-  }
-  return !Policies.empty();
-}
-
-int cmdSweep(const OptionParser &Opts) {
-  std::string ProgName = Opts.getString("program", "cohen-petrank");
-  unsigned LogM = getLog2(Opts, "logm", 14);
-  unsigned LogN = getLog2(Opts, "logn", 8);
-  uint64_t M = pow2(LogM);
-
-  std::vector<double> Cs = getQuotaList(Opts, "10,25,50,75,100");
-  // Validate every name once, serially, before fanning out.
-  std::vector<std::string> Policies;
-  if (!parsePolicyList(Opts, /*LiveBound=*/M, Policies))
-    return 1;
-  for (double C : Cs) {
-    std::string FactoryError;
-    if (!createProgramChecked(ProgName, M, LogN, C, &FactoryError)) {
-      std::cerr << "error: c=" << C << ": " << FactoryError << "\n";
-      return 1;
-    }
-  }
-
-  Runner R = makeRunner(Opts);
-
-  std::cout << "# sweep: " << ProgName << " vs " << Policies.size()
-            << " policies x " << Cs.size() << " quotas (M=" << formatWords(M)
-            << ", n=" << formatWords(pow2(LogN)) << ")\n";
-  std::cerr << "# sweep: threads=" << R.threads() << "\n";
-
-  ExperimentGrid Grid;
-  Grid.addAxis("c", Cs);
-  Grid.addAxis("policy", Policies);
-
-  ResultSink Sink({"c", "policy", "measured_HS", "measured_waste",
-                   "moved_words", "overhead", "allocs", "frees", "steps"});
-  std::string TimelinePrefix = Opts.getString("timeline", "");
-  TimelineSampler::Options SO = samplerOptions(Opts);
-  try {
-    R.runRows(
-        Grid,
-        [&](const GridCell &Cell) {
-          double C = Cell.num("c");
-          const std::string &Policy = Cell.str("policy");
-          Heap H;
-          auto MM = createManager(Policy, H, C, /*LiveBound=*/M);
-          auto Prog = createProgram(ProgName, M, LogN, C);
-          Execution E(*MM, *Prog, M);
-          TimelineSampler Sampler(SO);
-          if (!TimelinePrefix.empty())
-            Sampler.attach(E);
-          ExecutionResult Res = E.run();
-          if (!TimelinePrefix.empty()) {
-            Sampler.finish(E);
-            std::string Tag = "c" + formatDouble(C, 0) + "-" + Policy;
-            std::string Path = timelineCellPath(TimelinePrefix, Tag);
-            std::string Error;
-            if (!Sampler.timeline().writeFile(Path, &Error))
-              throw std::runtime_error(Error);
-          }
-          return Row()
-              .addCell(formatDouble(C, 0))
-              .addCell(Policy)
-              .addCell(Res.HeapSize)
-              .addCell(Res.wasteFactor(M), 3)
-              .addCell(Res.MovedWords)
-              .addCell(Res.overheadRatio(), 4)
-              .addCell(Res.NumAllocations)
-              .addCell(Res.NumFrees)
-              .addCell(Res.Steps);
-        },
-        Sink);
-  } catch (const std::exception &Ex) {
-    std::cerr << "error: " << Ex.what() << "\n";
-    return 1;
-  }
-  return Sink.emit(Opts) ? 0 : 1;
 }
 
 /// Everything one fuzz iteration produced, filled in by a worker thread
@@ -701,14 +517,11 @@ int cmdTraceRecord(const OptionParser &Opts) {
     unsigned LogN = getLog2(Opts, "logn", 8);
     double C = getQuota(Opts, 50.0);
     uint64_t M = pow2(LogM);
-    Heap H;
-    std::string Error;
-    auto MM = createManagerChecked(Opts.getString("policy", "first-fit"), H,
-                                   C, /*LiveBound=*/M, &Error);
-    if (!MM) {
-      std::cerr << "error: " << Error << "\n";
+    std::string Policy = Opts.getString("policy", "first-fit");
+    if (!checkPolicy(Policy, /*LiveBound=*/M))
       return 1;
-    }
+    Heap H;
+    auto MM = createManager(Policy, H, C, /*LiveBound=*/M);
     std::unique_ptr<Program> Prog = buildProgram(Opts, ProgName, M, LogN, C);
     if (!Prog)
       return 1;
@@ -877,15 +690,8 @@ int replayEventLog(const OptionParser &Opts, const std::string &TracePath,
     }
   }
   std::string Policy = Opts.getString("policy", HeaderPolicy);
-  {
-    Heap Probe;
-    std::string Error;
-    if (!createManagerChecked(Policy, Probe, 50.0, /*LiveBound=*/pow2(12),
-                              &Error)) {
-      std::cerr << "error: " << Error << "\n";
-      return 1;
-    }
-  }
+  if (!checkPolicy(Policy, /*LiveBound=*/pow2(12)))
+    return 1;
   double C;
   if (Opts.has("c") || HeaderC.empty()) {
     C = getQuota(Opts, 50.0);
@@ -978,46 +784,13 @@ int cmdReplay(const OptionParser &Opts) {
 int cmdServe(const OptionParser &Opts) {
   FleetOptions FO;
   FO.NumArenas = Opts.getUnsigned("arenas", 4);
-  FO.NumSessions = Opts.getUInt("sessions", 4096);
-  FO.Threads = Opts.getUnsigned("threads", 0);
-  FO.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
-  FO.Shard.Policy = Opts.getString("policy", "evacuating");
-  FO.Shard.C = getQuota(Opts, 50.0);
-  FO.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
-  FO.Shard.MaxResident = std::max<uint64_t>(1, Opts.getUInt("resident", 8));
-  FO.Shard.SampleEverySessions = Opts.getUInt("sample", 64);
-  FO.Shard.Audit = Opts.getBool("audit", false);
-  FO.Shard.Session.FleetSeed = Opts.getUInt("seed", 1);
-  FO.Shard.Session.TargetOps = Opts.getUInt("ops", 48);
-  FO.Shard.Session.MaxLogSize = Opts.getUnsigned("maxlog", 6);
-  FO.Shard.Session.LiveBound =
-      std::max<uint64_t>(1, Opts.getUInt("live", uint64_t(1) << 10));
-  FO.ArenaRowLimit = Opts.getUnsigned("arena-rows", 32);
+  FO.NumSessions = 4096;
   if (FO.NumArenas == 0) {
     std::cerr << "error: arenas= must be positive\n";
     return 1;
   }
-  if (FO.Shard.Session.MaxLogSize > 24) {
-    std::cerr << "error: need maxlog <= 24\n";
+  if (!readFleetOptions(Opts, FO))
     return 1;
-  }
-  if (!parseControllerSpec(Opts, FO.Shard.Controller))
-    return 1;
-  std::string SessionTracePath = Opts.getString("trace", "");
-  if (!SessionTracePath.empty()) {
-    // Trace-backed fleet: every session replays this recorded schedule.
-    // The session live bound must cover the trace's own peak, or the
-    // arena bound would under-provision the managers that rely on it.
-    uint64_t TracePeak = 0;
-    FO.Shard.Session.Trace = loadMallocTrace(SessionTracePath, TracePeak);
-    if (!FO.Shard.Session.Trace)
-      return 1;
-    FO.Shard.Session.LiveBound =
-        std::max(FO.Shard.Session.LiveBound, std::max<uint64_t>(1, TracePeak));
-  } else if (!checkWorkload(FO.Shard.Session.LiveBound,
-                            FO.Shard.Session.MaxLogSize)) {
-    return 1;
-  }
 
   Profiler Prof;
   if (Opts.getBool("profile", false))
@@ -1103,7 +876,7 @@ int cmdExact(const OptionParser &Opts) {
     Certs[size_t(I)] = certifyCell(P, solveExact(P));
   });
 
-  ResultSink Sink(certificateHeader(/*WithNodes=*/true));
+  ResultSink Sink(certificateHeader());
   uint64_t NumOk = 0, NumStrict = 0, NumFailed = 0;
   for (size_t I = 0; I != Cells.size(); ++I) {
     const ExactCertificate &Cert = Certs[I];
@@ -1114,7 +887,7 @@ int cmdExact(const OptionParser &Opts) {
       ++NumFailed;
       std::cerr << "exact: certificate FAILED: " << Cert.describe() << "\n";
     }
-    Sink.append(certificateRow(Cells[I], Cert, /*WithNodes=*/true));
+    Sink.append(certificateRow(Cells[I], Cert));
   }
 
   // Ground truth must be monotone in the quota: a larger integer c (and
