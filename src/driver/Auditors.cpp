@@ -14,21 +14,22 @@
 using namespace pcb;
 
 void EventAuditor::occupy(Addr A, uint64_t Size) {
-  if (Used.overlaps(A, A + Size)) {
+  // No heap holds an empty object or one past AddrLimit, nor can Used.
+  if (!inAddressSpace(A, Size) || !Used.rangeClear(A, A + Size)) {
     R.Consistent = false;
     return;
   }
-  Used.insert(A, A + Size);
+  Used.assign(A, A + Size, true, [](auto &&...) {});
 }
 
 void EventAuditor::vacate(Addr A, uint64_t Size) {
   // An object whose placement overlapped another never entered Used; the
-  // stream is already inconsistent, and its range must not be erased.
-  if (!Used.containsRange(A, A + Size)) {
+  // stream is already inconsistent, and its range must not be cleared.
+  if (!inAddressSpace(A, Size) || Used.popcountRange(A, A + Size) != Size) {
     R.Consistent = false;
     return;
   }
-  Used.erase(A, A + Size);
+  Used.assign(A, A + Size, false, [](auto &&...) {});
 }
 
 void EventAuditor::fold(const HeapEvent &E) {

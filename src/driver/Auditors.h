@@ -29,7 +29,7 @@
 
 #include "heap/Heap.h"
 #include "heap/HeapEvent.h"
-#include "heap/IntervalSet.h"
+#include "heap/PagedBoard.h"
 
 #include <cstdint>
 #include <unordered_map>
@@ -71,10 +71,15 @@ private:
   void occupy(Addr A, uint64_t Size);
   void vacate(Addr A, uint64_t Size);
 
+  /// A page of the used set: its bits, 1 = used.
+  struct UsedPage {
+    uint64_t W[PageWords] = {};
+  };
+
   double C;
   AuditReport R;
   std::unordered_map<ObjectId, std::pair<Addr, uint64_t>> Live;
-  IntervalSet Used;
+  PagedBoard<UsedPage> Used;
   // Every allocated and moved word, consistent or not, as the budget
   // history counts them.
   uint64_t Allocated = 0;

@@ -80,6 +80,15 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     std::string Rest;
     if (LS >> Rest)
       return Fail("trailing characters '" + Rest + "'");
+    // Every range, a move's source included, must be an object the heap
+    // could hold: nonempty and below AddrLimit.
+    if (Tag == 'S')
+      continue;
+    if (Size == 0)
+      return Fail("record of size 0");
+    if (!inAddressSpace(A, Size) || (Tag == 'M' && !inAddressSpace(B, Size)))
+      return Fail("range of " + std::to_string(Size) +
+                  " words does not fit below the address space limit 2^60");
   }
   return true;
 }

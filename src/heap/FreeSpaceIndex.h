@@ -16,10 +16,9 @@
 /// zero run. Mutations (reserve/release) are now plain masked
 /// word stores, and every query is a summary-guided scan: the bitmap is
 /// grouped into 4096-bit supers, each with a lazily recomputed digest
-/// (free-bit count, prefix/suffix/max zero-run lengths, run-start count,
-/// and a size-class mask of its interior runs) that lets scans skip whole
-/// supers and assemble runs spanning supers from prefix/suffix arithmetic
-/// alone. Free blocks are never materialized; they are *views* of the
+/// (free-bit count, prefix/suffix/max zero-run lengths, and a size-class
+/// mask of its interior runs) that lets scans skip whole supers and
+/// assemble runs spanning supers from prefix/suffix arithmetic alone. Free blocks are never materialized; they are *views* of the
 /// occupancy words, so the index cannot drift from the heap.
 ///
 /// A release must learn the merged free run it joins inside each super it

@@ -39,6 +39,12 @@ inline constexpr Addr InvalidAddr = std::numeric_limits<Addr>::max();
 /// anywhere below this; the footprint (high-water mark) is what counts.
 inline constexpr Addr AddrLimit = uint64_t(1) << 60;
 
+/// True when [A, A + Size) is a nonempty range below AddrLimit. The test
+/// cannot wrap, whatever A and Size are.
+inline constexpr bool inAddressSpace(Addr A, uint64_t Size) {
+  return Size != 0 && A <= AddrLimit && Size <= AddrLimit - A;
+}
+
 /// Lifecycle of an object slot in the ObjectTable.
 enum class ObjectState : uint8_t {
   Live,  ///< Allocated and not yet freed.

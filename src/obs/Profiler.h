@@ -13,7 +13,8 @@
 /// instrumented, but the instrumentation is a null sink unless a Profiler
 /// is installed on the current thread (ProfilerScope): disabled, a
 /// ScopedTimer is one thread_local load and a branch, no clock reads.
-/// `bench_pf_sim overhead-check=1` asserts that this stays true.
+/// `pcbound sweep table=pf-sim overhead-check=1` asserts that this stays
+/// true.
 ///
 /// Everything the instrumentation sites need is defined inline in this
 /// header, so instrumented libraries (pcb_heap, pcb_mm, pcb_driver,

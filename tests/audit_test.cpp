@@ -228,6 +228,63 @@ TEST(Auditors, FoldMatchesWholeLogAtEveryPrefix) {
   EXPECT_FALSE(Fold.budgetHeld());
 }
 
+TEST(Auditors, ObjectsAtTheEdgeOfTheAddressSpace) {
+  // An object of 2^60 - 1 words ending exactly at AddrLimit: the used
+  // set holds it as one stored page plus one run of full pages.
+  const uint64_t Big = AddrLimit - 1;
+  std::vector<HeapEvent> Events = {
+      HeapEvent::alloc(0, 1, Big),
+      HeapEvent::alloc(1, 0, 1), // the one word left
+  };
+  AuditReport R = expectFoldMatchesEveryPrefix(Events, 2.0).report();
+  EXPECT_TRUE(R.Consistent);
+  EXPECT_EQ(R.HighWaterMark, AddrLimit);
+  EXPECT_EQ(R.LiveWords, AddrLimit);
+
+  // Any placement inside the run overlaps it.
+  for (Addr A : {Addr(64), Addr(4096), AddrLimit / 2, AddrLimit - 8}) {
+    std::vector<HeapEvent> Inside = Events;
+    Inside.push_back(HeapEvent::alloc(2, A, 8));
+    EXPECT_FALSE(auditEvents(Inside).Consistent) << A;
+  }
+
+  // Freeing the object clears the run; the space it held takes new
+  // objects, a move included, and audits clean.
+  Events.insert(Events.end(),
+                {HeapEvent::release(0, 1, Big), HeapEvent::alloc(2, 4096, 64),
+                 HeapEvent::alloc(3, AddrLimit - 8, 8),
+                 HeapEvent::move(1, 0, AddrLimit / 2, 1),
+                 HeapEvent::alloc(4, 1, Big - 8)});
+  EventAuditor Fold = expectFoldMatchesEveryPrefix(Events, 2.0);
+  EXPECT_TRUE(Fold.budgetHeld());
+  R = Fold.report();
+  // The last object spans the old run again and meets the objects at
+  // 4096 and 2^59.
+  EXPECT_FALSE(R.Consistent);
+  Events.pop_back();
+  R = auditEvents(Events);
+  EXPECT_TRUE(R.Consistent);
+  EXPECT_EQ(R.HighWaterMark, AddrLimit);
+  EXPECT_EQ(R.LiveWords, 64u + 8u + 1u);
+  EXPECT_EQ(R.PeakLiveWords, AddrLimit);
+  EXPECT_EQ(R.TotalAllocatedWords, AddrLimit + 72);
+  EXPECT_EQ(R.MovedWords, 1u);
+  EXPECT_EQ(R.NumAllocations, 4u);
+  EXPECT_EQ(R.NumFrees, 1u);
+  EXPECT_EQ(R.NumMoves, 1u);
+}
+
+TEST(Auditors, RangesOutsideTheAddressSpaceAreInconsistent) {
+  for (HeapEvent E :
+       {HeapEvent::alloc(0, 5, 0), HeapEvent::alloc(0, AddrLimit - 4, 8),
+        HeapEvent::alloc(0, ~uint64_t(0) - 3, 8)})
+    EXPECT_FALSE(auditEvents({E}).Consistent) << E.Address << ' ' << E.Size;
+  // A move whose target ends past AddrLimit.
+  std::vector<HeapEvent> Events = {HeapEvent::alloc(0, 0, 8),
+                                   HeapEvent::move(0, 0, AddrLimit, 8)};
+  EXPECT_FALSE(auditEvents(Events).Consistent);
+}
+
 // --- End-to-end: every execution audits clean -------------------------------
 
 struct AuditCase {
@@ -378,8 +435,13 @@ TEST(TraceIO, ToleratesCommentsAndBlankLines) {
 }
 
 TEST(TraceIO, RejectsMalformedLines) {
-  for (const char *Bad : {"X 1 2 3\n", "A 1 2\n", "M 1 2 3\n",
-                          "A 1 2 3 junk\n", "A one 2 3\n"}) {
+  for (const char *Bad :
+       {"X 1 2 3\n", "A 1 2\n", "M 1 2 3\n", "A 1 2 3 junk\n",
+        "A one 2 3\n",
+        // Ranges no heap can hold: empty, wrapping past 2^64, and ending
+        // past AddrLimit (2^60), as a record or as a move's source.
+        "A 0 5 0\n", "A 0 18446744073709551612 8\n",
+        "A 0 1152921504606846975 8\n", "M 0 1152921504606846975 0 8\n"}) {
     std::stringstream SS(Bad);
     EventLog Log;
     EXPECT_FALSE(readEventLog(SS, Log)) << Bad;

@@ -9,18 +9,17 @@
 #include "heap/FreeSpaceIndex.h"
 #include "heap/Heap.h"
 #include "heap/HeapImage.h"
-#include "heap/IntervalSet.h"
 #include "heap/Metrics.h"
 #include "heap/PagedBoard.h"
 #include "obs/Profiler.h"
 #include "support/Random.h"
+#include "testsupport/ReferenceFreeSpaceIndex.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,156 +27,6 @@
 using namespace pcb;
 
 namespace {
-
-// --- IntervalSet ---------------------------------------------------------
-
-TEST(IntervalSet, InsertAndQuery) {
-  IntervalSet S;
-  S.insert(10, 20);
-  EXPECT_TRUE(S.containsRange(10, 20));
-  EXPECT_TRUE(S.containsRange(12, 15));
-  EXPECT_FALSE(S.containsRange(5, 12));
-  EXPECT_FALSE(S.containsRange(15, 25));
-  EXPECT_TRUE(S.overlaps(15, 25));
-  EXPECT_FALSE(S.overlaps(20, 25));
-  EXPECT_FALSE(S.overlaps(0, 10));
-  EXPECT_EQ(S.totalWords(), 10u);
-}
-
-TEST(IntervalSet, CoalescesNeighbours) {
-  IntervalSet S;
-  S.insert(0, 10);
-  S.insert(20, 30);
-  EXPECT_EQ(S.numIntervals(), 2u);
-  S.insert(10, 20); // bridges the two
-  EXPECT_EQ(S.numIntervals(), 1u);
-  EXPECT_TRUE(S.containsRange(0, 30));
-}
-
-TEST(IntervalSet, EraseSplits) {
-  IntervalSet S;
-  S.insert(0, 30);
-  S.erase(10, 20);
-  EXPECT_EQ(S.numIntervals(), 2u);
-  EXPECT_TRUE(S.containsRange(0, 10));
-  EXPECT_TRUE(S.containsRange(20, 30));
-  EXPECT_FALSE(S.overlaps(10, 20));
-  EXPECT_EQ(S.totalWords(), 20u);
-}
-
-TEST(IntervalSet, EraseAtBoundaries) {
-  IntervalSet S;
-  S.insert(0, 30);
-  S.erase(0, 10);
-  S.erase(20, 30);
-  EXPECT_EQ(S.numIntervals(), 1u);
-  EXPECT_TRUE(S.containsRange(10, 20));
-}
-
-TEST(IntervalSet, CoveredWords) {
-  IntervalSet S;
-  S.insert(0, 10);
-  S.insert(20, 30);
-  EXPECT_EQ(S.coveredWords(0, 30), 20u);
-  EXPECT_EQ(S.coveredWords(5, 25), 10u);
-  EXPECT_EQ(S.coveredWords(10, 20), 0u);
-}
-
-TEST(IntervalSet, IntervalContaining) {
-  IntervalSet S;
-  S.insert(10, 20);
-  auto [A, B] = S.intervalContaining(15);
-  EXPECT_EQ(A, 10u);
-  EXPECT_EQ(B, 20u);
-  auto [C, D] = S.intervalContaining(20);
-  EXPECT_EQ(C, InvalidAddr);
-  EXPECT_EQ(D, InvalidAddr);
-}
-
-TEST(IntervalSet, AdjacentRangeCoalescing) {
-  // Right-adjacent, then left-adjacent insertion each coalesce into one
-  // maximal interval; a gap of one word does not.
-  IntervalSet S;
-  S.insert(10, 20);
-  S.insert(20, 30); // right-adjacent
-  EXPECT_EQ(S.numIntervals(), 1u);
-  S.insert(0, 10); // left-adjacent
-  EXPECT_EQ(S.numIntervals(), 1u);
-  EXPECT_TRUE(S.containsRange(0, 30));
-  EXPECT_EQ(S.totalWords(), 30u);
-  S.insert(31, 40); // one-word gap stays separate
-  EXPECT_EQ(S.numIntervals(), 2u);
-  EXPECT_FALSE(S.contains(30));
-}
-
-TEST(IntervalSet, ExactOverlapRemoval) {
-  // Erasing exactly a stored interval empties it without touching its
-  // neighbours.
-  IntervalSet S;
-  S.insert(0, 10);
-  S.insert(20, 30);
-  S.insert(40, 50);
-  S.erase(20, 30);
-  EXPECT_EQ(S.numIntervals(), 2u);
-  EXPECT_FALSE(S.overlaps(20, 30));
-  EXPECT_TRUE(S.containsRange(0, 10));
-  EXPECT_TRUE(S.containsRange(40, 50));
-  EXPECT_EQ(S.totalWords(), 20u);
-  S.erase(0, 10);
-  S.erase(40, 50);
-  EXPECT_TRUE(S.empty());
-  EXPECT_EQ(S.totalWords(), 0u);
-}
-
-TEST(IntervalSet, SplitInTheMiddleRelease) {
-  // Erasing strictly inside an interval splits it into two maximal
-  // pieces with exact boundaries.
-  IntervalSet S;
-  S.insert(0, 100);
-  S.erase(40, 60);
-  EXPECT_EQ(S.numIntervals(), 2u);
-  auto [L0, L1] = S.intervalContaining(39);
-  EXPECT_EQ(L0, 0u);
-  EXPECT_EQ(L1, 40u);
-  auto [R0, R1] = S.intervalContaining(60);
-  EXPECT_EQ(R0, 60u);
-  EXPECT_EQ(R1, 100u);
-  EXPECT_EQ(S.totalWords(), 80u);
-  // Splitting the right piece again keeps every boundary exact.
-  S.erase(70, 80);
-  EXPECT_EQ(S.numIntervals(), 3u);
-  EXPECT_TRUE(S.containsRange(60, 70));
-  EXPECT_TRUE(S.containsRange(80, 100));
-  EXPECT_FALSE(S.overlaps(70, 80));
-}
-
-TEST(IntervalSet, RandomizedAgainstReference) {
-  // Property test: IntervalSet agrees with a std::set<Addr> reference
-  // model over random insert/erase sequences.
-  Rng R(123);
-  IntervalSet S;
-  std::set<Addr> Ref;
-  const Addr Universe = 256;
-  for (int Op = 0; Op != 2000; ++Op) {
-    Addr Start = R.nextBelow(Universe - 8);
-    Addr End = Start + 1 + R.nextBelow(8);
-    bool AllIn = true, AllOut = true;
-    for (Addr A = Start; A != End; ++A)
-      (Ref.count(A) ? AllOut : AllIn) = false;
-    if (AllOut && R.nextBool(0.6)) {
-      S.insert(Start, End);
-      for (Addr A = Start; A != End; ++A)
-        Ref.insert(A);
-    } else if (AllIn && !Ref.empty() && R.nextBool(0.8)) {
-      S.erase(Start, End);
-      for (Addr A = Start; A != End; ++A)
-        Ref.erase(A);
-    }
-    ASSERT_EQ(S.totalWords(), Ref.size());
-    Addr Probe = R.nextBelow(Universe);
-    ASSERT_EQ(S.contains(Probe), Ref.count(Probe) != 0) << "probe " << Probe;
-  }
-}
 
 // --- FreeSpaceIndex ------------------------------------------------------
 
@@ -285,28 +134,28 @@ TEST(FreeSpaceIndex, FreeWordsAccounting) {
   EXPECT_EQ(F.freeWordsIn(50, 90), 0u);
 }
 
-TEST(FreeSpaceIndex, RandomizedAgainstIntervalSet) {
-  // Property test: the free index is exactly the complement of a
-  // reference IntervalSet of used space.
+TEST(FreeSpaceIndex, RandomizedAgainstReference) {
+  // Property test: the free index agrees with the reference index, the
+  // specification's sorted block vector, over random reserves and
+  // releases.
   Rng R(99);
   FreeSpaceIndex F;
-  IntervalSet Used;
+  ReferenceFreeSpaceIndex Ref;
   const Addr Universe = 512;
   for (int Op = 0; Op != 4000; ++Op) {
     Addr Start = R.nextBelow(Universe - 16);
     uint64_t Size = 1 + R.nextBelow(16);
-    if (!Used.overlaps(Start, Start + Size) && R.nextBool(0.55)) {
+    if (Ref.isFree(Start, Size) && R.nextBool(0.55)) {
       F.reserve(Start, Size);
-      Used.insert(Start, Start + Size);
-    } else if (Used.containsRange(Start, Start + Size) && R.nextBool(0.9)) {
+      Ref.reserve(Start, Size);
+    } else if (Ref.freeWordsIn(Start, Start + Size) == 0 && R.nextBool(0.9)) {
       F.release(Start, Size);
-      Used.erase(Start, Start + Size);
+      Ref.release(Start, Size);
     }
     Addr P1 = R.nextBelow(Universe - 8);
     uint64_t S1 = 1 + R.nextBelow(8);
-    ASSERT_EQ(F.isFree(P1, S1), !Used.overlaps(P1, P1 + S1));
-    ASSERT_EQ(F.freeWordsIn(P1, P1 + S1),
-              S1 - Used.coveredWords(P1, P1 + S1));
+    ASSERT_EQ(F.isFree(P1, S1), Ref.isFree(P1, S1));
+    ASSERT_EQ(F.freeWordsIn(P1, P1 + S1), Ref.freeWordsIn(P1, P1 + S1));
     // First fit really is first: nothing free of that size earlier.
     uint64_t S2 = 1 + R.nextBelow(8);
     Addr Fit = F.firstFit(S2);
@@ -477,17 +326,17 @@ TEST(FreeSpaceIndex, AlignedFitMatchesBruteForce) {
   // brute-force scan over the free map would find.
   Rng R(321);
   FreeSpaceIndex F;
-  IntervalSet Used;
+  ReferenceFreeSpaceIndex Ref;
   const Addr Universe = 256;
   for (int Op = 0; Op != 1500; ++Op) {
     Addr Start = R.nextBelow(Universe - 16);
     uint64_t Size = 1 + R.nextBelow(16);
-    if (!Used.overlaps(Start, Start + Size) && R.nextBool(0.6)) {
+    if (Ref.isFree(Start, Size) && R.nextBool(0.6)) {
       F.reserve(Start, Size);
-      Used.insert(Start, Start + Size);
-    } else if (Used.containsRange(Start, Start + Size)) {
+      Ref.reserve(Start, Size);
+    } else if (Ref.freeWordsIn(Start, Start + Size) == 0) {
       F.release(Start, Size);
-      Used.erase(Start, Start + Size);
+      Ref.release(Start, Size);
     }
     uint64_t QSize = 1 + R.nextBelow(12);
     uint64_t Align = uint64_t(1) << R.nextBelow(4);

@@ -85,12 +85,16 @@ struct CellResult {
   double Bound = 0.0;
   uint64_t Evacuations = 0;
 
-  /// The share of the c-partial budget the run spent, in percent.
-  double budgetUsedPct(double C) const {
-    return Exec.TotalAllocatedWords == 0
-               ? 0.0
-               : 100.0 * double(Exec.MovedWords) * C /
-                     double(Exec.TotalAllocatedWords);
+  /// The share of the c-partial budget the run spent, in percent; n/a at
+  /// c = inf, whose budget is zero.
+  std::string budgetUsedPct(double C) const {
+    if (std::isinf(C))
+      return "n/a";
+    return formatDouble(Exec.TotalAllocatedWords == 0
+                            ? 0.0
+                            : 100.0 * double(Exec.MovedWords) * C /
+                                  double(Exec.TotalAllocatedWords),
+                        1);
   }
 };
 
@@ -323,10 +327,7 @@ bool planPfSim(const OptionParser &Opts, TablePlan &P) {
         .addCell(R.TargetWaste, 3)
         .addCell(R.Sigma)
         .addCell(R.Exec.MovedWords);
-    if (IsReference)
-      Out.addCell("n/a");
-    else
-      Out.addCell(R.budgetUsedPct(C), 1);
+    Out.addCell(IsReference ? "n/a" : R.budgetUsedPct(C));
     return {Out};
   };
   P.Notes = "\n# (*) not a c-partial manager: unlimited compaction budget,"
@@ -558,7 +559,7 @@ bool planManagerTuning(const OptionParser &Opts, TablePlan &P) {
                 .addCell(R.Exec.wasteFactor(M), 3)
                 .addCell(R.Exec.MovedWords)
                 .addCell(R.Evacuations)
-                .addCell(R.budgetUsedPct(C), 1)};
+                .addCell(R.budgetUsedPct(C))};
   };
   return true;
 }
@@ -823,6 +824,13 @@ bool planTrace(const OptionParser &Opts, TablePlan &P) {
   if (Traces.empty() || Controllers.empty() || NumOps == 0) {
     std::cerr << "error: traces=, controllers= and ops= must be"
               << " non-empty\n";
+    return false;
+  }
+  // Each cell runs the controller its controllers= entry names; a
+  // controller= would be read and never run.
+  if (Opts.has("controller")) {
+    std::cerr << "error: table=trace runs the controllers= list; name the"
+              << " controllers there, not in controller=\n";
     return false;
   }
   TraceRunOptions Base;
