@@ -54,19 +54,24 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     ObjectId Id;
     Addr A, B;
     uint64_t Size;
+    // Reading "-1" into an unsigned field yields its wrapped value, so a
+    // leading minus is refused before the number is read.
+    auto Num = [&LS](auto &Field) {
+      return (LS >> std::ws).peek() != '-' && LS >> Field;
+    };
     switch (Tag) {
     case 'A':
-      if (!(LS >> Id >> A >> Size))
+      if (!(Num(Id) && Num(A) && Num(Size)))
         return Fail("truncated or malformed allocation record");
       Log.record(HeapEvent::alloc(Id, A, Size));
       break;
     case 'F':
-      if (!(LS >> Id >> A >> Size))
+      if (!(Num(Id) && Num(A) && Num(Size)))
         return Fail("truncated or malformed free record");
       Log.record(HeapEvent::release(Id, A, Size));
       break;
     case 'M':
-      if (!(LS >> Id >> A >> B >> Size))
+      if (!(Num(Id) && Num(A) && Num(B) && Num(Size)))
         return Fail("truncated or malformed move record");
       Log.record(HeapEvent::move(Id, A, B, Size));
       break;
@@ -84,6 +89,8 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     // could hold: nonempty and below AddrLimit.
     if (Tag == 'S')
       continue;
+    if (Id == InvalidObjectId)
+      return Fail("object id " + std::to_string(Id) + " is reserved");
     if (Size == 0)
       return Fail("record of size 0");
     if (!inAddressSpace(A, Size) || (Tag == 'M' && !inAddressSpace(B, Size)))

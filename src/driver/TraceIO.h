@@ -36,9 +36,9 @@ void writeEventLog(std::ostream &OS, const EventLog &Log);
 /// Parses a log previously written by writeEventLog. Returns false (and
 /// leaves \p Log empty) on any malformed line; when \p Error is non-null
 /// it then receives a diagnostic naming the line number and the reason
-/// (truncated record, unknown tag, trailing garbage, a record of size 0,
-/// or a range, a move's source or target, that does not fit below
-/// AddrLimit).
+/// (truncated record, unknown tag, trailing garbage, a negative number,
+/// the reserved id InvalidObjectId, a record of size 0, or a range, a
+/// move's source or target, that does not fit below AddrLimit).
 bool readEventLog(std::istream &IS, EventLog &Log,
                   std::string *Error = nullptr);
 

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string>
 
 using namespace pcb;
 
@@ -92,11 +93,27 @@ void FreeSpaceIndex::noteReserve(PageSums &D, uint64_t S, uint64_t E) {
     Super &Sp = D.Sum[I];
     uint64_t B = uint64_t(I) * SuperBits, WEnd = B + SuperBits;
     uint64_t Lo = std::max(S, B), Hi = std::min(E, WEnd);
+    const bool WasFree = Sp.FreeCount == SuperBits;
     Sp.FreeCount = uint16_t(Sp.FreeCount - (Hi - Lo));
-    Sp.Pre = std::min(Sp.Pre, uint16_t(Lo - B));
-    Sp.Suf = std::min(Sp.Suf, uint16_t(WEnd - Hi));
-    // Splitting runs only shrinks them, so the stale Max stays an upper
-    // bound until a descent recomputes it.
+    if (WasFree) {
+      // The two remainders are the new prefix and suffix runs, so there
+      // is still no interior run: a free super's digest (Max 0, clean)
+      // stays exact.
+      Sp.Pre = uint16_t(Lo - B);
+      Sp.Suf = uint16_t(WEnd - Hi);
+      continue;
+    }
+    // The range lies in one free run. Cutting the prefix or the suffix
+    // run leaves its far remainder interior, so Max takes it in;
+    // cutting an interior run only shrinks runs, and the stale Max stays
+    // an upper bound until a descent recomputes it.
+    if (Lo < B + Sp.Pre) {
+      Sp.Max = std::max(Sp.Max, uint16_t(B + Sp.Pre - Hi));
+      Sp.Pre = uint16_t(Lo - B);
+    } else if (Hi > WEnd - Sp.Suf) {
+      Sp.Max = std::max(Sp.Max, uint16_t(Lo - (WEnd - Sp.Suf)));
+      Sp.Suf = uint16_t(WEnd - Hi);
+    }
     Sp.Dirty = true;
   }
 }
@@ -125,7 +142,8 @@ void FreeSpaceIndex::noteRelease(const OccPage &Pg, PageSums &D, uint64_t S,
       Sp.Pre = uint16_t(RHi - B);
     if (RHi == WEnd)
       Sp.Suf = uint16_t(WEnd - RLo);
-    Sp.Max = std::max(Sp.Max, uint16_t(RHi - RLo));
+    if (RLo != B && RHi != WEnd)
+      Sp.Max = std::max(Sp.Max, uint16_t(RHi - RLo));
     Sp.Dirty = true;
   }
 }
@@ -335,12 +353,12 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
       if (Run != 0) {
         if (!Stopped && Fn(Addr(WBase + B - Run), Addr(WBase + B)))
           Stopped = true;
-        if (!SeenUsed)
+        if (!SeenUsed) {
           Pre = unsigned(LRun);
-        else
+        } else {
           CMask |= uint64_t(1) << classOf(LRun);
-        if (LRun > MaxRun)
-          MaxRun = unsigned(LRun);
+          MaxRun = std::max(MaxRun, unsigned(LRun));
+        }
       }
       Run = 0;
       LRun = 0;
@@ -375,10 +393,8 @@ bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
     Sp = Super();
     return Stopped;
   }
-  // The suffix run completes in a later super, so it stays out of
+  // The suffix run (LRun) is a boundary run: it stays out of Max and
   // ClassMask.
-  if (LRun > MaxRun)
-    MaxRun = unsigned(LRun);
   Sp.Pre = uint16_t(Pre);
   Sp.Suf = uint16_t(LRun);
   Sp.Max = uint16_t(MaxRun);
@@ -421,7 +437,7 @@ bool FreeSpaceIndex::forEachRun(Addr StopBase, DescendT Descend,
         Run += SuperBits;
         continue;
       }
-      if (Descend(S)) {
+      if (Descend(S, Base)) {
         const uint64_t *W = Pg->W + J * SuperWords;
         if (S.Dirty ? scanSuperFused(W, S, Base, Run, Fn)
                     : scanWords(W, SuperWords, Base, Run, Fn))
@@ -509,7 +525,11 @@ Addr FreeSpaceIndex::firstFitWalk(Addr From, uint64_t Size,
       }
     }
     const OccPage *Pg = Occ.page(K);
-    if (!Pg) { // a run of full pages rejects the open run
+    if (!Pg) { // a run of full pages ends the open run
+      if (Run >= Size) { // a suffix run carried off a digest
+        Found = Addr(Pos - Run);
+        break;
+      }
       if constexpr (Counted)
         Probes += uint64_t(Run != 0);
       Run = 0;
@@ -520,9 +540,23 @@ Addr FreeSpaceIndex::firstFitWalk(Addr From, uint64_t Size,
     const unsigned Top = topSuper(K);
     unsigned J = unsigned((Pos - PBase) / SuperBits);
     if (J < Top && Pos % SuperBits != 0) {
-      Found = scanFirstFit<Counted>(Pg->W + J * SuperWords, SuperWords,
-                                    PBase + J * SuperBits, Pos % SuperBits,
-                                    Run, Size, InWord, Probes);
+      // The partial first super. Run is 0 here: Pos is From.
+      const Super &S = D.Sum[J];
+      const uint64_t Off = Pos % SuperBits;
+      if (!S.Dirty && uint64_t(S.Max) < Size) {
+        // No interior run fits, so only the prefix run from the cursor
+        // or the suffix run can, and the digest gives both. The first
+        // is too short (isFree(From, Size) failed above), so the cursor
+        // or the suffix run's start, whichever is higher, opens the run
+        // carried on.
+        if constexpr (Counted)
+          Probes += uint64_t(Off < S.Pre && S.Pre != SuperBits);
+        Run = SuperBits - std::max<uint64_t>(Off, SuperBits - S.Suf);
+      } else {
+        Found = scanFirstFit<Counted>(Pg->W + J * SuperWords, SuperWords,
+                                      PBase + J * SuperBits, Off, Run, Size,
+                                      InWord, Probes);
+      }
       ++J;
     }
     for (; Found == InvalidAddr && J < Top; ++J) {
@@ -539,15 +573,17 @@ Addr FreeSpaceIndex::firstFitWalk(Addr From, uint64_t Size,
         break;
       }
       if (uint64_t(S.Max) >= Size) {
-        // Max is an upper bound while dirty: a stale pass either finds
-        // the fit (cheap — the sweep stops right there) or banks a clean
-        // digest whose exact Max skips this super until the next
-        // mutation. A stale skip cannot happen. Clean supers promise an
-        // in-window fit (Max is exact), so their scan never wastes a
-        // full sweep. Two passes beat one fused sweep here: most stale
-        // descents find their fit, so the hit path runs the lean word
-        // scan with no digest bookkeeping; only the no-fit minority pays
-        // the second, digest-banking pass over the same 64 words.
+        // Max bounds the interior runs, an upper bound while dirty: a
+        // stale pass either finds the fit (cheap — the sweep stops right
+        // there) or banks a clean digest whose exact Max skips this
+        // super until the next mutation. A stale skip cannot happen.
+        // Clean supers promise an interior fit (Max is exact), so their
+        // scan never wastes a full sweep; a super whose only long run is
+        // its suffix is not descended at all, the suffix being carried
+        // on from the digest. Two passes beat one fused sweep here: most
+        // stale descents find their fit, so the hit path runs the lean
+        // word scan with no digest bookkeeping; only the no-fit minority
+        // pays the second, digest-banking pass over the same 64 words.
         const uint64_t *W = Pg->W + J * SuperWords;
         Found = scanFirstFit<Counted>(W, SuperWords, Base, 0, Run, Size,
                                       InWord, Probes);
@@ -578,7 +614,7 @@ Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
   Addr Best = InvalidAddr;
   forEachRun(
       AddrLimit,
-      [&](const Super &S) {
+      [&](const Super &S, Addr) {
         // A dirty super is judged by its Max upper bound alone; a clean
         // one descends only when an interior run could tighten the
         // incumbent: its class must reach Size's class but not exceed
@@ -614,7 +650,8 @@ Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
   Addr Found = InvalidAddr;
   uint64_t Probes = 0;
   forEachRun(
-      AddrLimit, [&](const Super &S) { return uint64_t(S.Max) >= Size; },
+      AddrLimit,
+      [&](const Super &S, Addr) { return uint64_t(S.Max) >= Size; },
       [&](Addr S, Addr E) {
         if (E - S < Size)
           return false;
@@ -634,37 +671,59 @@ Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
 Addr FreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
   assert(Size != 0 && "zero-size fit query");
   Profiler::bump(Profiler::CtrFitQueries);
-  Addr Best = InvalidAddr;
-  uint64_t BestSpan = 0;
-  forEachRun(
-      Limit,
-      [&](const Super &S) {
-        // A clipped span never exceeds the run's length, so a super
-        // whose longest run cannot beat the incumbent (strictly — ties
-        // keep the lower address) is skipped whole.
-        return uint64_t(S.Max) >= std::max<uint64_t>(Size, BestSpan + 1);
-      },
-      [&](Addr S, Addr E) {
-        if (S >= Limit)
-          return true;
-        uint64_t Span = std::min<Addr>(E, Limit) - S;
-        if (Span >= Size && Span > BestSpan) {
-          BestSpan = Span;
-          Best = S;
-        }
-        return false;
-      });
-  return Best;
+  // The answer's clipped span is the widest, L. A block wholly below
+  // Limit is no longer than L, and the block holding Limit is the last
+  // to start below it, so the lowest block of at least L words is the
+  // lowest whose clipped span is L.
+  uint64_t L = largestBlockBelow(Limit);
+  if (L < Size)
+    return InvalidAddr;
+  uint64_t Probes = 0;
+  return firstFitWalk<false>(0, L, Probes);
 }
 
 uint64_t FreeSpaceIndex::freeWordsBelow(Addr Limit) const {
-  return Limit == 0 ? 0 : freeWordsIn(0, Limit);
+  // Counts the used words below Limit from the exact FreeCounts; only a
+  // super whose interior Limit cuts has its words read.
+  uint64_t Used = 0;
+  for (size_t K = 0; K != Occ.size() && Occ.base(K) < Limit; ++K) {
+    const Addr PBase = Occ.base(K);
+    if (!Occ.page(K)) {
+      Used += std::min(Occ.end(K), Limit) - PBase;
+      continue;
+    }
+    const PageSums &D = Occ.side(K);
+    for (unsigned J = 0, Top = topSuper(K); J != Top; ++J) {
+      const Addr Base = PBase + J * SuperBits;
+      if (Base >= Limit)
+        break;
+      const Super &S = D.Sum[J];
+      const uint64_t Cut = Limit - Base;
+      if (Cut >= SuperBits - S.Suf) // every used bit lies below Limit
+        Used += SuperBits - S.FreeCount;
+      else if (Cut > S.Pre) // else none does
+        Used += Occ.popcountRange(Base, Limit);
+    }
+  }
+  return Limit - Used;
 }
 
 uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
   uint64_t Best = 0;
   forEachRun(
-      Limit, [&](const Super &S) { return uint64_t(S.Max) > Best; },
+      Limit,
+      [&](const Super &S, Addr Base) {
+        if (uint64_t(S.Max) <= Best)
+          return false;
+        // The interior runs end before the suffix run starts. When that
+        // is at or below Limit none of them is clipped, so a clean
+        // (exact) Max is their best span without a descent.
+        if (!S.Dirty && Base + SuperBits - S.Suf <= Limit) {
+          Best = S.Max;
+          return false;
+        }
+        return true;
+      },
       [&](Addr S, Addr E) {
         if (S >= Limit)
           return true;
@@ -672,6 +731,46 @@ uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
         return false;
       });
   return Best;
+}
+
+bool FreeSpaceIndex::checkDigests(std::string *Why) const {
+  for (size_t K = 0; K != Occ.size(); ++K) {
+    const OccPage *Pg = Occ.page(K);
+    if (!Pg)
+      continue;
+    const PageSums &D = Occ.side(K);
+    const unsigned Top = topSuper(K);
+    for (unsigned J = 0; J != SupersPerPage; ++J) {
+      // The supers from Top on hold zero words: their digest is a free
+      // super's.
+      Super True;
+      if (J < Top) {
+        const uint64_t *W = Pg->W + J * SuperWords;
+        recomputeSuper(W, True);
+        unsigned Used = 0;
+        for (unsigned I = 0; I != SuperWords; ++I)
+          Used += popcount64(W[I]);
+        True.FreeCount = uint16_t(SuperBits - Used);
+      }
+      const Super &S = D.Sum[J];
+      const char *Field = S.FreeCount != True.FreeCount ? "FreeCount"
+                          : S.Pre != True.Pre           ? "Pre"
+                          : S.Suf != True.Suf           ? "Suf"
+                          : S.Max < True.Max            ? "Max (below)"
+                          : S.Dirty                     ? nullptr
+                          : S.Max != True.Max           ? "Max"
+                          : S.ClassMask != True.ClassMask ? "ClassMask"
+                                                          : nullptr;
+      if (!Field)
+        continue;
+      if (Why)
+        *Why = "free-space digest of the super at " +
+               std::to_string(Occ.base(K) + J * SuperBits) + ": " + Field +
+               " disagrees with its words";
+      return false;
+    }
+  }
+  return true;
 }
 
 std::pair<Addr, Addr> FreeSpaceIndex::nextFreeRun(Addr Pos) const {

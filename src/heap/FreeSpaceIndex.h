@@ -15,11 +15,17 @@
 /// The index owns one bit per word (1 = used); a free block is a maximal
 /// zero run. Mutations (reserve/release) are now plain masked
 /// word stores, and every query is a summary-guided scan: the bitmap is
-/// grouped into 4096-bit supers, each with a lazily recomputed digest
-/// (free-bit count, prefix/suffix/max zero-run lengths, and a size-class
-/// mask of its interior runs) that lets scans skip whole supers and
-/// assemble runs spanning supers from prefix/suffix arithmetic alone. Free blocks are never materialized; they are *views* of the
-/// occupancy words, so the index cannot drift from the heap.
+/// grouped into 4096-bit supers, each with a digest (free-bit count,
+/// prefix and suffix zero-run lengths, and the longest and the size-class
+/// mask of its interior runs, lazily recomputed) that lets scans skip
+/// whole supers and assemble runs spanning supers from prefix/suffix
+/// arithmetic alone. Free blocks are never materialized; they are *views*
+/// of the occupancy words, so the index cannot drift from the heap.
+///
+/// A super is descended only when an interior run could answer: the
+/// boundary runs are read off the exact prefix and suffix lengths, so the
+/// super holding the high-water mark, whose one long run is its suffix
+/// (the start of the infinite tail), is judged by its digest alone.
 ///
 /// A release must learn the merged free run it joins inside each super it
 /// touches. Pre and Suf still hold their pre-release values then, so a
@@ -43,6 +49,9 @@
 /// the next word; only a stretch of two or more calls the kernel. With a
 /// profiler installed the scan also counts the runs it rejects, one
 /// popcount per partial word; without one it does no probe arithmetic.
+/// A super whose digest rules out an interior fit costs a few digest
+/// reads and no word at all; so does the partial first super of a
+/// firstFitFrom when its digest is clean.
 /// The run walks (scanWords and the fused sweep) pay two trailing-zero
 /// counts per used run of a word, not per bit, and count no bits: every
 /// mutation keeps FreeCount exact.
@@ -76,6 +85,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,7 +133,9 @@ public:
   /// Start of the free block with the largest span clipped to [0, Limit)
   /// among blocks starting below \p Limit whose clipped span is at least
   /// \p Size (ties broken by lowest address), or InvalidAddr when no such
-  /// block exists. This is classic worst fit over the committed heap.
+  /// block exists. This is classic worst fit over the committed heap,
+  /// answered as largestBlockBelow(Limit) followed by a first fit of that
+  /// length (the lowest block that long is the answer).
   Addr worstFitBelow(uint64_t Size, Addr Limit) const;
 
   /// Number of free blocks (including the infinite tail). Maintained
@@ -131,7 +143,8 @@ public:
   /// occupancy bits flanking its range.
   size_t numBlocks() const { return TotalBlocks; }
 
-  /// Free words below \p Limit.
+  /// Free words below \p Limit: the exact per-super free counts summed,
+  /// with only a super whose interior Limit cuts read word by word.
   uint64_t freeWordsBelow(Addr Limit) const;
 
   /// Free words within [Start, End). Inline: the compactors probe this
@@ -143,9 +156,17 @@ public:
 
   /// Largest free run clipped to [0, Limit): the maximum over blocks
   /// starting below \p Limit of min(end, Limit) - start. O(supers):
-  /// supers that cannot beat the incumbent are skipped via their max-run
-  /// digest.
+  /// supers whose interior runs cannot beat the incumbent are skipped,
+  /// and a clean super whose interior runs all end at or below Limit
+  /// lends its Max without a descent.
   uint64_t largestBlockBelow(Addr Limit) const;
+
+  /// Recomputes the digest of every super of every stored page into a
+  /// local one and compares: FreeCount, Pre and Suf must be exact, a
+  /// clean Max and ClassMask exact, a dirty Max at least the true one.
+  /// Writes nothing back, so checking changes no later query's work. On
+  /// a mismatch returns false with the super and field in \p Why.
+  bool checkDigests(std::string *Why = nullptr) const;
 
   /// Word \p I of the occupancy board (bit j = address 64 * I + j,
   /// 1 = used); words of absent pages are zero. This is the raw substrate
@@ -212,24 +233,30 @@ private:
   static constexpr unsigned SupersPerPage = PageWords / SuperWords;
   static constexpr unsigned NumClasses = 61;
 
-  /// Per-super digest. FreeCount, Pre and Suf are maintained exactly by
-  /// every mutation: O(1) for reserve; for release, O(1) when a neighbour
-  /// run reaches the super's edge or ends in the word next to the freed
-  /// range, else a word scan bounded by the super that stops at the run's
-  /// end. So run assembly across skipped supers never recomputes
-  /// anything. Max degrades to a sound *upper bound* while Dirty (a
-  /// reserve can only shrink runs; a release folds its merged run in), so
-  /// it still filters descents — a stale pass costs one recompute, a
-  /// stale skip cannot happen. ClassMask is only valid when clean; the
-  /// query that needs it (bestFit) recomputes on the way. The defaults
-  /// are the fully free super.
+  /// Per-super digest. The prefix run starts at the window's base, the
+  /// suffix run ends at its end; every other free run is *interior*. A
+  /// fully free super has no interior run. FreeCount, Pre and Suf are
+  /// maintained exactly by every mutation: O(1) for reserve; for
+  /// release, O(1) when a neighbour run reaches the super's edge or ends
+  /// in the word next to the freed range, else a word scan bounded by the
+  /// super that stops at the run's end. So run assembly across skipped
+  /// supers never recomputes anything. Max covers the interior runs only
+  /// and degrades to a sound *upper bound* while Dirty, so it still
+  /// filters descents — a stale pass costs one recompute, a stale skip
+  /// cannot happen. A reserve that cuts the prefix (suffix) run folds the
+  /// far remainder, now interior, into Max, and one that cuts an interior
+  /// run only shrinks runs; a release folds its merged run in unless it
+  /// reaches an edge. The first reservation in a free super leaves no
+  /// interior run and a clean digest. ClassMask is only valid when clean;
+  /// the query that needs it (bestFit) recomputes on the way. The
+  /// defaults are the fully free super.
   struct Super {
     uint16_t Pre = SuperBits;  ///< leading free bits (always exact)
     uint16_t Suf = SuperBits;  ///< trailing free bits (always exact)
-    uint16_t Max = SuperBits;  ///< longest free run (bound while Dirty)
+    uint16_t Max = 0;          ///< longest interior run (bound while Dirty)
     uint16_t FreeCount = SuperBits; ///< free bits in the window (exact)
     bool Dirty = false;
-    uint64_t ClassMask = 0;        ///< classes of runs interior to the window
+    uint64_t ClassMask = 0;        ///< classes of the interior runs
   };
 
   /// One page of the board: its occupancy words (1 = used).
@@ -255,14 +282,15 @@ private:
 
   /// Walks the complete maximal free runs in address order, the tail run
   /// to AddrLimit included. \p Fn(S, E) returns true to stop; so does
-  /// forEachRun then. \p Descend(Sup) decides whether a super is scanned
-  /// at word level; when it declines, only the boundary run completing at
-  /// the super's prefix is reported (from the always-exact Pre/Suf
-  /// digests), so Descend must return true whenever an interior run of
-  /// the super could interest Fn. Supers whose base is >= \p StopBase are
-  /// not entered: the run still open there is reported ending at a
-  /// boundary >= StopBase, not at its true end, so callers that pass a
-  /// StopBase clip runs to it.
+  /// forEachRun then. \p Descend(Sup, Base) decides whether the super
+  /// at address Base is scanned at word level; when it declines, only the
+  /// boundary run completing at the super's prefix is reported (from the
+  /// always-exact Pre/Suf digests) and the suffix run is carried on, so
+  /// Descend must return true whenever an interior run of the super could
+  /// interest Fn (or account for those runs itself). Supers whose base is
+  /// >= \p StopBase are not entered: the run still open there is
+  /// reported ending at a boundary >= StopBase, not at its true end, so
+  /// callers that pass a StopBase clip runs to it.
   template <typename DescendT, typename FnT>
   bool forEachRun(Addr StopBase, DescendT Descend, FnT Fn) const;
 

@@ -133,6 +133,8 @@ bool Heap::checkConsistency(std::string *Why) const {
           Stats.HighWaterMark - LiveWords)
     return Fail("free index is not the complement of the live objects "
                 "below the high-water mark");
+  if (!Free.checkDigests(Why))
+    return false;
   if (LiveWords != Stats.LiveWords)
     return Fail("LiveWords statistic " + std::to_string(Stats.LiveWords) +
                 " does not match recount " + std::to_string(LiveWords));

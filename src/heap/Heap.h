@@ -149,8 +149,10 @@ public:
   }
 
   /// Full structural self-check: live objects are disjoint, the free
-  /// index is exactly their complement, the start-bit index agrees, and
-  /// the statistics match a recount. O(objects + free blocks); meant
+  /// index is exactly their complement and its super digests keep their
+  /// contract (FreeSpaceIndex::checkDigests), the start-bit index agrees,
+  /// and the statistics match a recount. O(objects + free blocks + words
+  /// of the stored pages); meant
   /// for tests and the fuzzing oracle. When \p Why is non-null and the
   /// check fails, it receives a one-line diagnosis of the first
   /// inconsistency found.

@@ -70,10 +70,14 @@ public:
     /// answer, with the bits below its cursor read as used: a run cut by
     /// a used bit of a word it reads, or by a full word or a full page,
     /// and the run ending at the prefix of a super it judges by digest.
-    /// The interior runs of a super whose Max rules out a fit are not
-    /// counted, nor is the run holding the answer. firstFitAligned counts
-    /// each run of at least Size words it tries, the answer's included.
-    /// bestFit and worstFitBelow count none.
+    /// The partial first super of firstFitFrom is judged by digest when
+    /// it is clean and its Max rules out a fit: it counts the prefix run
+    /// from the cursor when the cursor lies in one. The interior runs of
+    /// a super whose Max rules out a fit are not counted, nor is the run
+    /// holding the answer. firstFitAligned counts each run of at least
+    /// Size words it tries, the answer's included. bestFit counts none;
+    /// worstFitBelow none either, its first fit for the widest clipped
+    /// span running uncounted.
     ///
     /// The count is exact per run: the same run counts the same probes
     /// at any thread count and in either bit-scan build, which is why the

@@ -441,7 +441,11 @@ TEST(TraceIO, RejectsMalformedLines) {
         // Ranges no heap can hold: empty, wrapping past 2^64, and ending
         // past AddrLimit (2^60), as a record or as a move's source.
         "A 0 5 0\n", "A 0 18446744073709551612 8\n",
-        "A 0 1152921504606846975 8\n", "M 0 1152921504606846975 0 8\n"}) {
+        "A 0 1152921504606846975 8\n", "M 0 1152921504606846975 0 8\n",
+        // A negative number, which an unsigned read wraps, in every field,
+        // and the id reserved for "no object".
+        "A -1 0 8\n", "F -1 0 8\n", "A 0 -1 8\n", "A 0 0 -8\n",
+        "M 0 -5 0 8\n", "M 0 0 -5 8\n", "A 4294967295 0 8\n"}) {
     std::stringstream SS(Bad);
     EventLog Log;
     EXPECT_FALSE(readEventLog(SS, Log)) << Bad;

@@ -114,6 +114,9 @@ TEST_P(IndexEquivalence, RandomOpsMatchReference) {
       Reserved[I] = Reserved.back();
       Reserved.pop_back();
     }
+    std::string Why;
+    ASSERT_TRUE(Fast.checkDigests(&Why))
+        << "op " << Op << " (seed " << Seed << "): " << Why;
 
     uint64_t QSize = uint64_t(1) << R.nextBelow(14);
     QSize += R.nextBelow(QSize);
@@ -865,6 +868,9 @@ const std::vector<PageBoard> &pageBoards() {
        {{2 * PB + 100, 4 * PB + 7}}},
       {"ReleaseFreesWholePagesOfRun", {{0, 8 * PB}},
        {{2 * PB, 3 * PB}, {5 * PB, 7 * PB}}},
+      // Page 0's last super ends in a 2000-word suffix run, which its
+      // digest carries straight into a run of full pages.
+      {"SuffixRunBeforeRunOfFullPages", {{0, PB - 2000}, {PB, 3 * PB}}, {}},
       // The top page of the address space, far above page 0.
       {"TopPage", {{0, 10}, {AddrLimit - 100, AddrLimit - 40}}, {}},
   };
@@ -937,5 +943,201 @@ INSTANTIATE_TEST_SUITE_P(Boards, PageBoundaries,
                          [](const auto &Info) {
                            return std::string(Info.param.Name);
                          });
+
+// --- Digest-first queries ------------------------------------------------
+//
+// A super's Max covers its interior runs only; the prefix and suffix runs
+// are read off the exact Pre/Suf. A reservation that cuts the prefix or
+// the suffix run leaves its far remainder interior, and Max must take it
+// in, or a fit there is skipped. largestBlockBelow lends a clean super's
+// Max only when no interior run reaches Limit, first fit judges its
+// partial first super by a clean digest, and worstFitBelow is a first fit
+// for the widest clipped span. The board below spans six pages and 48
+// supers, so every query crosses super and page boundaries, and its
+// cursors and limits sit on super boundaries and inside prefix, interior
+// and suffix runs.
+
+constexpr unsigned DigestSupers = 48;
+
+/// Free runs [S, E) of the board; every one is at least 16 words long.
+std::vector<std::pair<Addr, Addr>> digestBoardRuns() {
+  std::vector<std::pair<Addr, Addr>> Runs;
+  for (unsigned I = 0; I != DigestSupers; ++I) {
+    const Addr B = I * SB, WEnd = B + SB;
+    if (I / 8 == 3) // page 3 is never stored
+      continue;
+    switch (I % 4) {
+    case 0: // a prefix run and two interior runs; the last bit is used
+      Runs.push_back({B, B + 200 + 40 * I});
+      Runs.push_back({B + 208 + 40 * I, B + 224 + 41 * I});
+      Runs.push_back({WEnd - 1100 - 20 * I, WEnd - 1040});
+      break;
+    case 1: // interior runs, and a suffix run into the next super
+      Runs.push_back({B + 8, B + 108 + 25 * I});
+      Runs.push_back({B + 1500, B + 1548});
+      // (below page 3 the suffix run reaches the absent page instead)
+      Runs.push_back({WEnd - 300 - 10 * I, I == 23 ? WEnd : WEnd + 150});
+      break;
+    case 2: // the prefix run from below, one interior and a long suffix
+      Runs.push_back({B + 158, B + 188 + 50 * I});
+      Runs.push_back({WEnd - 3000 + 50 * I, WEnd});
+      break;
+    case 3: // every other one wholly free
+      if (I % 8 == 3)
+        Runs.push_back({B, WEnd});
+      break;
+    }
+  }
+  return Runs;
+}
+
+/// Reserves the board's span (less page 3) in two ranges, so each super
+/// starts from an exact, clean digest, and releases its free runs. With
+/// \p Clean, a bestFit(1) then descends every dirty super (no run is one
+/// word long, so it never stops early) and banks clean digests.
+void buildDigestBoard(FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref,
+                      bool Clean) {
+  for (auto [S, E] : {std::pair<Addr, Addr>{0, 24 * SB},
+                      std::pair<Addr, Addr>{32 * SB, DigestSupers * SB}}) {
+    Fast.reserve(S, E - S);
+    Ref.reserve(S, E - S);
+  }
+  for (auto [S, E] : digestBoardRuns()) {
+    Fast.release(S, E - S);
+    Ref.release(S, E - S);
+  }
+  if (Clean) {
+    ASSERT_EQ(Fast.bestFit(1), Ref.bestFit(1));
+  }
+}
+
+/// Super boundaries, and the first, second, middle and last words of
+/// every free run.
+std::vector<Addr> digestBoardPoints() {
+  std::vector<Addr> Points;
+  for (Addr A = 0; A <= DigestSupers * SB; A += SB)
+    Points.push_back(A);
+  for (auto [S, E] : digestBoardRuns())
+    Points.insert(Points.end(), {S, S + 1, S + (E - S) / 2, E - 1});
+  return Points;
+}
+
+/// Builds the board (clean or not), reserves \p Cut, and checks every
+/// query at the sizes around \p Size, each on a freshly built board: a
+/// query that descends the cut super rebuilds its digest and would hide
+/// a missing fold from the queries after it.
+void expectQueriesAfterCut(std::pair<Addr, Addr> Cut, uint64_t Size) {
+  std::vector<Addr> Points = digestBoardPoints();
+  Points.insert(Points.end(), {Cut.first - 1, Cut.second, Cut.second + 1});
+  for (bool Clean : {true, false}) {
+    SCOPED_TRACE(Clean ? "clean board" : "dirty board");
+    auto Fresh = [&](auto Query) {
+      FreeSpaceIndex Fast;
+      ReferenceFreeSpaceIndex Ref;
+      buildDigestBoard(Fast, Ref, Clean);
+      Fast.reserve(Cut.first, Cut.second - Cut.first);
+      Ref.reserve(Cut.first, Cut.second - Cut.first);
+      std::string Why;
+      ASSERT_TRUE(Fast.checkDigests(&Why)) << Why;
+      Query(Fast, Ref);
+    };
+    int Op = 0;
+    for (uint64_t Sz : {Size - 1, Size, Size + 1}) {
+      Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+        EXPECT_EQ(Fast.firstFit(Sz), Ref.firstFit(Sz)) << "size " << Sz;
+        EXPECT_EQ(Fast.bestFit(Sz), Ref.bestFit(Sz)) << "size " << Sz;
+      });
+      for (Addr P : Points)
+        Fresh([&](FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref) {
+          expectQueriesMatch(Fast, Ref, Sz, P, 16, std::max<Addr>(P, 1),
+                             Op++);
+        });
+    }
+  }
+}
+
+TEST(DigestFirst, PrefixCutRemainderOutrunsInteriorMax) {
+  // Super 40: a 1800-word prefix run, interior runs of 56 and 860
+  // words; super 39 below it is used throughout. The cut leaves a
+  // 1780-word interior remainder.
+  const Addr B = 40 * SB;
+  expectQueriesAfterCut({B + 10, B + 20}, 1780);
+}
+
+TEST(DigestFirst, SuffixCutRemainderOutrunsInteriorMax) {
+  // Super 6: a 2700-word suffix run, a 330-word interior run; super 7
+  // above it is used throughout. The cut leaves a 2000-word interior
+  // remainder below it.
+  const Addr Suf = 7 * SB - 2700;
+  expectQueriesAfterCut({Suf + 2000, Suf + 2010}, 2000);
+}
+
+TEST(DigestFirst, QueriesAtBoundariesAndInsideRuns) {
+  const std::vector<Addr> Points = digestBoardPoints();
+  const std::vector<uint64_t> Sizes = {1,    16,   17,   48,   100,  330,
+                                       331,  700,  1000, 1260, 1500, 1800,
+                                       2000, 2700, 4096, 5000, 9000, 20000};
+  for (bool Clean : {true, false}) {
+    SCOPED_TRACE(Clean ? "clean board" : "dirty board");
+    FreeSpaceIndex Fast;
+    ReferenceFreeSpaceIndex Ref;
+    buildDigestBoard(Fast, Ref, Clean);
+    int Op = 0;
+    for (Addr P : Points) {
+      EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
+      EXPECT_EQ(Fast.freeWordsBelow(P), Ref.freeWordsBelow(P)) << P;
+      for (uint64_t Size : Sizes) {
+        expectQueriesMatch(Fast, Ref, Size, P, uint64_t(1) << (Op % 8),
+                           std::max<Addr>(P, 1), Op);
+        ++Op;
+      }
+    }
+    expectBlocksMatch(Fast, Ref, Op);
+    std::string Why;
+    EXPECT_TRUE(Fast.checkDigests(&Why)) << Why;
+  }
+}
+
+// The same limits on freshly built boards: a largestBlockBelow or
+// worstFitBelow that runs first meets the digests as the build left them
+// (or as the cleaning sweep banked them), not as earlier queries did.
+TEST(DigestFirst, LimitQueriesOnFreshBoards) {
+  for (bool Clean : {true, false}) {
+    SCOPED_TRACE(Clean ? "clean board" : "dirty board");
+    for (Addr P : digestBoardPoints()) {
+      if (P == 0)
+        continue;
+      for (uint64_t Size : {uint64_t(1), uint64_t(500), uint64_t(2500)}) {
+        FreeSpaceIndex Fast;
+        ReferenceFreeSpaceIndex Ref;
+        buildDigestBoard(Fast, Ref, Clean);
+        EXPECT_EQ(Fast.worstFitBelow(Size, P), Ref.worstFitBelow(Size, P))
+            << "size " << Size << " limit " << P;
+        EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
+      }
+    }
+  }
+}
+
+// A firstFitFrom whose cursor lies in the prefix run of a super: judged
+// by a clean digest whose Max rules out the fit, the super costs the one
+// probe of the run from the cursor, which closes below the answer; its
+// interior run is not counted. A dirty digest sends the walk through the
+// words, which count both runs.
+TEST(DigestFirst, PartialFirstSuperCountsTheCursorRun) {
+  for (bool Clean : {true, false}) {
+    SCOPED_TRACE(Clean ? "clean digest" : "dirty digest");
+    FreeSpaceIndex Fast;
+    Fast.reserve(100, 10);
+    Fast.reserve(150, SB - 150); // free: [0, 100) and [110, 150)
+    if (Clean) {
+      ASSERT_EQ(Fast.bestFit(1), 110u);
+    }
+    Profiler Prof;
+    ProfilerScope Scope(Prof);
+    EXPECT_EQ(Fast.firstFitFrom(50, 200), SB);
+    EXPECT_EQ(Prof.counter(Profiler::CtrFitProbes), Clean ? 1u : 2u);
+  }
+}
 
 } // namespace

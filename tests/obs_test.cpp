@@ -160,7 +160,7 @@ FitWork pfFitWork(const std::string &Policy) {
 TEST(FitWorkCounts, PfFirstFit) {
   FitWork W = pfFitWork("first-fit");
   EXPECT_EQ(W.Queries, 5173u);
-  EXPECT_EQ(W.Probes, 29279u);
+  EXPECT_EQ(W.Probes, 53u);
 }
 
 TEST(FitWorkCounts, PfBestFit) {
@@ -172,7 +172,7 @@ TEST(FitWorkCounts, PfBestFit) {
 TEST(FitWorkCounts, PfEvacuating) {
   FitWork W = pfFitWork("evacuating");
   EXPECT_EQ(W.Queries, 6207u);
-  EXPECT_EQ(W.Probes, 133538u);
+  EXPECT_EQ(W.Probes, 97259u);
 }
 
 // A two-arena serve (evacuating, c = 50): the placements' fit work and,
@@ -188,12 +188,12 @@ TEST(FitWorkCounts, TwoArenaServe) {
   Fleet.run();
   ASSERT_TRUE(Fleet.report().clean());
   // Each pair sums to what fit.queries/fit.probes read while the
-  // telemetry's queries counted there: 14561 and 228990.
+  // telemetry's queries counted there: 14561 and 227479.
   FitWork W = fitWork(Prof);
   EXPECT_EQ(W.Queries, 12948u);
-  EXPECT_EQ(W.Probes, 181455u);
+  EXPECT_EQ(W.Probes, 180609u);
   EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitQueries), 1613u);
-  EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitProbes), 47535u);
+  EXPECT_EQ(Prof.counter(Profiler::CtrTelemetryFitProbes), 46870u);
 }
 
 // --- Timeline emitters ---------------------------------------------------
