@@ -7,6 +7,8 @@
 
 #include "driver/TraceIO.h"
 
+#include "support/StreamFields.h"
+
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -54,11 +56,7 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     ObjectId Id;
     Addr A, B;
     uint64_t Size;
-    // Reading "-1" into an unsigned field yields its wrapped value, so a
-    // leading minus is refused before the number is read.
-    auto Num = [&LS](auto &Field) {
-      return (LS >> std::ws).peek() != '-' && LS >> Field;
-    };
+    auto Num = [&LS](auto &Field) { return readUnsignedField(LS, Field); };
     switch (Tag) {
     case 'A':
       if (!(Num(Id) && Num(A) && Num(Size)))

@@ -85,8 +85,8 @@ void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
            RefFree.worstFitBelow(1, Hwm));
     Expect("largestBlockBelow", Hwm, Live.largestBlockBelow(Hwm),
            RefFree.largestBlockBelow(Hwm));
-    Expect("freeWordsBelow", Hwm, Live.freeWordsBelow(Hwm),
-           RefFree.freeWordsBelow(Hwm));
+    Expect("freeWordsIn(0,hwm)", Hwm, Live.freeWordsIn(0, Hwm),
+           RefFree.freeWordsIn(0, Hwm));
   }
 
   // Object-table parity: same slots, same placements, same liveness.

@@ -5,17 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every query is a scan over the occupancy bitboard: free blocks are
-// maximal zero runs, assembled on the fly with a carry of "open run
-// length" threaded across words and supers. A run is *complete* when a
-// used bit terminates it; the scans report complete runs in address
-// order, which makes every lowest-address tie-break automatic. Runs
-// spanning supers need no word access at all — a super's digest gives
-// the exact prefix/suffix free-run lengths, so the chain
-// suffix -> (all-free supers) -> prefix reconstructs them arithmetically.
-// The walks step page by page through the board's directory: the absent
-// pages before a present one add their bits to the open run, and the
-// space after the last page is the tail run to AddrLimit.
+// Free blocks are maximal zero runs of the occupancy bitboard, assembled
+// on the fly with a carry of "open run length" threaded across words,
+// supers and pages. A run is *complete* when a used bit terminates it;
+// runs are met in address order, which makes every lowest-address
+// tie-break automatic. One walk steps through the board's directory and
+// owns the carry; runs spanning supers need no word access, as a super's
+// exact Pre/Suf digests chain suffix -> (free supers) -> prefix.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,8 +213,9 @@ bool scanWords(const uint64_t *W, size_t NumWords, Addr At, uint64_t &Run,
       WI += skipFullWords(W, WI, NumWords);
       continue;
     }
-    // Jump used-run to used-run (see scanSuperFused): iterations scale
-    // with the word's run count, not its popcount.
+    // Jump used-run to used-run: FreeAbove leads from a used run's first
+    // bit past its last, so iterations scale with the word's run count,
+    // not its popcount.
     unsigned Prev = 0;
     uint64_t Used = U;
     while (Used != 0) {
@@ -332,71 +329,30 @@ Addr scanFirstFit(const uint64_t *W, size_t NumWords, Addr At,
 template <typename FnT>
 bool FreeSpaceIndex::scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
                                     uint64_t &Run, FnT &&Fn) {
-  unsigned MaxRun = 0, Pre = 0;
+  const uint64_t RunIn = Run;
+  unsigned Pre = 0, MaxRun = 0;
   uint64_t CMask = 0;
-  // LRun is the window-local open run (resets at the window base); Run is
-  // the global carry. They differ only until the first used bit, where
-  // the local length is the window's prefix.
-  uint64_t LRun = 0;
-  bool SeenUsed = false, Stopped = false;
-  for (unsigned WI = 0; WI != SuperWords; ++WI) {
-    const uint64_t U = W[WI];
-    if (U == 0) {
-      Run += WordBits;
-      LRun += WordBits;
-      continue;
+  bool Stopped = false;
+  scanWords(W, SuperWords, Base, Run, [&](Addr S, Addr E) {
+    Stopped = Stopped || Fn(S, E);
+    if (S <= Base) { // the run reaching the super's base is its prefix
+      Pre = unsigned(E - Base);
+    } else {
+      CMask |= uint64_t(1) << classOf(E - S);
+      MaxRun = std::max(MaxRun, unsigned(E - S));
     }
-    uint64_t WBase = Base + uint64_t(WI) * WordBits;
-    // Completes the open run at used bit B of this word, for Fn and the
-    // digest alike.
-    auto CloseRun = [&](unsigned B) {
-      if (Run != 0) {
-        if (!Stopped && Fn(Addr(WBase + B - Run), Addr(WBase + B)))
-          Stopped = true;
-        if (!SeenUsed) {
-          Pre = unsigned(LRun);
-        } else {
-          CMask |= uint64_t(1) << classOf(LRun);
-          MaxRun = std::max(MaxRun, unsigned(LRun));
-        }
-      }
-      Run = 0;
-      LRun = 0;
-      SeenUsed = true;
-    };
-    if (U == ~uint64_t(0)) {
-      // A full word closes the open run like any used bit; the full words
-      // after it add no free bits and close nothing, so skip them.
-      CloseRun(0);
-      WI += unsigned(skipFullWords(W, WI, SuperWords));
-      continue;
-    }
-    unsigned Prev = 0;
-    uint64_t Used = U;
-    while (Used != 0) {
-      unsigned B = countTrailingZeros(Used);
-      Run += B - Prev;
-      LRun += B - Prev;
-      CloseRun(B);
-      uint64_t FreeAbove = ~U & ~lowMask(B);
-      if (FreeAbove == 0) {
-        Prev = WordBits;
-        break;
-      }
-      Prev = countTrailingZeros(FreeAbove);
-      Used = U & ~lowMask(Prev);
-    }
-    Run += WordBits - Prev;
-    LRun += WordBits - Prev;
-  }
-  if (!SeenUsed) {
+    return false; // the digest needs every run of the super
+  });
+  // A used bit resets the carry, so only a super without one adds all
+  // of its bits to it.
+  if (Run - RunIn == SuperBits) {
     Sp = Super();
     return Stopped;
   }
-  // The suffix run (LRun) is a boundary run: it stays out of Max and
-  // ClassMask.
+  // The carry left at the end is the suffix run, a boundary run: it
+  // stays out of Max and ClassMask.
   Sp.Pre = uint16_t(Pre);
-  Sp.Suf = uint16_t(LRun);
+  Sp.Suf = uint16_t(Run);
   Sp.Max = uint16_t(MaxRun);
   Sp.ClassMask = CMask;
   Sp.Dirty = false;
@@ -408,53 +364,153 @@ void FreeSpaceIndex::recomputeSuper(const uint64_t *W, Super &Sp) {
   scanSuperFused(W, Sp, 0, Run, [](Addr, Addr) { return false; });
 }
 
-template <typename DescendT, typename FnT>
-bool FreeSpaceIndex::forEachRun(Addr StopBase, DescendT Descend,
-                                FnT Fn) const {
+template <typename VisitorT>
+bool FreeSpaceIndex::walk(Addr From, Addr Stop, VisitorT &&V) const {
   uint64_t Run = 0; // the free run open at Pos
-  Addr Pos = 0;     // the walk has covered [0, Pos)
-  size_t K = 0;
-  for (; K != Occ.size() && Occ.base(K) < StopBase; ++K) {
+  Addr Pos = From;  // the walk has covered [From, Pos)
+  size_t K = Occ.lowerBound(From / PageBits);
+  for (; K != Occ.size() && Occ.base(K) < Stop; ++K) {
     const Addr PBase = Occ.base(K);
-    Run += PBase - Pos; // absent pages and free supers above a Top are free
+    if (PBase > Pos) {
+      // Absent pages, and the supers from the previous page's Top on,
+      // are free: they extend the open run.
+      Run += PBase - Pos;
+      Pos = PBase;
+      if (V.grew(Pos, Run))
+        return true;
+    }
     const OccPage *Pg = Occ.page(K);
     if (!Pg) { // a run of full pages closes the open run
-      if (Run != 0 && Fn(Addr(PBase - Run), PBase))
+      if (Run != 0 && V.closed(Pos - Run, Pos))
         return true;
       Run = 0;
       Pos = Occ.end(K);
       continue;
     }
     PageSums &D = Occ.side(K);
+    // The supers from Top on are free; those from Stop's on are not
+    // entered.
     const unsigned Top = topSuper(K);
-    Pos = PBase + Top * SuperBits;
-    for (unsigned J = 0; J != Top; ++J) {
+    const unsigned JEnd =
+        unsigned(std::min<uint64_t>(Top, ceilDiv(Stop - PBase, SuperBits)));
+    uint64_t Off = Pos % SuperBits; // the cursor inside the first super
+    for (unsigned J = unsigned((Pos - PBase) / SuperBits); J < JEnd;
+         ++J, Off = 0) {
       const Addr Base = PBase + J * SuperBits;
-      if (Base >= StopBase)
-        return Run != 0 && Fn(Addr(Base - Run), Base);
       Super &S = D.Sum[J];
-      if (S.FreeCount == SuperBits) {
-        Run += SuperBits;
-        continue;
-      }
-      if (Descend(S, Base)) {
-        const uint64_t *W = Pg->W + J * SuperWords;
-        if (S.Dirty ? scanSuperFused(W, S, Base, Run, Fn)
-                    : scanWords(W, SuperWords, Base, Run, Fn))
+      if (S.FreeCount == SuperBits) { // a free super extends the open run
+        Run += SuperBits - Off;
+        if (V.grew(Base + SuperBits, Run))
           return true;
-      } else {
-        uint64_t L = Run + S.Pre;
-        if (L != 0 && Fn(Addr(Base + S.Pre - L), Addr(Base + S.Pre)))
-          return true;
-        Run = S.Suf;
+      } else if (V.super(Pg->W + J * SuperWords, S, Base, Off, Run)) {
+        return true;
       }
     }
+    if (JEnd != Top) { // Stop lies below Top: the open run ends at JEnd
+      const Addr At = PBase + JEnd * SuperBits;
+      return Run != 0 && V.closed(At - Run, At);
+    }
+    Pos = std::max<Addr>(Pos, PBase + Top * SuperBits);
   }
-  // The open run reaches the next entry, which lies past StopBase, or
+  // The open run reaches the next entry, which lies past Stop, or
   // through the tail to AddrLimit.
-  Addr End = K == Occ.size() ? AddrLimit : Occ.base(K);
-  return Pos - Run < End && Fn(Addr(Pos - Run), End);
+  const Addr End = K == Occ.size() ? AddrLimit : Occ.base(K);
+  return Pos - Run < End && V.closed(Pos - Run, End);
 }
+
+template <typename DescendT, typename FnT>
+struct FreeSpaceIndex::RunVisitor {
+  DescendT Descend;
+  FnT Fn;
+
+  bool grew(Addr, uint64_t) { return false; }
+  bool closed(Addr S, Addr E) { return Fn(S, E); }
+  bool super(const uint64_t *W, Super &S, Addr Base,
+             [[maybe_unused]] uint64_t Off, uint64_t &Run) {
+    assert(Off == 0 && "run walks start at address 0");
+    if (Descend(S, Base))
+      return S.Dirty ? scanSuperFused(W, S, Base, Run, Fn)
+                     : scanWords(W, SuperWords, Base, Run, Fn);
+    // Only the run completing at the prefix is reported, from the
+    // always-exact digest; the suffix run is carried on.
+    const uint64_t L = Run + S.Pre;
+    if (L != 0 && Fn(Addr(Base + S.Pre - L), Addr(Base + S.Pre)))
+      return true;
+    Run = S.Suf;
+    return false;
+  }
+};
+
+template <bool Counted> struct FreeSpaceIndex::FirstFitVisitor {
+  uint64_t Size;
+  const WindowSchedule *InWord; // null when Size exceeds a word
+  uint64_t &Probes;
+  Addr Found = InvalidAddr;
+
+  // The moment the open run reaches Size its start is the answer;
+  // scanning on to its end would be wasted work.
+  bool grew(Addr End, uint64_t Run) {
+    if (Run < Size)
+      return false;
+    Found = Addr(End - Run);
+    return true;
+  }
+  // A run closed by a run of full pages (a suffix run carried off a
+  // digest may reach one at full length), or the tail.
+  bool closed(Addr S, Addr E) {
+    if (E - S >= Size) {
+      Found = S;
+      return true;
+    }
+    if constexpr (Counted)
+      ++Probes;
+    return false;
+  }
+  bool super(const uint64_t *W, Super &S, Addr Base, uint64_t Off,
+             uint64_t &Run) {
+    if (Off != 0) [[unlikely]] {
+      // The partial first super, from the cursor on (once a query, so
+      // kept off the loop's hot path). Run is 0 here.
+      if (!S.Dirty && uint64_t(S.Max) < Size) {
+        // No interior run fits, so only the prefix run from the cursor
+        // or the suffix run can, and the digest gives both. The first
+        // is too short (isFree(From, Size) failed), so the cursor or the
+        // suffix run's start, whichever is higher, opens the run carried
+        // on.
+        if constexpr (Counted)
+          Probes += uint64_t(Off < S.Pre);
+        Run = SuperBits - std::max<uint64_t>(Off, SuperBits - S.Suf);
+        return false;
+      }
+      Found = scanFirstFit<Counted>(W, SuperWords, Base, Off, Run, Size,
+                                    InWord, Probes);
+      return Found != InvalidAddr;
+    }
+    if (Run + S.Pre >= Size) { // the carried run completes here
+      Found = Addr(Base - Run);
+      return true;
+    }
+    if (uint64_t(S.Max) < Size) {
+      // No interior run fits: the prefix run closes rejected, and the
+      // suffix run is carried on from the digest.
+      if constexpr (Counted)
+        Probes += uint64_t(Run + S.Pre != 0);
+      Run = S.Suf;
+      return false;
+    }
+    // Max bounds the interior runs (from above while dirty): a clean
+    // super promises a fit, and a stale pass either finds one or banks
+    // a clean digest whose exact Max skips the super until the next
+    // mutation. Two passes beat one fused sweep here: most stale descents
+    // find their fit, so only the no-fit minority pays the second,
+    // digest-banking pass over the same 64 words.
+    Found = scanFirstFit<Counted>(W, SuperWords, Base, 0, Run, Size, InWord,
+                                  Probes);
+    if (Found == InvalidAddr && S.Dirty)
+      recomputeSuper(W, S);
+    return Found != InvalidAddr;
+  }
+};
 
 //===----------------------------------------------------------------------===//
 // Queries
@@ -502,108 +558,13 @@ Addr FreeSpaceIndex::firstFitWalk(Addr From, uint64_t Size,
   // A block containing From may serve the request from From onward.
   if (From != 0 && isFree(From, Size))
     return From;
-  // This is the hottest query, so it gets a bespoke walk instead of the
-  // generic forEachRun: it exits the moment the carried open run reaches
-  // Size (the run's start is already the answer; scanning to its end
-  // would be wasted work) and judges whole supers from the always-exact
-  // Pre digest before considering a descent.
   // No window longer than a word lies inside one.
   const WindowSchedule Windows(std::min<uint64_t>(Size, WordBits));
-  const WindowSchedule *InWord = Size <= WordBits ? &Windows : nullptr;
-  uint64_t Run = 0; // the free run open at Pos
-  Addr Pos = From, Found = InvalidAddr; // the walk has covered [From, Pos)
-  for (size_t K = Occ.lowerBound(From / PageBits);
-       Found == InvalidAddr && K != Occ.size(); ++K) {
-    const Addr PBase = Occ.base(K);
-    if (PBase > Pos) {
-      // Absent pages are free: they extend the open run.
-      Run += PBase - Pos;
-      Pos = PBase;
-      if (Run >= Size) {
-        Found = Addr(Pos - Run);
-        break;
-      }
-    }
-    const OccPage *Pg = Occ.page(K);
-    if (!Pg) { // a run of full pages ends the open run
-      if (Run >= Size) { // a suffix run carried off a digest
-        Found = Addr(Pos - Run);
-        break;
-      }
-      if constexpr (Counted)
-        Probes += uint64_t(Run != 0);
-      Run = 0;
-      Pos = Occ.end(K);
-      continue;
-    }
-    PageSums &D = Occ.side(K);
-    const unsigned Top = topSuper(K);
-    unsigned J = unsigned((Pos - PBase) / SuperBits);
-    if (J < Top && Pos % SuperBits != 0) {
-      // The partial first super. Run is 0 here: Pos is From.
-      const Super &S = D.Sum[J];
-      const uint64_t Off = Pos % SuperBits;
-      if (!S.Dirty && uint64_t(S.Max) < Size) {
-        // No interior run fits, so only the prefix run from the cursor
-        // or the suffix run can, and the digest gives both. The first
-        // is too short (isFree(From, Size) failed above), so the cursor
-        // or the suffix run's start, whichever is higher, opens the run
-        // carried on.
-        if constexpr (Counted)
-          Probes += uint64_t(Off < S.Pre && S.Pre != SuperBits);
-        Run = SuperBits - std::max<uint64_t>(Off, SuperBits - S.Suf);
-      } else {
-        Found = scanFirstFit<Counted>(Pg->W + J * SuperWords, SuperWords,
-                                      PBase + J * SuperBits, Off, Run, Size,
-                                      InWord, Probes);
-      }
-      ++J;
-    }
-    for (; Found == InvalidAddr && J < Top; ++J) {
-      Super &S = D.Sum[J];
-      const Addr Base = PBase + J * SuperBits;
-      if (S.FreeCount == SuperBits) {
-        Run += SuperBits;
-        if (Run >= Size)
-          Found = Addr(Base + SuperBits - Run);
-        continue;
-      }
-      if (Run + S.Pre >= Size) { // the carried run completes here
-        Found = Addr(Base - Run);
-        break;
-      }
-      if (uint64_t(S.Max) >= Size) {
-        // Max bounds the interior runs, an upper bound while dirty: a
-        // stale pass either finds the fit (cheap — the sweep stops right
-        // there) or banks a clean digest whose exact Max skips this
-        // super until the next mutation. A stale skip cannot happen.
-        // Clean supers promise an interior fit (Max is exact), so their
-        // scan never wastes a full sweep; a super whose only long run is
-        // its suffix is not descended at all, the suffix being carried
-        // on from the digest. Two passes beat one fused sweep here: most
-        // stale descents find their fit, so the hit path runs the lean
-        // word scan with no digest bookkeeping; only the no-fit minority
-        // pays the second, digest-banking pass over the same 64 words.
-        const uint64_t *W = Pg->W + J * SuperWords;
-        Found = scanFirstFit<Counted>(W, SuperWords, Base, 0, Run, Size,
-                                      InWord, Probes);
-        if (Found == InvalidAddr && S.Dirty)
-          recomputeSuper(W, S);
-        continue;
-      }
-      if constexpr (Counted)
-        Probes += uint64_t(Run + S.Pre != 0);
-      Run = S.Suf;
-    }
-    // The supers above Top are free: they join the open run.
-    Pos = std::max<Addr>(Pos, PBase + Top * SuperBits);
-  }
-  // The tail run [Pos - Run, AddrLimit) fits unless the top of the
-  // address space is crowded.
-  if (Found == InvalidAddr && AddrLimit - (Pos - Run) >= Size)
-    Found = Addr(Pos - Run);
-  assert(Found != InvalidAddr && "infinite tail should always fit");
-  return Found;
+  FirstFitVisitor<Counted> V{Size, Size <= WordBits ? &Windows : nullptr,
+                             Probes};
+  walk(From, AddrLimit, V);
+  assert(V.Found != InvalidAddr && "infinite tail should always fit");
+  return V.Found;
 }
 
 Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
@@ -612,30 +573,30 @@ Addr FreeSpaceIndex::bestFit(uint64_t Size) const {
   const unsigned K = classOf(Size);
   uint64_t BestSize = UINT64_MAX;
   Addr Best = InvalidAddr;
-  forEachRun(
-      AddrLimit,
-      [&](const Super &S, Addr) {
-        // A dirty super is judged by its Max upper bound alone; a clean
-        // one descends only when an interior run could tighten the
-        // incumbent: its class must reach Size's class but not exceed
-        // the incumbent's (floor-log is monotone). Boundary runs are
-        // judged from the always-exact Pre/Suf digests either way.
-        if (S.Dirty)
-          return uint64_t(S.Max) >= Size;
-        unsigned Hi =
-            BestSize == UINT64_MAX ? NumClasses - 1 : classOf(BestSize);
-        return (S.ClassMask & bitRange(K, Hi + 1)) != 0;
-      },
-      [&](Addr S, Addr E) {
-        uint64_t L = E - S;
-        if (L >= Size && L < BestSize) {
-          BestSize = L;
-          Best = S;
-          if (L == Size)
-            return true; // exact fit: nothing can be tighter
-        }
-        return false;
-      });
+  walk(0, AddrLimit,
+       RunVisitor{[&](const Super &S, Addr) {
+                    // A dirty super is judged by its Max upper bound
+                    // alone; a clean one descends only when an interior
+                    // run could tighten the incumbent: its class must
+                    // reach Size's class but not exceed the incumbent's
+                    // (floor-log is monotone). Boundary runs are judged
+                    // from the always-exact Pre/Suf digests either way.
+                    if (S.Dirty)
+                      return uint64_t(S.Max) >= Size;
+                    unsigned Hi = BestSize == UINT64_MAX ? NumClasses - 1
+                                                         : classOf(BestSize);
+                    return (S.ClassMask & bitRange(K, Hi + 1)) != 0;
+                  },
+                  [&](Addr S, Addr E) {
+                    uint64_t L = E - S;
+                    if (L >= Size && L < BestSize) {
+                      BestSize = L;
+                      Best = S;
+                      if (L == Size)
+                        return true; // exact fit: nothing can be tighter
+                    }
+                    return false;
+                  }});
   assert(Best != InvalidAddr && "infinite tail should always fit");
   return Best;
 }
@@ -649,20 +610,19 @@ Addr FreeSpaceIndex::firstFitAligned(uint64_t Size, uint64_t Align) const {
   // address overall.
   Addr Found = InvalidAddr;
   uint64_t Probes = 0;
-  forEachRun(
-      AddrLimit,
-      [&](const Super &S, Addr) { return uint64_t(S.Max) >= Size; },
-      [&](Addr S, Addr E) {
-        if (E - S < Size)
-          return false;
-        ++Probes;
-        Addr Aligned = alignUp(S, Align);
-        if (Aligned < E && E - Aligned >= Size) {
-          Found = Aligned;
-          return true;
-        }
-        return false;
-      });
+  walk(0, AddrLimit,
+       RunVisitor{[&](const Super &S, Addr) { return uint64_t(S.Max) >= Size; },
+                  [&](Addr S, Addr E) {
+                    if (E - S < Size)
+                      return false;
+                    ++Probes;
+                    Addr Aligned = alignUp(S, Align);
+                    if (Aligned < E && E - Aligned >= Size) {
+                      Found = Aligned;
+                      return true;
+                    }
+                    return false;
+                  }});
   Profiler::bump(Profiler::CtrFitProbes, Probes);
   assert(Found != InvalidAddr && "infinite tail should always fit");
   return Found;
@@ -682,54 +642,29 @@ Addr FreeSpaceIndex::worstFitBelow(uint64_t Size, Addr Limit) const {
   return firstFitWalk<false>(0, L, Probes);
 }
 
-uint64_t FreeSpaceIndex::freeWordsBelow(Addr Limit) const {
-  // Counts the used words below Limit from the exact FreeCounts; only a
-  // super whose interior Limit cuts has its words read.
-  uint64_t Used = 0;
-  for (size_t K = 0; K != Occ.size() && Occ.base(K) < Limit; ++K) {
-    const Addr PBase = Occ.base(K);
-    if (!Occ.page(K)) {
-      Used += std::min(Occ.end(K), Limit) - PBase;
-      continue;
-    }
-    const PageSums &D = Occ.side(K);
-    for (unsigned J = 0, Top = topSuper(K); J != Top; ++J) {
-      const Addr Base = PBase + J * SuperBits;
-      if (Base >= Limit)
-        break;
-      const Super &S = D.Sum[J];
-      const uint64_t Cut = Limit - Base;
-      if (Cut >= SuperBits - S.Suf) // every used bit lies below Limit
-        Used += SuperBits - S.FreeCount;
-      else if (Cut > S.Pre) // else none does
-        Used += Occ.popcountRange(Base, Limit);
-    }
-  }
-  return Limit - Used;
-}
-
 uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
   uint64_t Best = 0;
-  forEachRun(
-      Limit,
-      [&](const Super &S, Addr Base) {
-        if (uint64_t(S.Max) <= Best)
-          return false;
-        // The interior runs end before the suffix run starts. When that
-        // is at or below Limit none of them is clipped, so a clean
-        // (exact) Max is their best span without a descent.
-        if (!S.Dirty && Base + SuperBits - S.Suf <= Limit) {
-          Best = S.Max;
-          return false;
-        }
-        return true;
-      },
-      [&](Addr S, Addr E) {
-        if (S >= Limit)
-          return true;
-        Best = std::max<uint64_t>(Best, std::min<Addr>(E, Limit) - S);
-        return false;
-      });
+  walk(0, Limit,
+       RunVisitor{[&](const Super &S, Addr Base) {
+                    if (uint64_t(S.Max) <= Best)
+                      return false;
+                    // The interior runs end before the suffix run starts.
+                    // When that is at or below Limit none of them is
+                    // clipped, so a clean (exact) Max is their best span
+                    // without a descent.
+                    if (!S.Dirty && Base + SuperBits - S.Suf <= Limit) {
+                      Best = S.Max;
+                      return false;
+                    }
+                    return true;
+                  },
+                  [&](Addr S, Addr E) {
+                    if (S >= Limit)
+                      return true;
+                    Best = std::max<uint64_t>(Best,
+                                              std::min<Addr>(E, Limit) - S);
+                    return false;
+                  }});
   return Best;
 }
 

@@ -13,14 +13,14 @@
 /// heap.
 ///
 /// The index owns one bit per word (1 = used); a free block is a maximal
-/// zero run. Mutations (reserve/release) are now plain masked
-/// word stores, and every query is a summary-guided scan: the bitmap is
-/// grouped into 4096-bit supers, each with a digest (free-bit count,
-/// prefix and suffix zero-run lengths, and the longest and the size-class
-/// mask of its interior runs, lazily recomputed) that lets scans skip
-/// whole supers and assemble runs spanning supers from prefix/suffix
-/// arithmetic alone. Free blocks are never materialized; they are *views*
-/// of the occupancy words, so the index cannot drift from the heap.
+/// zero run. Mutations (reserve/release) are masked word stores, and
+/// every query is a summary-guided scan: the bitmap is grouped into
+/// 4096-bit supers, each with a digest (free-bit count, prefix and suffix
+/// zero-run lengths, and the longest and the size-class mask of its
+/// interior runs, lazily recomputed) that lets scans skip whole supers
+/// and assemble runs spanning supers from prefix/suffix arithmetic alone.
+/// Free blocks are never materialized; they are *views* of the occupancy
+/// words, so the index cannot drift from the heap.
 ///
 /// A super is descended only when an interior run could answer: the
 /// boundary runs are read off the exact prefix and suffix lengths, so the
@@ -34,35 +34,35 @@
 /// word next to the freed range tests clear; only a neighbour run ending
 /// inside the super is found by a word scan.
 ///
-/// Inside a super, the word scans jump over stretches of full (all-ones)
-/// occupancy words with the findNotOnesWord kernel: a full word closes
-/// the open run and starts none, so the first one resets the carry to 0
-/// and the rest change nothing. Under PF the space below a fit is almost
-/// all used, so most of a descent is such a stretch.
-///
 /// What a word step costs. First fit reads a word, tests it for all free,
 /// and takes one trailing-zero count to see whether the run it carries in
 /// completes. A partial word then costs the ceil(log2 Size) shift-ANDs
 /// of the query's window schedule, fixed per query with no exit on the
 /// data (a Size above 64 skips the test), and one leading-zero count for
-/// the free suffix it carries on. A full word costs an inline test of
-/// the next word; only a stretch of two or more calls the kernel. With a
-/// profiler installed the scan also counts the runs it rejects, one
-/// popcount per partial word; without one it does no probe arithmetic.
-/// A super whose digest rules out an interior fit costs a few digest
-/// reads and no word at all; so does the partial first super of a
-/// firstFitFrom when its digest is clean.
-/// The run walks (scanWords and the fused sweep) pay two trailing-zero
-/// counts per used run of a word, not per bit, and count no bits: every
-/// mutation keeps FreeCount exact.
+/// the free suffix it carries on. A full word closes the open run and
+/// starts none, so the scans reset the carry and jump over the full words
+/// after it: the next one is tested inline, and only a stretch of two or
+/// more calls the findNotOnesWord kernel (under PF most of a descent is
+/// such a stretch). With a profiler installed first fit also counts the
+/// runs it rejects, one popcount per partial word; without one it does no
+/// probe arithmetic. A super whose digest rules out an interior fit costs
+/// a few digest reads and no word at all; so does the partial first
+/// super of a firstFitFrom when its digest is clean. scanWords, and so
+/// the fused sweep, pays two trailing-zero counts per used run of a word,
+/// not per bit, and counts no bits: every mutation keeps FreeCount exact.
 ///
 /// The board is a PagedBoard over the whole 2^60-word address space: a
 /// page (eight supers) is allocated when a reservation first touches it,
-/// and an absent page reads as all free. Each page carries its supers'
-/// digests, so the walks below step page by page: the stretch of absent
-/// pages before a present one is free space joined to the open run, and
-/// the space after the last page is the tail run to AddrLimit. A walk
-/// costs O(present pages), whatever the address span.
+/// an absent page reads as all free, and each page carries its supers'
+/// digests. Every query is a visitor of one walk over the board's
+/// directory, which owns the open run: absent pages, free supers and the
+/// supers above a page's Top extend it, a run of full pages closes it,
+/// and the space after the last page is the tail run to AddrLimit. The
+/// walk hands the query each super with a used bit, so it costs
+/// O(present pages), whatever the address span. Two scanners read a
+/// super's words: scanFirstFit, which exits as soon as the open run
+/// reaches the request, and scanWords, the one enumerator of complete
+/// runs, which also rebuilds a dirty super's digest (scanSuperFused).
 ///
 /// Semantics are those of testsupport/ReferenceFreeSpaceIndex, the
 /// specification (one sorted block map, each query its definition walked
@@ -142,10 +142,6 @@ public:
   /// incrementally: a mutation learns the block-count delta from the two
   /// occupancy bits flanking its range.
   size_t numBlocks() const { return TotalBlocks; }
-
-  /// Free words below \p Limit: the exact per-super free counts summed,
-  /// with only a super whose interior Limit cuts read word by word.
-  uint64_t freeWordsBelow(Addr Limit) const;
 
   /// Free words within [Start, End). Inline: the compactors probe this
   /// once per candidate chunk.
@@ -264,8 +260,9 @@ private:
     uint64_t W[PageWords] = {};
   };
   /// The digests of a page's supers, which queries rebuild lazily. The
-  /// board keeps them in the page's directory entry, so the walks, which
-  /// judge most supers by their digest alone, read one contiguous array.
+  /// board keeps them in the page's directory entry, so the walk, whose
+  /// visitors judge most supers by their digest alone, reads one
+  /// contiguous array.
   struct PageSums {
     Super Sum[SupersPerPage];
   };
@@ -273,26 +270,36 @@ private:
 
   /// Size class of a block: floor(log2(size)). Class K holds sizes in
   /// [2^K, 2^(K+1)). Inline: the run close of the fused sweep and the
-  /// descent tests of the fit walks call it per run and per super.
+  /// descent test of bestFit call it per run and per super.
   static unsigned classOf(uint64_t Size) {
     assert(Size != 0 && "zero-size block");
     unsigned K = log2Floor(Size);
     return K < NumClasses ? K : NumClasses - 1;
   }
 
-  /// Walks the complete maximal free runs in address order, the tail run
-  /// to AddrLimit included. \p Fn(S, E) returns true to stop; so does
-  /// forEachRun then. \p Descend(Sup, Base) decides whether the super
-  /// at address Base is scanned at word level; when it declines, only the
-  /// boundary run completing at the super's prefix is reported (from the
-  /// always-exact Pre/Suf digests) and the suffix run is carried on, so
-  /// Descend must return true whenever an interior run of the super could
-  /// interest Fn (or account for those runs itself). Supers whose base is
-  /// >= \p StopBase are not entered: the run still open there is
-  /// reported ending at a boundary >= StopBase, not at its true end, so
-  /// callers that pass a StopBase clip runs to it.
-  template <typename DescendT, typename FnT>
-  bool forEachRun(Addr StopBase, DescendT Descend, FnT Fn) const;
+  /// The walk from the entry holding \p From up to \p Stop, threading
+  /// the open run. It calls V.grew(End, Run) when absent pages or a free
+  /// super extend the open run to Run words ending at End; V.closed(S, E)
+  /// for the run a run of full pages closes, and for the run open at the
+  /// stop, which ends at the first super or entry at or past Stop (a
+  /// caller passing a Stop clips it) or at AddrLimit; and V.super(W, S,
+  /// Base, Off, Run) for each super with a used bit (words, digest,
+  /// address, the cursor's offset in From's super, else 0, and the carry
+  /// to advance past it). A call returning true stops the walk, which
+  /// then returns true.
+  template <typename VisitorT>
+  bool walk(Addr From, Addr Stop, VisitorT &&V) const;
+
+  /// The run queries' visitor: reports complete runs to Fn(S, E), true
+  /// to stop. A super that \p Descend(Sup, Base) declines reports only
+  /// the run completing at its prefix, read off the exact digest, and
+  /// carries its suffix run on, so Descend must accept every super whose
+  /// interior runs could interest Fn (or account for them itself).
+  template <typename DescendT, typename FnT> struct RunVisitor;
+
+  /// First fit's visitor: exits as soon as the open run reaches the
+  /// request, and counts the runs it rejects when \p Counted.
+  template <bool Counted> struct FirstFitVisitor;
 
   /// Digest maintenance for a mutation of page-local bits [Lo, Hi) of
   /// \p Pg with digests \p D, which the board reports through
@@ -308,14 +315,14 @@ private:
     Set ? noteReserve(D, Lo, Hi) : noteRelease(Pg, D, Lo, Hi);
   };
 
-  /// One fused pass over the super of words \p W at address \p Base:
-  /// reports complete free runs to \p Fn (threading \p Run as the
-  /// open-run carry, exactly like the plain word scan) while rebuilding
-  /// the digest \p Sp as a side effect (all of it but FreeCount, which is
-  /// never stale), so a descent into a dirty super costs a single sweep
-  /// instead of recompute-then-rescan. The sweep always runs to the
-  /// super's end (the digest needs it); once Fn stops, remaining runs feed
-  /// only the digest. Returns true when Fn stopped.
+  /// scanWords over the super of words \p W at address \p Base, its
+  /// complete runs reported to \p Fn (threading \p Run as the carry) and
+  /// folded into a rebuilt digest \p Sp (all but FreeCount, never stale):
+  /// the run reaching the base is the prefix, every other one interior,
+  /// the carry left at the end the suffix, and a super adding all its
+  /// bits to the carry is free. So a descent into a dirty super costs one
+  /// sweep, which always runs to the super's end; once Fn stops, the
+  /// remaining runs feed only the digest. Returns true when Fn stopped.
   template <typename FnT>
   static bool scanSuperFused(const uint64_t *W, Super &Sp, Addr Base,
                              uint64_t &Run, FnT &&Fn);
@@ -329,13 +336,14 @@ private:
   Addr countedFirstFit(Addr From, uint64_t Size, Profiler::Counter Queries,
                        Profiler::Counter Probes) const;
 
-  /// The first-fit walk. A \p Counted walk adds the runs it rejects to
-  /// \p Probes; the other does no probe arithmetic.
+  /// First fit from \p From: the walk with a FirstFitVisitor. A
+  /// \p Counted walk adds the runs it rejects to \p Probes; the other
+  /// does no probe arithmetic.
   template <bool Counted>
   Addr firstFitWalk(Addr From, uint64_t Size, uint64_t &Probes) const;
 
   /// The supers of entry \p K from this one on are all free (the
-  /// board's top word rounded up), so the walks treat them like absent
+  /// board's top word rounded up), so the walk treats them like absent
   /// pages.
   unsigned topSuper(size_t K) const {
     return unsigned(ceilDiv(Occ.top(K), SuperWords));

@@ -74,11 +74,6 @@ public:
   /// Number of free blocks (including the infinite tail).
   size_t numBlocks() const { return ByAddr.size(); }
 
-  /// Free words below \p Limit.
-  uint64_t freeWordsBelow(Addr Limit) const {
-    return Limit == 0 ? 0 : freeWordsIn(0, Limit);
-  }
-
   /// Free words within [Start, End).
   uint64_t freeWordsIn(Addr Start, Addr End) const;
 

@@ -8,6 +8,7 @@
 #include "trace/TraceReader.h"
 
 #include "heap/HeapTypes.h"
+#include "support/StreamFields.h"
 
 #include <istream>
 #include <sstream>
@@ -120,12 +121,12 @@ bool TraceReader::nextText(MallocOp &Op) {
     LS >> Tag;
     switch (Tag) {
     case 'a':
-      if (!(LS >> Op.Id >> Op.Size))
+      if (!(readUnsignedField(LS, Op.Id) && readUnsignedField(LS, Op.Size)))
         return fail("truncated or malformed allocation record");
       Op.Op = MallocOp::Kind::Alloc;
       break;
     case 'f':
-      if (!(LS >> Op.Id))
+      if (!readUnsignedField(LS, Op.Id))
         return fail("truncated or malformed free record");
       Op.Op = MallocOp::Kind::Free;
       Op.Size = 0;

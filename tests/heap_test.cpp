@@ -127,8 +127,8 @@ TEST(FreeSpaceIndex, FreeWordsAccounting) {
   F.reserve(0, 100);
   F.release(10, 8);
   F.release(30, 4);
-  EXPECT_EQ(F.freeWordsBelow(100), 12u);
-  EXPECT_EQ(F.freeWordsBelow(32), 10u);
+  EXPECT_EQ(F.freeWordsIn(0, 100), 12u);
+  EXPECT_EQ(F.freeWordsIn(0, 32), 10u);
   EXPECT_EQ(F.freeWordsIn(10, 18), 8u);
   EXPECT_EQ(F.freeWordsIn(12, 40), 10u);
   EXPECT_EQ(F.freeWordsIn(50, 90), 0u);

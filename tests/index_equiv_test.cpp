@@ -51,7 +51,9 @@ void expectQueriesMatch(const FreeSpaceIndex &Fast,
   EXPECT_EQ(Fast.isFree(From, Size), Ref.isFree(From, Size));
   EXPECT_EQ(Fast.numBlocks(), Ref.numBlocks());
   EXPECT_EQ(Fast.largestBlockBelow(Limit), Ref.largestBlockBelow(Limit));
-  EXPECT_EQ(Fast.freeWordsBelow(Limit), Ref.freeWordsBelow(Limit));
+  if (Limit != 0) {
+    EXPECT_EQ(Fast.freeWordsIn(0, Limit), Ref.freeWordsIn(0, Limit));
+  }
 }
 
 /// Full structural comparison: both indexes hold exactly the same blocks
@@ -1085,7 +1087,9 @@ TEST(DigestFirst, QueriesAtBoundariesAndInsideRuns) {
     int Op = 0;
     for (Addr P : Points) {
       EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
-      EXPECT_EQ(Fast.freeWordsBelow(P), Ref.freeWordsBelow(P)) << P;
+      if (P != 0) {
+        EXPECT_EQ(Fast.freeWordsIn(0, P), Ref.freeWordsIn(0, P)) << P;
+      }
       for (uint64_t Size : Sizes) {
         expectQueriesMatch(Fast, Ref, Size, P, uint64_t(1) << (Op % 8),
                            std::max<Addr>(P, 1), Op);
@@ -1137,6 +1141,190 @@ TEST(DigestFirst, PartialFirstSuperCountsTheCursorRun) {
     ProfilerScope Scope(Prof);
     EXPECT_EQ(Fast.firstFitFrom(50, 200), SB);
     EXPECT_EQ(Prof.counter(Profiler::CtrFitProbes), Clean ? 1u : 2u);
+  }
+}
+
+// --- One walk over a board of many pages ----------------------------------
+//
+// Every query is a visitor of one walk over the board's directory. The
+// board below spans 160 pages, 1280 supers, with free runs from two words
+// to several pages long, so the walk meets absent pages (free runs that
+// cover pages whole), runs of full pages (used stretches that do),
+// free and partial supers inside stored pages, and runs spanning all of
+// these. It is built by reserving the whole span, one run of full pages,
+// and releasing the free runs, which leaves every touched super's digest
+// dirty. A bestFit(1) sweep then banks clean digests (no run is one word
+// long, so it never stops early), and a churn after the sweep dirties
+// some of them again.
+
+constexpr unsigned ManyPages = 160;
+
+/// Free runs [S, E) of the board, in address order, each at least two
+/// words long.
+const std::vector<std::pair<Addr, Addr>> &manyPageRuns() {
+  static const std::vector<std::pair<Addr, Addr>> Runs = [] {
+    std::vector<std::pair<Addr, Addr>> Out;
+    Rng R(29);
+    const Addr End = ManyPages * PB;
+    bool Free = false;
+    for (Addr A = 0; A < End; Free = !Free) {
+      // Half the stretches that start on a page boundary span pages, so
+      // runs of full pages and absent pages often meet a run that ends
+      // or starts on the boundary.
+      const uint64_t Kind =
+          A % PB == 0 && R.nextBool(0.5) ? 18 : R.nextBelow(20);
+      uint64_t Len = Kind < 8    ? 2 + R.nextBelow(63)        // in a word
+                     : Kind < 15 ? 65 + R.nextBelow(2000)     // in a super
+                     : Kind < 18 ? SB + R.nextBelow(3 * SB)   // over supers
+                     : Kind < 19 ? PB + R.nextBelow(2 * PB)   // over pages
+                                 : alignUp(A + 2, R.nextBool(0.5) ? PB : SB) -
+                                       A; // to a boundary
+      Len = std::min<uint64_t>(Len, End - A);
+      if (Free && Len >= 2)
+        Out.push_back({A, A + Len});
+      A += Len;
+    }
+    return Out;
+  }();
+  return Runs;
+}
+
+enum class ManyPageDigests { Dirty, Clean, Churned };
+
+void buildManyPageBoard(FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref,
+                        ManyPageDigests Digests) {
+  Fast.reserve(0, ManyPages * PB);
+  Ref.reserve(0, ManyPages * PB);
+  for (auto [S, E] : manyPageRuns()) {
+    Fast.release(S, E - S);
+    Ref.release(S, E - S);
+  }
+  if (Digests == ManyPageDigests::Dirty)
+    return;
+  ASSERT_EQ(Fast.bestFit(1), Ref.bestFit(1));
+  if (Digests == ManyPageDigests::Clean)
+    return;
+  // Cut one word out of the middle of every third run of five words or
+  // more: the cut dirties its super and leaves both halves two words or
+  // longer.
+  const auto &Runs = manyPageRuns();
+  for (size_t I = 0; I < Runs.size(); I += 3) {
+    auto [S, E] = Runs[I];
+    if (E - S < 5)
+      continue;
+    Fast.reserve(S + (E - S) / 2, 1);
+    Ref.reserve(S + (E - S) / 2, 1);
+  }
+}
+
+const char *digestsName(ManyPageDigests Digests) {
+  return Digests == ManyPageDigests::Dirty   ? "dirty digests"
+         : Digests == ManyPageDigests::Clean ? "clean digests"
+                                             : "churned digests";
+}
+
+/// Page boundaries and the words either side, every sixth super
+/// boundary, and the first, second, middle and last words of every sixth
+/// free run.
+std::vector<Addr> manyPagePoints() {
+  std::vector<Addr> Points;
+  for (Addr P = 0; P <= ManyPages; ++P) {
+    if (P != 0)
+      Points.push_back(P * PB - 1);
+    Points.insert(Points.end(), {P * PB, P * PB + 1});
+  }
+  for (Addr A = SB; A < ManyPages * PB; A += 6 * SB)
+    Points.insert(Points.end(), {A, A + 1});
+  const auto &Runs = manyPageRuns();
+  for (size_t I = 0; I < Runs.size(); I += 6) {
+    auto [S, E] = Runs[I];
+    Points.insert(Points.end(), {S, S + 1, S + (E - S) / 2, E - 1});
+  }
+  return Points;
+}
+
+const std::vector<uint64_t> ManyPageSizes = {1,      2,      33,     64,
+                                             65,     700,    SB,     SB + 1,
+                                             3 * SB, PB + 5, 2 * PB};
+
+TEST(ManyPages, QueriesMatchReference) {
+  ASSERT_GT(ManyPages * PB / SB, 1000u);
+  const std::vector<Addr> Points = manyPagePoints();
+  for (ManyPageDigests Digests :
+       {ManyPageDigests::Dirty, ManyPageDigests::Clean,
+        ManyPageDigests::Churned}) {
+    SCOPED_TRACE(digestsName(Digests));
+    FreeSpaceIndex Fast;
+    ReferenceFreeSpaceIndex Ref;
+    buildManyPageBoard(Fast, Ref, Digests);
+    int Op = 0;
+    for (Addr P : Points) {
+      EXPECT_EQ(Fast.largestBlockBelow(P), Ref.largestBlockBelow(P)) << P;
+      for (uint64_t Size : ManyPageSizes) {
+        expectQueriesMatch(Fast, Ref, Size, P, uint64_t(1) << (Op % 12),
+                           std::max<Addr>(P, 1), Op);
+        ++Op;
+      }
+    }
+    expectBlocksMatch(Fast, Ref, Op);
+    std::string Why;
+    EXPECT_TRUE(Fast.checkDigests(&Why)) << Why;
+  }
+}
+
+// Two boards built alike take the same queries, one always under a
+// profiler and the other under one only every other query: the answers
+// must agree, and so must the probe counts of the queries both count, so
+// an uncounted walk banks the same digests as a counted one.
+TEST(ManyPages, ProfilerChangesNoAnswerAndNoProbeCount) {
+  const std::vector<Addr> Points = manyPagePoints();
+  for (ManyPageDigests Digests :
+       {ManyPageDigests::Dirty, ManyPageDigests::Churned}) {
+    SCOPED_TRACE(digestsName(Digests));
+    FreeSpaceIndex Counted, Mixed;
+    ReferenceFreeSpaceIndex Ref, Ref2;
+    buildManyPageBoard(Counted, Ref, Digests);
+    buildManyPageBoard(Mixed, Ref2, Digests);
+    int Op = 0;
+    for (size_t I = 0; I < Points.size(); I += 3) {
+      for (uint64_t Size : ManyPageSizes) {
+        const Addr P = Points[I];
+        SCOPED_TRACE(::testing::Message()
+                     << "op " << Op << " size " << Size << " at " << P);
+        const uint64_t Align = uint64_t(1) << (Op % 12);
+        auto Ask = [&](const FreeSpaceIndex &Idx) {
+          return std::array<Addr, 7>{Idx.firstFit(Size),
+                                     Idx.firstFitFrom(P, Size),
+                                     Idx.telemetryFirstFit(Size),
+                                     Idx.bestFit(Size),
+                                     Idx.firstFitAligned(Size, Align),
+                                     Idx.worstFitBelow(Size, P + 1),
+                                     Idx.largestBlockBelow(P + 1)};
+        };
+        auto Probes = [](const Profiler &Prof) {
+          return std::array<uint64_t, 2>{
+              Prof.counter(Profiler::CtrFitProbes),
+              Prof.counter(Profiler::CtrTelemetryFitProbes)};
+        };
+        Profiler Want;
+        std::array<Addr, 7> Answers;
+        {
+          ProfilerScope Scope(Want);
+          Answers = Ask(Counted);
+        }
+        EXPECT_EQ(Answers[1], Ref.firstFitFrom(P, Size));
+        if (Op++ % 2 == 0) {
+          EXPECT_EQ(Ask(Mixed), Answers);
+          continue;
+        }
+        Profiler Got;
+        {
+          ProfilerScope Scope(Got);
+          EXPECT_EQ(Ask(Mixed), Answers);
+        }
+        EXPECT_EQ(Probes(Got), Probes(Want));
+      }
+    }
   }
 }
 

@@ -217,6 +217,38 @@ TEST(TraceReject, TrailingRecordGarbage) {
   expectRejected("pcbtrace 1 text\na 1 4 9\n", "trailing characters");
 }
 
+// A numeric field read into an unsigned type once accepted a sign and
+// wrapped: "a -1 8" allocated id 2^64 - 1 and "a 0 -5" asked for
+// 18446744073709551611 words. A leading '-' is refused where it stands.
+TEST(TraceReject, NegativeAllocationId) {
+  expectRejected("pcbtrace 1 text\na -1 8\nf -1\n",
+                 "line 2: truncated or malformed allocation record");
+}
+
+TEST(TraceReject, NegativeAllocationSize) {
+  expectRejected("pcbtrace 1 text\na 0 -5\n",
+                 "line 2: truncated or malformed allocation record");
+}
+
+TEST(TraceReject, NegativeFreeId) {
+  expectRejected("pcbtrace 1 text\na 1 4\n# comment\n  f -1\n",
+                 "line 4: truncated or malformed free record");
+}
+
+TEST(TraceReject, NegativeZeroIsStillNegative) {
+  expectRejected("pcbtrace 1 text\na -0 4\n",
+                 "line 2: truncated or malformed allocation record");
+}
+
+TEST(TraceReject, CommittedNegativeIdTraceNamesItsLine) {
+  std::ifstream IS(std::string(PCB_TEST_DATA_DIR) + "/negative-id.mtrace");
+  ASSERT_TRUE(IS.good()) << "missing golden negative-id.mtrace";
+  TraceReader R(IS);
+  readAll(R);
+  ASSERT_TRUE(R.failed());
+  EXPECT_EQ(R.error(), "line 2: truncated or malformed allocation record");
+}
+
 TEST(TraceReject, ZeroSizeAllocation) {
   expectRejected("pcbtrace 1 text\na 1 0\n", "zero-word allocation");
 }
