@@ -7,8 +7,11 @@
 
 #include "fuzz/HeapParityChecker.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <string>
+#include <utility>
 
 using namespace pcb;
 
@@ -33,32 +36,66 @@ void HeapParityChecker::observe(const HeapEvent &E) {
   }
 }
 
+namespace {
+
+std::string range(Addr Start, Addr End) {
+  return "[" + std::to_string(Start) + ", " + std::to_string(End) + ")";
+}
+
+/// The first block where \p Live and \p Ref differ, named on both sides.
+std::string diagnoseBlocks(const std::vector<std::pair<Addr, Addr>> &Live,
+                           const std::vector<std::pair<Addr, Addr>> &Ref) {
+  auto [L, R] = std::mismatch(Live.begin(), Live.end(), Ref.begin(), Ref.end());
+  auto Name = [](auto It, auto End) {
+    return It == End ? std::string("no block") : range(It->first, It->second);
+  };
+  return "block " + Name(L, Live.end()) + " in the live index but " +
+         Name(R, Ref.end()) + " in the reference";
+}
+
+/// The first record where \p Live and \p Ref differ, live or dead.
+std::string diagnoseObjects(std::span<const Object> Live,
+                            std::span<const Object> Ref) {
+  for (size_t Id = 0; Id != Live.size(); ++Id) {
+    const Object &L = Live[Id];
+    const Object &R = Ref[Id];
+    if (L.State != R.State)
+      return "object " + std::to_string(Id) + " is " +
+             (L.isLive() ? "live" : "dead") + " in the live heap but " +
+             (R.isLive() ? "live" : "dead") + " in the reference";
+    if (L.Address != R.Address || L.Size != R.Size)
+      return std::string(L.isLive() ? "object " : "dead object ") +
+             std::to_string(Id) + " at " + range(L.Address, L.end()) +
+             " in the live heap but " + range(R.Address, R.end()) +
+             " in the reference";
+  }
+  assert(false && "no object record differs");
+  return "";
+}
+
+} // namespace
+
 void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
-                                  std::vector<Violation> &Out) const {
+                                  std::vector<Violation> &Out) {
   auto Report = [&](const std::string &Detail) {
     Out.push_back(Violation{"heap-parity", Policy, Step, Detail});
   };
 
-  // Free-space structural parity: same blocks, same order.
+  // Free-space structural parity: same blocks, same order, from one walk
+  // of the live board (which rebuilds no digest, so the queries below
+  // meet the digests the policy left).
   const FreeSpaceIndex &Live = H.freeSpace();
   const ReferenceFreeSpaceIndex &RefFree = Ref.freeSpace();
   if (Live.numBlocks() != RefFree.numBlocks()) {
     Report("live index has " + std::to_string(Live.numBlocks()) +
            " blocks but the reference has " +
            std::to_string(RefFree.numBlocks()));
-    return; // the walk below would only repeat the same divergence
+    return; // the block lists would only repeat the same divergence
   }
-  auto LIt = Live.begin();
-  for (const auto &[Start, End] : RefFree) {
-    auto [LStart, LEnd] = *LIt;
-    if (LStart != Start || LEnd != End) {
-      Report("block [" + std::to_string(LStart) + ", " +
-             std::to_string(LEnd) + ") in the live index but [" +
-             std::to_string(Start) + ", " + std::to_string(End) +
-             ") in the reference");
-      return;
-    }
-    ++LIt;
+  Live.blocks(Blocks);
+  if (Blocks != RefFree.blocks()) {
+    Report(diagnoseBlocks(Blocks, RefFree.blocks()));
+    return;
   }
 
   // Query parity at the sizes the policies ask for (powers of two are
@@ -90,28 +127,28 @@ void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
   }
 
   // Object-table parity: same slots, same placements, same liveness.
-  if (H.numObjects() != Ref.numObjects()) {
-    Report("live heap has " + std::to_string(H.numObjects()) +
+  const std::span<const Object> LiveObjs = H.objects();
+  const std::span<const Object> RefObjs = Ref.objects();
+  if (LiveObjs.size() != RefObjs.size()) {
+    Report("live heap has " + std::to_string(LiveObjs.size()) +
            " object slots but the reference has " +
-           std::to_string(Ref.numObjects()));
+           std::to_string(RefObjs.size()));
     return;
   }
-  for (ObjectId Id = 0; Id != ObjectId(H.numObjects()); ++Id) {
-    const Object &L = H.object(Id);
-    const Object &R = Ref.object(Id);
-    if (L.isLive() != R.isLive()) {
-      Report("object " + std::to_string(Id) + " is " +
-             (L.isLive() ? "live" : "dead") + " in the live heap but " +
-             (R.isLive() ? "live" : "dead") + " in the reference");
-      return;
-    }
-    if (L.isLive() && (L.Address != R.Address || L.Size != R.Size)) {
-      Report("object " + std::to_string(Id) + " at [" +
-             std::to_string(L.Address) + ", " + std::to_string(L.end()) +
-             ") in the live heap but [" + std::to_string(R.Address) + ", " +
-             std::to_string(R.end()) + ") in the reference");
-      return;
-    }
+  // One pass with no exit compares every record whole. A dead record
+  // keeps the address and size it was freed at on both sides (free
+  // changes only its State), so whole-record equality holds for the dead
+  // as well as the live.
+  bool Same = true;
+  for (size_t Id = 0; Id != LiveObjs.size(); ++Id) {
+    const Object &L = LiveObjs[Id];
+    const Object &R = RefObjs[Id];
+    Same &= (L.State == R.State) & (L.Address == R.Address) &
+            (L.Size == R.Size);
+  }
+  if (!Same) {
+    Report(diagnoseObjects(LiveObjs, RefObjs));
+    return;
   }
 
   // Statistics parity: every counter the telemetry exports.

@@ -16,6 +16,14 @@
 /// means the bitboard substrate (or the mirroring contract) drifted,
 /// never that a policy behaved differently.
 ///
+/// Every step pays for checking and little else. The live blocks come
+/// from one walk of the board (FreeSpaceIndex::blocks, which rebuilds no
+/// digest, so the queries after it do the work the policy left them) and
+/// are compared with the reference's block vector in one ==; the object
+/// tables in one pass over both without an exit. Each diagnosis (the
+/// first differing block or record) is built only once a comparison has
+/// failed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_FUZZ_HEAPPARITYCHECKER_H
@@ -27,6 +35,7 @@
 #include "testsupport/ReferenceHeap.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pcb {
@@ -45,11 +54,13 @@ public:
   /// Compares the live heap against the mirror, appending any
   /// divergence to \p Out with Check = "heap-parity".
   void checkStep(const std::string &Policy, uint64_t Step,
-                 std::vector<Violation> &Out) const;
+                 std::vector<Violation> &Out);
 
 private:
   const Heap &H;
   ReferenceHeap Ref;
+  /// The live index's blocks, refilled every step (its capacity kept).
+  std::vector<std::pair<Addr, Addr>> Blocks;
 };
 
 } // namespace pcb

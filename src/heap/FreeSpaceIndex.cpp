@@ -668,6 +668,29 @@ uint64_t FreeSpaceIndex::largestBlockBelow(Addr Limit) const {
   return Best;
 }
 
+void FreeSpaceIndex::blocks(std::vector<std::pair<Addr, Addr>> &Out) const {
+  Out.clear();
+  // Every super with a used bit goes through scanWords, dirty or clean:
+  // rebuilding a digest here would change which supers later queries
+  // descend, and so the fit.probes of a run that lists its blocks.
+  struct BlockVisitor {
+    std::vector<std::pair<Addr, Addr>> &Out;
+
+    bool add(Addr S, Addr E) {
+      Out.emplace_back(S, E);
+      return false;
+    }
+    bool grew(Addr, uint64_t) { return false; }
+    bool closed(Addr S, Addr E) { return add(S, E); }
+    bool super(const uint64_t *W, Super &, Addr Base, uint64_t,
+               uint64_t &Run) {
+      return scanWords(W, SuperWords, Base, Run,
+                       [this](Addr S, Addr E) { return add(S, E); });
+    }
+  };
+  walk(0, AddrLimit, BlockVisitor{Out});
+}
+
 bool FreeSpaceIndex::checkDigests(std::string *Why) const {
   for (size_t K = 0; K != Occ.size(); ++K) {
     const OccPage *Pg = Occ.page(K);
@@ -706,12 +729,4 @@ bool FreeSpaceIndex::checkDigests(std::string *Why) const {
     }
   }
   return true;
-}
-
-std::pair<Addr, Addr> FreeSpaceIndex::nextFreeRun(Addr Pos) const {
-  Addr S = Occ.findFirstClear(Pos);
-  if (S >= AddrLimit)
-    return {InvalidAddr, InvalidAddr};
-  uint64_t E = Occ.findFirstSet(S);
-  return {S, E == Board::NoBit ? AddrLimit : Addr(E)};
 }

@@ -19,8 +19,9 @@
 /// zero-run lengths, and the longest and the size-class mask of its
 /// interior runs, lazily recomputed) that lets scans skip whole supers
 /// and assemble runs spanning supers from prefix/suffix arithmetic alone.
-/// Free blocks are never materialized; they are *views* of the occupancy
-/// words, so the index cannot drift from the heap.
+/// Free blocks are never stored; they are *views* of the occupancy words,
+/// so the index cannot drift from the heap. blocks() lists them on
+/// request, for the heap-parity oracle and the tests.
 ///
 /// A super is descended only when an interior run could answer: the
 /// boundary runs are read off the exact prefix and suffix lengths, so the
@@ -62,7 +63,10 @@
 /// O(present pages), whatever the address span. Two scanners read a
 /// super's words: scanFirstFit, which exits as soon as the open run
 /// reaches the request, and scanWords, the one enumerator of complete
-/// runs, which also rebuilds a dirty super's digest (scanSuperFused).
+/// runs. The run queries fuse it with a rebuild of a dirty super's
+/// digest (scanSuperFused); blocks(), which reads every super with a
+/// used bit, calls it alone, so listing the blocks rebuilds no digest
+/// and changes no later query's work.
 ///
 /// Semantics are those of testsupport/ReferenceFreeSpaceIndex, the
 /// specification (one sorted block map, each query its definition walked
@@ -84,7 +88,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -175,52 +178,14 @@ public:
     Occ.extract(Start, Count, Out);
   }
 
-  /// Forward iteration over (start, end) free blocks in address order.
-  /// Blocks are materialized lazily by scanning the board.
-  class const_iterator {
-  public:
-    using value_type = std::pair<Addr, Addr>;
-    using reference = value_type;
-    using pointer = void;
-    using difference_type = std::ptrdiff_t;
-    using iterator_category = std::forward_iterator_tag;
+  /// Every free block (including the infinite tail) as (start, end), in
+  /// address order, into \p Out (cleared first). One walk that reads each
+  /// super with a used bit through scanWords; it rebuilds no digest, so
+  /// every later query meets the digests it would have met without it.
+  void blocks(std::vector<std::pair<Addr, Addr>> &Out) const;
 
-    value_type operator*() const { return {S, E}; }
-    const_iterator &operator++() {
-      if (E >= AddrLimit) {
-        S = InvalidAddr;
-        E = InvalidAddr;
-      } else {
-        auto [NS, NE] = Owner->nextFreeRun(E);
-        S = NS;
-        E = NE;
-      }
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator Old = *this;
-      ++*this;
-      return Old;
-    }
-    bool operator==(const const_iterator &O) const { return S == O.S; }
-    bool operator!=(const const_iterator &O) const { return !(*this == O); }
-
-  private:
-    friend class FreeSpaceIndex;
-    const_iterator(const FreeSpaceIndex *Owner, Addr S, Addr E)
-        : Owner(Owner), S(S), E(E) {}
-
-    const FreeSpaceIndex *Owner;
-    Addr S, E;
-  };
-
-  const_iterator begin() const {
-    auto [S, E] = nextFreeRun(0);
-    return const_iterator(this, S, E);
-  }
-  const_iterator end() const {
-    return const_iterator(this, InvalidAddr, InvalidAddr);
-  }
+  /// The lowest free address, uncounted: one board search, no fit query.
+  Addr lowestFree() const { return Occ.findFirstClear(0); }
 
 private:
   /// Digest granularity: 64 words = 4096 bits per super.
@@ -351,10 +316,6 @@ private:
 
   /// True when address \p A is free.
   bool bitFree(Addr A) const { return !Occ.test(A); }
-
-  /// The maximal free run with the lowest start >= \p Pos (iterator
-  /// plumbing; \p Pos must not be interior to a free run).
-  std::pair<Addr, Addr> nextFreeRun(Addr Pos) const;
 
   Board Occ;
   size_t TotalBlocks = 1;

@@ -46,6 +46,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,9 @@ public:
 
   /// Number of object slots ever created (ids are dense in [0, size)).
   size_t numObjects() const { return Objects.size(); }
+
+  /// The object table: entry Id is object(Id), live or freed.
+  std::span<const Object> objects() const { return Objects; }
 
   /// Placement queries over the free space.
   const FreeSpaceIndex &freeSpace() const { return Free; }

@@ -156,16 +156,26 @@ public:
     });
   }
 
-  /// Number of set bits in [S, E).
+  /// Number of set bits in [S, E): the two edge words masked inline, the
+  /// whole words between them through the popcountWords kernel.
   uint64_t popcountRange(Addr S, Addr E) const {
     uint64_t N = 0;
     forEachEntryIn(S, E, [&](const PageT *Pg, uint64_t Lo, uint64_t Hi) {
-      if (!Pg)
+      if (!Pg) {
         N += Hi - Lo;
-      else
-        forEachMasked(Lo, Hi, [&](size_t WI, uint64_t M) {
-          N += popcount64(Pg->W[WI] & M);
-        });
+        return false;
+      }
+      const uint64_t *W = Pg->W;
+      size_t WS = size_t(Lo / WordBits), WE = size_t((Hi - 1) / WordBits);
+      uint64_t HiMask = lowMask(unsigned((Hi - 1) % WordBits) + 1);
+      uint64_t LoMask = ~lowMask(unsigned(Lo % WordBits));
+      if (WS == WE) {
+        N += popcount64(W[WS] & LoMask & HiMask);
+        return false;
+      }
+      N += popcount64(W[WS] & LoMask) + popcount64(W[WE] & HiMask);
+      if (WE - WS > 1) // a compactor's chunk of two words has no middle
+        N += popcountWords(W + WS + 1, WE - WS - 1);
       return false;
     });
     return N;

@@ -59,7 +59,7 @@ uint64_t SlidingCompactor::slideAll() {
   // the first free block, read without a fit query so that a pass which
   // moves nothing leaves its placement at one search.
   uint64_t Moved = 0;
-  Addr Target = (*heap().freeSpace().begin()).first;
+  Addr Target = heap().freeSpace().lowestFree();
   for (ObjectId Id = heap().firstLiveAt(Target); Id != InvalidObjectId;) {
     const Object &O = heap().object(Id);
     Addr After = O.Address + 1;

@@ -12,8 +12,9 @@
 /// FreeSpaceIndex, Heap) and the exact game (src/exact/) build on the
 /// same helpers so a boundary bug cannot hide in one copy.
 ///
-/// The multi-word scan kernels (find the first interesting word in an
-/// array) have a portable SWAR implementation here and AVX2 variants in
+/// The multi-word kernels (find the first interesting word in an array,
+/// count the set bits of one) have a portable implementation here and
+/// AVX2 variants in
 /// BitOps.cpp. The CPU check runs once, at static initialization; each
 /// scan then costs one inline test of the resulting flag before calling
 /// its kernel, so the fit scans can use the kernels on their hot path.
@@ -115,13 +116,22 @@ inline size_t findNotOnesWordSwar(const uint64_t *W, size_t N) {
   return N;
 }
 
+inline uint64_t popcountWordsSwar(const uint64_t *W, size_t N) {
+  uint64_t Sum = 0;
+  for (size_t I = 0; I != N; ++I)
+    Sum += popcount64(W[I]);
+  return Sum;
+}
+
 #if PCB_HAVE_AVX2_KERNELS
-/// True when the CPU supports AVX2; set once during static
-/// initialization (a scan running before that uses SWAR, which returns
-/// the same index).
+/// True when the CPU supports AVX2 (and, for the popcount, POPCNT); set
+/// once during static initialization (a call running before that uses
+/// the portable path, which returns the same result).
 extern const bool Avx2Scans;
+extern const bool Avx2Popcount;
 size_t findNonzeroWordAvx2(const uint64_t *W, size_t N);
 size_t findNotOnesWordAvx2(const uint64_t *W, size_t N);
+uint64_t popcountWordsAvx2(const uint64_t *W, size_t N);
 #endif
 
 } // namespace detail
@@ -143,6 +153,16 @@ inline size_t findNotOnesWord(const uint64_t *W, size_t N) {
     return detail::findNotOnesWordAvx2(W, N);
 #endif
   return detail::findNotOnesWordSwar(W, N);
+}
+
+/// Number of set bits in W[0..N). AVX2 and POPCNT when available; the
+/// sum is identical either way.
+inline uint64_t popcountWords(const uint64_t *W, size_t N) {
+#if PCB_HAVE_AVX2_KERNELS
+  if (detail::Avx2Popcount)
+    return detail::popcountWordsAvx2(W, N);
+#endif
+  return detail::popcountWordsSwar(W, N);
 }
 
 /// True when the AVX2 kernels are compiled in and the CPU supports them

@@ -81,10 +81,8 @@ public:
   /// starting below \p Limit of min(end, Limit) - start.
   uint64_t largestBlockBelow(Addr Limit) const;
 
-  /// Iteration over (start, end) free blocks in address order.
-  using const_iterator = std::vector<std::pair<Addr, Addr>>::const_iterator;
-  const_iterator begin() const { return ByAddr.begin(); }
-  const_iterator end() const { return ByAddr.end(); }
+  /// The free blocks as (start, end), in address order.
+  const std::vector<std::pair<Addr, Addr>> &blocks() const { return ByAddr; }
 
 private:
   /// Index of the first block starting at or after \p A.

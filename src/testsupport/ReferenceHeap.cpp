@@ -7,6 +7,8 @@
 
 #include "testsupport/ReferenceHeap.h"
 
+#include "support/BitOps.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -63,8 +65,7 @@ uint64_t ReferenceHeap::occupancyMask(unsigned Count) const {
     if (Address >= Count)
       break;
     uint64_t End = std::min<uint64_t>(Objects[Id].end(), Count);
-    for (uint64_t A = Address; A < End; ++A)
-      Occ |= uint64_t(1) << A;
+    Occ |= lowMask(unsigned(End - Address)) << Address;
   }
   return Occ;
 }

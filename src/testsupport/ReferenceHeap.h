@@ -37,6 +37,7 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace pcb {
@@ -61,19 +62,14 @@ public:
   /// charged its compaction budget.
   void move(ObjectId Id, Addr NewAddress);
 
-  /// The object with id \p Id (live or freed).
-  const Object &object(ObjectId Id) const {
-    assert(Id < Objects.size() && "object id out of range");
-    return Objects[Id];
-  }
-
   /// True if \p Id denotes a live object.
   bool isLive(ObjectId Id) const {
     return Id < Objects.size() && Objects[Id].isLive();
   }
 
-  /// Number of object slots ever created (ids are dense in [0, size)).
-  size_t numObjects() const { return Objects.size(); }
+  /// The object table, live and freed records, indexed by id (ids are
+  /// dense in [0, size)).
+  std::span<const Object> objects() const { return Objects; }
 
   /// Placement queries over the free space.
   const ReferenceFreeSpaceIndex &freeSpace() const { return Free; }

@@ -276,6 +276,38 @@ TEST(HeapParity, CatchesDivergentMirror) {
   ASSERT_FALSE(Out.empty());
   EXPECT_EQ(Out.front().Check, "heap-parity");
   EXPECT_EQ(Out.front().Policy, "first-fit");
+  // One block on each side, the live one 4 words higher: the count check
+  // passes and the block comparison names both.
+  EXPECT_EQ(Out.front().Detail,
+            "block [12, 1152921504606846976) in the live index but "
+            "[8, 1152921504606846976) in the reference");
+}
+
+TEST(HeapParity, CatchesShiftedBlockOfEqualCount) {
+  // Six 4-word objects at 0..24, the one at 4 freed: blocks [4, 8) and
+  // the tail. Moving the object at 12 down to 4 behind the mirror's back
+  // leaves the live heap with [12, 16) and the tail, two blocks again, so
+  // only the block-by-block comparison tells the heaps apart.
+  Heap H;
+  HeapParityChecker Parity(H);
+  bool Mirror = true;
+  H.setEventCallback([&](const HeapEvent &E) {
+    if (Mirror)
+      Parity.observe(E);
+  });
+  std::vector<ObjectId> Ids;
+  for (Addr A = 0; A != 24; A += 4)
+    Ids.push_back(H.place(A, 4));
+  H.free(Ids[1]);
+  Mirror = false;
+  H.move(Ids[3], 4);
+  ASSERT_EQ(H.freeSpace().numBlocks(), 2u);
+  std::vector<Violation> Out;
+  Parity.checkStep("first-fit", 1, Out);
+  ASSERT_FALSE(Out.empty());
+  EXPECT_EQ(Out.front().Check, "heap-parity");
+  EXPECT_EQ(Out.front().Detail,
+            "block [12, 16) in the live index but [4, 8) in the reference");
 }
 
 TEST(HeapParity, CatchesObjectTableDivergence) {
@@ -295,6 +327,45 @@ TEST(HeapParity, CatchesObjectTableDivergence) {
   Parity.checkStep("first-fit", 1, Out);
   ASSERT_FALSE(Out.empty());
   EXPECT_EQ(Out.front().Check, "heap-parity");
+  EXPECT_EQ(Out.front().Detail,
+            "live heap has 1 object slots but the reference has 2");
+}
+
+TEST(HeapParity, CatchesObjectRecordsOfEqualCount) {
+  // The mirror hears of the same objects at swapped addresses: free
+  // space, statistics and both masks agree, so only the record-by-record
+  // comparison sees it, and it names the first record that differs.
+  {
+    Heap H;
+    HeapParityChecker Parity(H);
+    H.place(0, 4);
+    H.place(4, 4);
+    Parity.observe(HeapEvent::alloc(0, /*A=*/4, /*Size=*/4));
+    Parity.observe(HeapEvent::alloc(1, /*A=*/0, /*Size=*/4));
+    std::vector<Violation> Out;
+    Parity.checkStep("first-fit", 1, Out);
+    ASSERT_EQ(Out.size(), 1u);
+    EXPECT_EQ(Out.front().Detail,
+              "object 0 at [0, 4) in the live heap but [4, 8) in the "
+              "reference");
+  }
+  // A dead record differs first: it is named, though both sides agree
+  // it is dead.
+  {
+    Heap H;
+    HeapParityChecker Parity(H);
+    H.free(H.place(0, 4));
+    H.place(0, 4);
+    Parity.observe(HeapEvent::alloc(0, /*A=*/4, /*Size=*/4));
+    Parity.observe(HeapEvent::release(0, /*A=*/4, /*Size=*/4));
+    Parity.observe(HeapEvent::alloc(1, /*A=*/0, /*Size=*/4));
+    std::vector<Violation> Out;
+    Parity.checkStep("first-fit", 1, Out);
+    ASSERT_FALSE(Out.empty());
+    EXPECT_EQ(Out.front().Detail,
+              "dead object 0 at [0, 4) in the live heap but [4, 8) in the "
+              "reference");
+  }
 }
 
 // --- The planted-bug experiment --------------------------------------------

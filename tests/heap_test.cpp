@@ -497,7 +497,8 @@ TEST(Heap, QueriesAcrossTheAddressSpace) {
   EXPECT_EQ(F.numBlocks(), Gaps.size());
   // The mark is AddrLimit: no tail lies above it to leave out.
   EXPECT_EQ(measureFragmentation(H).FreeBlocks, Gaps.size());
-  std::vector<std::pair<Addr, Addr>> Blocks(F.begin(), F.end());
+  std::vector<std::pair<Addr, Addr>> Blocks;
+  F.blocks(Blocks);
   EXPECT_EQ(Blocks, Gaps);
 }
 
@@ -550,7 +551,9 @@ TEST(Metrics, FastPathMatchesRescan) {
 
     FragmentationMetrics M = measureFragmentation(H);
     uint64_t FreeWords = 0, FreeBlocks = 0, Largest = 0;
-    for (const auto &[Start, End] : H.freeSpace()) {
+    std::vector<std::pair<Addr, Addr>> Blocks;
+    H.freeSpace().blocks(Blocks);
+    for (const auto &[Start, End] : Blocks) {
       if (Start >= M.FootprintWords)
         break;
       uint64_t Span =

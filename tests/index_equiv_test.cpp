@@ -57,18 +57,14 @@ void expectQueriesMatch(const FreeSpaceIndex &Fast,
 }
 
 /// Full structural comparison: both indexes hold exactly the same blocks
-/// in the same order.
+/// in the same order, and the live index counts them.
 void expectBlocksMatch(const FreeSpaceIndex &Fast,
                        const ReferenceFreeSpaceIndex &Ref, int Op) {
   SCOPED_TRACE(::testing::Message() << "op " << Op);
-  auto FIt = Fast.begin();
-  for (const auto &[Start, End] : Ref) {
-    ASSERT_NE(FIt, Fast.end());
-    EXPECT_EQ((*FIt).first, Start);
-    EXPECT_EQ((*FIt).second, End);
-    ++FIt;
-  }
-  EXPECT_EQ(FIt, Fast.end());
+  std::vector<std::pair<Addr, Addr>> Blocks;
+  Fast.blocks(Blocks);
+  EXPECT_EQ(Blocks, Ref.blocks());
+  EXPECT_EQ(Blocks.size(), Fast.numBlocks());
 }
 
 class IndexEquivalence : public ::testing::TestWithParam<uint64_t> {};
@@ -722,7 +718,7 @@ bool fitExistsFrom(const ReferenceFreeSpaceIndex &Ref, Addr From,
                    uint64_t Size) {
   if (Ref.isFree(From, Size))
     return true;
-  for (const auto &[S, E] : Ref)
+  for (const auto &[S, E] : Ref.blocks())
     if (S >= From && E - S >= Size)
       return true;
   return false;
@@ -1269,6 +1265,49 @@ TEST(ManyPages, QueriesMatchReference) {
     expectBlocksMatch(Fast, Ref, Op);
     std::string Why;
     EXPECT_TRUE(Fast.checkDigests(&Why)) << Why;
+  }
+}
+
+// blocks() reads every super through scanWords and rebuilds no digest.
+// fit.probes shows which digests are clean: a dirty super whose stale Max
+// admits a request is descended and its rejected runs counted, while a
+// clean one that cannot fit is passed over. So a profiled first fit must
+// count as many probes after blocks() as on a board built alike that
+// never listed its blocks, and the listed board's digests must still
+// keep their contract. The churned board holds stale Max bounds.
+TEST(ManyPages, BlocksRebuildNoDigest) {
+  const std::vector<Addr> Points = manyPagePoints();
+  for (ManyPageDigests Digests :
+       {ManyPageDigests::Dirty, ManyPageDigests::Churned}) {
+    SCOPED_TRACE(digestsName(Digests));
+    FreeSpaceIndex Listed, Unlisted;
+    ReferenceFreeSpaceIndex Ref, Ref2;
+    buildManyPageBoard(Listed, Ref, Digests);
+    buildManyPageBoard(Unlisted, Ref2, Digests);
+    std::vector<std::pair<Addr, Addr>> Blocks;
+    Listed.blocks(Blocks);
+    EXPECT_EQ(Blocks, Ref.blocks());
+    std::string Why;
+    EXPECT_TRUE(Listed.checkDigests(&Why)) << Why;
+    for (size_t I = 0; I < Points.size(); I += 7) {
+      for (uint64_t Size : ManyPageSizes) {
+        const Addr P = Points[I];
+        SCOPED_TRACE(::testing::Message() << "size " << Size << " at " << P);
+        Profiler Got, Want;
+        {
+          ProfilerScope Scope(Got);
+          EXPECT_EQ(Listed.firstFit(Size), Ref.firstFit(Size));
+          EXPECT_EQ(Listed.firstFitFrom(P, Size), Ref.firstFitFrom(P, Size));
+        }
+        {
+          ProfilerScope Scope(Want);
+          Unlisted.firstFit(Size);
+          Unlisted.firstFitFrom(P, Size);
+        }
+        EXPECT_EQ(Got.counter(Profiler::CtrFitProbes),
+                  Want.counter(Profiler::CtrFitProbes));
+      }
+    }
   }
 }
 

@@ -113,6 +113,25 @@ TEST(BitOps, Popcount64MatchesPerBitCount) {
     EXPECT_EQ(popcount64(X), PerBit(X)) << std::hex << X;
 }
 
+// Every length 0..70 covers the kernel's groups of four words and each
+// tail length after them; every start offset 0..3 an unaligned load.
+TEST(BitOps, PopcountWordsMatchesPopcount64) {
+  Rng R(23);
+  for (int Fill = 0; Fill != 3; ++Fill) {
+    std::vector<uint64_t> Words(74);
+    for (uint64_t &W : Words)
+      W = Fill == 0 ? 0 : Fill == 1 ? ~uint64_t(0) : R.next();
+    for (size_t Off = 0; Off != 4; ++Off)
+      for (size_t N = 0; N <= 70; ++N) {
+        uint64_t Want = 0;
+        for (size_t I = 0; I != N; ++I)
+          Want += popcount64(Words[Off + I]);
+        EXPECT_EQ(popcountWords(Words.data() + Off, N), Want)
+            << "fill " << Fill << " offset " << Off << " length " << N;
+      }
+  }
+}
+
 TEST(Random, Determinism) {
   Rng A(42), B(42);
   for (int I = 0; I != 100; ++I)
